@@ -87,13 +87,21 @@ def eval_optimal(
     tail: DivergentTail,
     x: Union[BoundedReal, int, Fraction],
     ctx: PrecisionContext,
+    goal: Union[mpf, None] = None,
     j_max: int = 100_000,
 ) -> TruncationResult:
-    """Sum a divergent tail to its smallest term at argument x.
+    """Sum a divergent tail at argument x, to its smallest term or to a goal.
 
-    Terms are scanned from j_start; at the first j whose magnitude fails
-    to decrease strictly, the scan stops with m_opt = j: the partial sum
-    keeps j_start..j-1 and t_j becomes the certified remainder bound.
+    Terms are scanned from j_start and the scan stops at the first index
+    m_opt = j where either |t_j| < goal (when a goal is given) or
+    |t_(j+1)| >= |t_j| (t_j is the smallest term). The partial sum keeps
+    j_start..j-1 and t_j becomes the remainder bound.
+
+    The goal stop is only sound for tails whose remainder is bounded by the
+    first omitted term at every truncation index, not just the optimal one.
+    The Stirling tail at real x > 0 is such a tail: its remainder has the
+    sign of the first neglected term and is smaller in magnitude (DLMF
+    5.11(ii)). Without a goal the scan runs to the smallest term.
     Raises NoDecreaseError when even the second term fails to decrease.
     """
     with ctx.workprec():
@@ -102,31 +110,27 @@ def eval_optimal(
             raise ValueError("eval_optimal needs x > 0")
         inv2 = (BoundedReal.exact(1) / xb).pow_int(2)
         xpow = (BoundedReal.exact(1) / xb).pow_int(2 * tail.j_start - 1)
-        floor_mag = mpf(10) ** (-(4 * ctx.working_digits + 30))
 
         j = tail.j_start
         term = BoundedReal.exact(tail.coeff(j)) * xpow
+        mag = term.abs_upper()
         partial = BoundedReal.exact(0)
-        prev_mag = term.abs_upper()
-        if prev_mag == 0:
-            return TruncationResult(partial, j, mpf(0), term)
-        while True:
+        while mag != 0 and (goal is None or mag >= goal):
             xpow = xpow * inv2
-            j += 1
-            if j - tail.j_start > j_max:
+            if j + 1 - tail.j_start > j_max:
                 raise PrecisionError(f"no smallest term within {j_max} terms")
-            nxt = BoundedReal.exact(tail.coeff(j)) * xpow
-            mag = nxt.abs_upper()
-            if mag >= prev_mag or prev_mag < floor_mag:
-                m_opt = j - 1
-                if m_opt == tail.j_start:
+            nxt = BoundedReal.exact(tail.coeff(j + 1)) * xpow
+            nxt_mag = nxt.abs_upper()
+            if nxt_mag >= mag:
+                if j == tail.j_start:
                     raise NoDecreaseError(
                         f"terms of {tail.description} never decrease at x={x}"
                     )
-                return TruncationResult(partial, m_opt, prev_mag, term)
+                break
             partial = partial + term
-            term = nxt
-            prev_mag = mag
+            term, mag = nxt, nxt_mag
+            j += 1
+        return TruncationResult(partial, j, mag, term)
 
 
 def log_factorial(
@@ -136,6 +140,10 @@ def log_factorial(
 
     Arguments too small for the Stirling tail to reach working precision
     are promoted: log(x!) = log((x+N)!) - sum_{j=1..N} log(x+j).
+    The Stirling tail is summed only until a term drops below the goal
+    10^-(working digits + 2), not to its smallest term: for real x > 0 the
+    remainder after any number of terms is below the first neglected term
+    (DLMF 5.11(ii)), so that term stays a rigorous bound.
     """
     with ctx.workprec():
         xb = x if isinstance(x, BoundedReal) else BoundedReal.exact(x)
@@ -149,7 +157,7 @@ def log_factorial(
         for _ in range(6):
             N = max(0, threshold - int(xb.lower()))
             big = xb + N
-            trunc = eval_optimal(stirling_tail(), big, ctx)
+            trunc = eval_optimal(stirling_tail(), big, ctx, goal=goal)
             if trunc.remainder_bound < goal * 100:
                 base = (
                     log_two_pi(ctx) / 2

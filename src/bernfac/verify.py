@@ -11,12 +11,15 @@ product logs come from exact integers (bit length plus mantissa, wrapped with
 an ulp bound), not from Stirling-type expansions.
 """
 
+import itertools
 import math
 import os
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+
+from mpmath import mp, mpf
 
 from .asymptotic import milnor_f_log, milnor_g_log, p_rk_log, q_r_log, s_r
 from .constants import (
@@ -29,7 +32,7 @@ from .constants import (
     m_matrix,
     m_tilde_matrix,
 )
-from .precision import BoundedReal, PrecisionContext, make_context
+from .precision import BoundedReal, PrecisionContext, _add_up, make_context
 from .special import (
     bernoulli,
     dedekind_eta_imag,
@@ -41,6 +44,9 @@ from .special import (
 
 DEFAULT_BIT_CAP = 1 << 26
 BIT_CAP_ENV = "BERNFAC_ORACLE_BIT_CAP"
+# the weighted-split identity builds its big integers only below this size;
+# above it the prime-exponent vectors alone decide
+WEIGHTED_SPLIT_INT_BITS = 1 << 20
 
 DEFAULT_RATIO_GRID = (25, 50, 100)
 DEFAULT_MILNOR_GRID = (10, 100, 1000)
@@ -183,11 +189,25 @@ def exact_bernoulli_product(n: int, mode: str = "plain") -> Fraction:
 
 
 def log_exact_int(n: int, ctx: PrecisionContext) -> BoundedReal:
-    """Certified log of an exact positive integer of any bit size."""
+    """Certified log of an exact positive integer of any bit size.
+
+    Integers longer than keep = prec + 64 bits are cut to their top keep
+    bits: n = top * 2^shift + rest with 0 <= rest < 2^shift and
+    top >= 2^(keep-1), so log n = log top + shift log 2 + log(1 + u) with
+    0 <= u < 2^(1-keep). The last term is folded into the error bound.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     with ctx.workprec():
-        return BoundedReal.exact(n).log()
+        keep = mp.prec + 64
+        shift = n.bit_length() - keep
+        if shift <= 0:
+            return BoundedReal.exact(n).log()
+        head = BoundedReal.exact(n >> shift).log()
+        head = head + shift * BoundedReal.exact(2).log()
+        return BoundedReal(
+            head.value, _add_up(head.abs_err, mpf(2) ** (1 - keep))
+        )
 
 
 def log_exact_fraction(q: Fraction, ctx: PrecisionContext) -> BoundedReal:
@@ -280,26 +300,85 @@ def _shifted_factorial_identities(reports, max_k, max_n):
                 )
 
 
+def _legendre(n: int, p: int) -> int:
+    """Exponent of the prime p in n!, by Legendre's formula."""
+    e = 0
+    while n:
+        n //= p
+        e += n
+    return e
+
+
+def _valuation(v: int, p: int) -> int:
+    """Exponent of the prime p in v > 0."""
+    e = 0
+    while v % p == 0:
+        v //= p
+        e += 1
+    return e
+
+
+def _weighted_split_exponents(r: int, n: int, primes: Sequence[int]):
+    """Prime-exponent vectors of both sides of the weighted split at (r, n).
+
+    Over the primes p <= n, the left side has exponents
+    S_r(n) nu_p(n!) + sum_v v^r nu_p(v) and the right side
+    sum_v v^r nu_p(v!) + sum_v S_r(v) nu_p(v), with nu_p(v!) from Legendre's
+    formula and nu_p(v) by trial division.
+    """
+    pow_e = [0] * len(primes)
+    fact_e = [0] * len(primes)
+    s_e = [0] * len(primes)
+    s_run = 0
+    for v in range(1, n + 1):
+        weight = v ** r
+        s_run += weight
+        for i, p in enumerate(primes):
+            nu = _valuation(v, p)
+            pow_e[i] += weight * nu
+            fact_e[i] += weight * _legendre(v, p)
+            s_e[i] += s_run * nu
+    assert s_run == s_r(r, n)
+    lhs = tuple(s_run * _legendre(n, p) + e for p, e in zip(primes, pow_e))
+    rhs = tuple(f + e for f, e in zip(fact_e, s_e))
+    return lhs, rhs
+
+
+def _weighted_split_ints(r: int, n: int):
+    """Both sides of the weighted split at (r, n) as big integers."""
+    s = list(itertools.accumulate((v ** r for v in range(1, n + 1)), initial=0))
+    lhs = math.factorial(n) ** s[n]
+    for v in range(1, n + 1):
+        lhs *= v ** (v ** r)
+    rhs = 1
+    for v in range(1, n + 1):
+        rhs *= math.factorial(v) ** (v ** r) * v ** s[v]
+    return lhs, rhs
+
+
 def _weighted_factorial_split(reports, max_r, max_n):
-    """n!^(S_r(n)) * prod v^(v^r) == prod v!^(v^r) * prod v^(S_r(v))."""
+    """n!^(S_r(n)) * prod v^(v^r) == prod v!^(v^r) * prod v^(S_r(v)).
+
+    Both sides are compared as prime-exponent vectors, which is exact by
+    unique factorization and never builds the products. Where a side stays
+    below WEIGHTED_SPLIT_INT_BITS bits the big integers are built and
+    compared as well, as a cross-check of the vector code. Each report's
+    sides are (exponent vector, integer or None).
+    """
     for r in range(0, max_r + 1):
-        fact = 1
-        prod_pow = 1
-        prod_fact = 1
-        prod_s = 1
-        s_run = 0
         for n in range(1, max_n + 1):
-            fact *= n
-            weight = n ** r
-            s_run += weight
-            prod_pow *= pow(n, weight)
-            prod_fact *= pow(fact, weight)
-            prod_s *= pow(n, s_run)
-            assert s_run == s_r(r, n)
-            lhs = pow(fact, s_run) * prod_pow
-            rhs = prod_fact * prod_s
+            primes = primes_up_to(n)
+            lhs_e, rhs_e = _weighted_split_exponents(r, n, primes)
+            bits = sum(e * math.log2(p) for p, e in zip(primes, lhs_e))
+            lhs_int = rhs_int = None
+            if bits < WEIGHTED_SPLIT_INT_BITS:
+                lhs_int, rhs_int = _weighted_split_ints(r, n)
             _expect_equal(
-                reports, "weighted-factorial-split", {"r": r, "n": n}, lhs, rhs
+                reports,
+                "weighted-factorial-split",
+                {"r": r, "n": n},
+                (lhs_e, lhs_int),
+                (rhs_e, rhs_int),
             )
 
 

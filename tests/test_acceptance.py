@@ -218,7 +218,7 @@ def test_criterion_07_exact_identity_suite():
     mass = [rep for rep in reports if rep.name == "even-lattice-mass-at-8"][0]
     assert mass.status == "exact-equal"
     assert mass.lhs == Fraction(1, 696729600)
-    assert elapsed < 60.0
+    assert elapsed < 20.0
     print(f"criterion 7 PASS: {len(reports)} exact identities in {elapsed:.2f}s")
 
 

@@ -26,7 +26,8 @@ from bernfac.precision import (
     make_context,
     mpf_to_fraction,
 )
-from bernfac.special import bernoulli, log_two_pi
+from bernfac import divergent
+from bernfac.special import bernoulli, log_gamma_rational, log_two_pi
 
 CTX = make_context(21)
 
@@ -167,3 +168,29 @@ def test_log_factorial_rejects_nonpositive():
         log_factorial(0, CTX)
     with pytest.raises(ValueError):
         log_factorial(Fraction(-1, 2), CTX)
+
+
+@pytest.mark.parametrize("digits", [20, 100])
+def test_log_gamma_rational_contains_mpmath_loggamma(digits):
+    ctx = make_context(digits)
+    for x in (Fraction(1, 3), Fraction(1, 2), Fraction(15), Fraction(50), Fraction(120)):
+        lg = log_gamma_rational(x, ctx)
+        with mp.workdps(3 * ctx.working_digits):
+            ref = mpmath.loggamma(mpf(x.numerator) / x.denominator)
+            assert lg.contains(mpf_to_fraction(ref)), x
+        assert lg.abs_err < mpf(10) ** -digits
+
+
+def test_log_factorial_stops_at_goal(monkeypatch):
+    # the Stirling sum stops at the first term below the goal, far before
+    # the smallest term (near j = pi x = 157 at x = 50)
+    seen = []
+
+    def spy(*args, **kwargs):
+        result = eval_optimal(*args, **kwargs)
+        seen.append(result.m_opt)
+        return result
+
+    monkeypatch.setattr(divergent, "eval_optimal", spy)
+    log_gamma_rational(Fraction(50), make_context(20))
+    assert seen and max(seen) <= 20

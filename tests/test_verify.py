@@ -7,15 +7,18 @@ before the suites that rely on them are exercised.
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bernfac.precision import BoundedReal, make_context
+from bernfac import verify
+from bernfac.precision import BoundedReal, make_context, mpf_to_fraction
 from bernfac.special import abelian_group_count, dedekind_eta_imag, pi_const
 from bernfac.verify import (
     BIT_CAP_ENV,
     IdentityReport,
     RatioReport,
+    WEIGHTED_SPLIT_INT_BITS,
     VerificationFailure,
     _abelian_count_sums,
     _multiple_of_four_grid,
@@ -95,6 +98,33 @@ def test_log_exact_int_huge_matches_lgamma_scale():
     assert abs(got - math.lgamma(301)) < 1e-6 * got
 
 
+def _contains_mpmath_log(enclosure, numerator, denominator, ctx):
+    # mpmath reference at three times the working precision
+    with mpmath.workdps(3 * ctx.working_digits):
+        ref = mpmath.log(mpmath.mpf(numerator)) - mpmath.log(mpmath.mpf(denominator))
+        return enclosure.contains(mpf_to_fraction(ref))
+
+
+@pytest.mark.parametrize("digits", [20, 100])
+def test_log_exact_int_top_bits_path(digits):
+    # keep = prec + 64 bits is where log_exact_int switches to the top bits
+    ctx = make_context(digits)
+    with ctx.workprec():
+        keep = mpmath.mp.prec + 64
+    for k in (keep, keep + 1, 10**6):
+        m = math.ceil((k - 1) / math.log2(3))
+        for n in (2**k - 1, 2**k, 3**m):
+            log_n = log_exact_int(n, ctx)
+            assert _contains_mpmath_log(log_n, n, 1, ctx), (k, n.bit_length())
+            assert log_n.abs_err < 10 ** -(digits + 1) * max(1, log_n.value)
+
+
+def test_log_exact_fraction_huge():
+    q = Fraction(3**700000, 2**1000000 - 1)
+    log_q = log_exact_fraction(q, CTX)
+    assert _contains_mpmath_log(log_q, q.numerator, q.denominator, CTX)
+
+
 def test_log_exact_fraction():
     q = Fraction(34560, 7)
     log_q = log_exact_fraction(q, CTX)
@@ -153,11 +183,45 @@ def test_identity_suite_passes_and_covers_expected_families():
     assert len(by_name["weighted-factorial-split"]) == 75
     assert len(by_name["rising-product-gamma"]) == 300
     assert len(by_name["telescope-matrix-inverse"]) == 49
+    # every weighted split compares prime-exponent vectors; the 70 whose
+    # sides stay below the cap also compare the big integers, which the
+    # vectors must factor exactly
+    built = []
+    for rep in by_name["weighted-factorial-split"]:
+        (lhs_e, lhs_int), (rhs_e, rhs_int) = rep.lhs, rep.rhs
+        assert lhs_e == rhs_e
+        if lhs_int is None:
+            continue
+        built.append((rep.params["r"], rep.params["n"]))
+        assert lhs_int == rhs_int
+        assert lhs_int.bit_length() <= WEIGHTED_SPLIT_INT_BITS
+        primes = primes_up_to(rep.params["n"])
+        assert math.prod(p**e for p, e in zip(primes, lhs_e)) == lhs_int
+    assert len(built) == 70
+    assert {(4, n) for n in range(11, 16)}.isdisjoint(built)
     mass = by_name["even-lattice-mass-at-8"]
     assert len(mass) == 1
     assert mass[0].status == "exact-equal"
     assert mass[0].rhs == Fraction(1, 696729600)
     assert all(math.isfinite(rep.gap) for rep in reports)
+
+
+@pytest.mark.parametrize("case", [(2, 7), (4, 15)])
+def test_weighted_split_rejects_perturbed_exponent(monkeypatch, case):
+    # (2, 7) also builds its big integers; (4, 15) is above the cap, so
+    # only the vector comparison can catch the perturbation there
+    exponents = verify._weighted_split_exponents
+
+    def perturbed(r, n, primes):
+        lhs, rhs = exponents(r, n, primes)
+        if (r, n) == case:
+            lhs = (lhs[0] + 1,) + lhs[1:]
+        return lhs, rhs
+
+    monkeypatch.setattr(verify, "_weighted_split_exponents", perturbed)
+    with pytest.raises(VerificationFailure) as failure:
+        verify._weighted_factorial_split([], case[0], case[1])
+    assert failure.value.report.params == {"r": case[0], "n": case[1]}
 
 
 # -- ratio suite -------------------------------------------------------------------
