@@ -1,11 +1,24 @@
 """Working-precision management and error-tracked reals.
 
 Every inexact quantity in this package is a BoundedReal: an mpmath float
-paired with a rigorous absolute error bound. Bounds are propagated outward
-(rounded away from zero), so the interval value +- abs_err always contains
-the mathematically exact result, provided the inputs' intervals contained
-theirs. Exact data (integers, rationals) is kept in fractions.Fraction and
-enters BoundedReal arithmetic only at the last moment.
+paired with a rigorous absolute error bound, so that the interval
+value +- abs_err always contains the mathematically exact result, provided
+the inputs' intervals contained theirs. Exact data (integers, rationals) is
+kept in fractions.Fraction and enters BoundedReal arithmetic only at the
+last moment.
+
+Rounding: each operation rounds its midpoint to nearest at the working
+precision and adds |v| * 2^(4 - prec) to the radius for that rounding.
+Radii are summed, multiplied and divided at RADIUS_PREC = 64 bits, always
+rounded upward. upper() and lower() give the interval ends at working
+precision, rounded with ceiling and floor.
+
+Thread model: the working precision is process-global mpmath state
+(mp.prec, set by PrecisionContext.workprec), and every operation reads it.
+Calls at different precisions from several threads at once are
+unsupported: one thread's workprec changes the precision of another
+thread's arithmetic. The locks in special and constants guard only their
+caches.
 """
 
 from __future__ import annotations
@@ -15,6 +28,26 @@ from fractions import Fraction
 from typing import Callable, Union
 
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    from_float,
+    from_int,
+    from_man_exp,
+    from_rational,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_neg,
+    mpf_shift,
+    mpf_sub,
+    normalize,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+)
 import mpmath
 
 
@@ -55,54 +88,42 @@ def make_context(target_digits: int) -> PrecisionContext:
     return PrecisionContext(target_digits, max(10, -(-target_digits // 10)))
 
 
-# Directed helpers. All error accumulation goes through these so that
-# rounding in the bound arithmetic itself can only enlarge the bound.
+# Raw-tuple arithmetic. Values and radii are mpmath.libmp raw tuples
+# (sign, man, exp, bc). Each operation reads mp.prec once and passes the
+# precision and rounding mode to libmp explicitly: the midpoint is rounded
+# to nearest at working precision, while radii are summed, multiplied and
+# divided at RADIUS_PREC bits, always rounded upward (Arb's mag_t scheme).
 
-def _add_up(*xs) -> mpf:
-    acc = mpf(0)
-    for x in xs:
-        acc = mpmath.fadd(acc, x, rounding="u")
-    return acc
+RADIUS_PREC = 64
 
-
-def _mul_up(x, y) -> mpf:
-    return mpmath.fmul(x, y, rounding="u")
+_make_mpf = mp.make_mpf
 
 
-def _div_up(x, y) -> mpf:
-    return mpmath.fdiv(x, y, rounding="u")
-
-
-def _div_down(x, y) -> mpf:
-    return mpmath.fdiv(x, y, rounding="d")
-
-
-def _sub_down(x, y) -> mpf:
-    # Lower bound for x - y, used for "bounded away from zero" checks.
-    return mpmath.fsub(x, y, rounding="d")
-
-
-def _neg_exact(v) -> mpf:
-    # Unary minus on an mpf re-rounds the mantissa to the ambient precision,
-    # which would silently shift values produced under a higher workprec.
-    return mpmath.fneg(v, exact=True)
-
-
-def _abs_exact(v) -> mpf:
-    # Same hazard as _neg_exact: abs() re-rounds at the ambient precision.
-    return _neg_exact(v) if v < 0 else v
-
-
-def _ulp_slop(v) -> mpf:
-    """Generous bound on the rounding error of one mpmath op that produced v.
+def _ulp_slop(t: tuple, prec: int) -> tuple:
+    """Generous bound on the rounding error of one mpmath op that produced t.
 
     Basic mpf arithmetic is correctly rounded (<= 0.5 ulp) and the
     transcendental functions used here are accurate to ~1 ulp, so
-    |v| * 2^(4 - prec) covers a single operation with a wide margin.
+    |t| * 2^(4 - prec), rounded up to RADIUS_PREC bits, covers a single
+    operation at precision prec with a wide margin.
     """
-    if v == 0:
-        return mpf(0)
-    return _mul_up(abs(v), mpf(2) ** (4 - mp.prec))
+    _, man, exp, bc = t
+    if not man:
+        return fzero
+    return normalize(0, man, exp + 4 - prec, bc, RADIUS_PREC, round_ceiling)
+
+
+def _add_up(*xs) -> mpf:
+    """Upper bound for the sum of nonnegative mpf radii, at RADIUS_PREC bits."""
+    acc = fzero
+    for x in xs:
+        acc = mpf_add(acc, x._mpf_, RADIUS_PREC, round_ceiling)
+    return _make_mpf(acc)
+
+
+def _mul_up(x, y) -> mpf:
+    """Upper bound for the product of nonnegative mpf radii, at RADIUS_PREC bits."""
+    return _make_mpf(mpf_mul(x._mpf_, y._mpf_, RADIUS_PREC, round_ceiling))
 
 
 def mpf_to_fraction(v) -> Fraction:
@@ -123,24 +144,48 @@ def mpf_to_fraction(v) -> Fraction:
     return -frac if sign else frac
 
 
-@dataclass(frozen=True)
 class BoundedReal:
-    """A real number known to lie in [value - abs_err, value + abs_err]."""
+    """A real number known to lie in [value - abs_err, value + abs_err].
 
-    value: mpf
-    abs_err: mpf
+    Immutable. The midpoint and radius are held as raw libmp tuples;
+    ``value`` and ``abs_err`` give them as mpf.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("_v", "_e")
+
+    def __new__(cls, value, abs_err) -> "BoundedReal":
         # mpf(x) would re-round an existing mpf to the ambient precision,
-        # so only non-mpf inputs are converted
-        if not isinstance(self.value, mpf):
-            object.__setattr__(self, "value", mpf(self.value))
-        if not isinstance(self.abs_err, mpf):
-            object.__setattr__(self, "abs_err", mpf(self.abs_err))
-        if not mpmath.isfinite(self.value) or not mpmath.isfinite(self.abs_err):
-            raise PrecisionError("non-finite BoundedReal")
-        if self.abs_err < 0:
-            raise ValueError("abs_err must be nonnegative")
+        # so only non-mpf inputs are converted; a converted radius is
+        # rounded upward so that it still covers the one given
+        if not isinstance(value, mpf):
+            value = mpf(value)
+        if not isinstance(abs_err, mpf):
+            abs_err = mpf(abs_err, rounding=round_ceiling)
+        return _raw(value._mpf_, abs_err._mpf_)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BoundedReal is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return BoundedReal, (self.value, self.abs_err)
+
+    @property
+    def value(self) -> mpf:
+        return _make_mpf(self._v)
+
+    @property
+    def abs_err(self) -> mpf:
+        return _make_mpf(self._e)
+
+    def __eq__(self, other):
+        if type(other) is not BoundedReal:
+            return NotImplemented
+        return self._v == other._v and self._e == other._e
+
+    def __hash__(self) -> int:
+        return hash((self._v, self._e))
 
     # -- constructors ------------------------------------------------------
 
@@ -150,29 +195,30 @@ class BoundedReal:
         if isinstance(x, BoundedReal):
             return x
         if isinstance(x, int):
-            v = mpf(x)
-            err = mpf(0) if mpf_to_fraction(v) == x else _ulp_slop(v)
-            return BoundedReal(v, err)
+            return _rounded(from_int(x))
         if isinstance(x, Fraction):
-            if x.denominator == 1:
-                return BoundedReal.exact(int(x))
-            v = mpmath.fdiv(mpf(x.numerator), mpf(x.denominator))
-            err = mpf(0) if mpf_to_fraction(v) == x else _ulp_slop(v)
-            return BoundedReal(v, err)
-        if isinstance(x, float) or isinstance(x, mpf):
-            return BoundedReal(mpf(x), mpf(0))
+            p, q = x.numerator, x.denominator
+            if q & (q - 1) == 0:  # dyadic: exact unless p is too long
+                return _rounded(from_man_exp(p, 1 - q.bit_length()))
+            prec = mp.prec
+            v = from_rational(p, q, prec, round_nearest)
+            return _raw(v, _ulp_slop(v, prec))
+        if isinstance(x, mpf):
+            return _raw(x._mpf_, fzero)
+        if isinstance(x, float):
+            return _raw(from_float(x), fzero)
         raise TypeError(f"cannot promote {type(x).__name__} to BoundedReal")
 
     # -- interval views ----------------------------------------------------
 
     def upper(self) -> mpf:
-        return mpmath.fadd(self.value, self.abs_err, rounding="u")
+        return _make_mpf(mpf_add(self._v, self._e, mp.prec, round_ceiling))
 
     def lower(self) -> mpf:
-        return mpmath.fsub(self.value, self.abs_err, rounding="d")
+        return _make_mpf(mpf_sub(self._v, self._e, mp.prec, round_floor))
 
     def abs_upper(self) -> mpf:
-        return _add_up(_abs_exact(self.value), self.abs_err)
+        return _make_mpf(mpf_add(mpf_abs(self._v), self._e, mp.prec, round_ceiling))
 
     def contains(self, x: Union[int, Fraction, mpf]) -> bool:
         """Whether the exact number x lies in the certified interval."""
@@ -192,71 +238,109 @@ class BoundedReal:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "BoundedReal":
-        o = BoundedReal.exact(other)
-        v = self.value + o.value
-        return BoundedReal(v, _add_up(self.abs_err, o.abs_err, _ulp_slop(v)))
+        if type(other) is not BoundedReal:
+            other = BoundedReal.exact(other)
+        return _sum(self, other, mpf_add)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BoundedReal":
-        return BoundedReal(_neg_exact(self.value), self.abs_err)
+        return _raw(mpf_neg(self._v), self._e)
 
     def __sub__(self, other) -> "BoundedReal":
-        return self + (-BoundedReal.exact(other))
+        if type(other) is not BoundedReal:
+            other = BoundedReal.exact(other)
+        return _sum(self, other, mpf_sub)
 
     def __rsub__(self, other) -> "BoundedReal":
-        return BoundedReal.exact(other) + (-self)
+        return _sum(BoundedReal.exact(other), self, mpf_sub)
 
     def __mul__(self, other) -> "BoundedReal":
-        o = BoundedReal.exact(other)
-        v = self.value * o.value
-        err = _add_up(
-            _mul_up(_abs_exact(self.value), o.abs_err),
-            _mul_up(_abs_exact(o.value), self.abs_err),
-            _mul_up(self.abs_err, o.abs_err),
-            _ulp_slop(v),
-        )
-        return BoundedReal(v, err)
+        if type(other) is not BoundedReal:
+            other = BoundedReal.exact(other)
+        a, b, ea, eb = self._v, other._v, self._e, other._e
+        prec = mp.prec
+        v = mpf_mul(a, b, prec, round_nearest)
+        err = _ulp_slop(v, prec)
+        # |a| eb + |b| ea + ea eb, as |a| eb + (|b| + eb) ea
+        if eb[1]:
+            err = mpf_add(err, mpf_mul(mpf_abs(a), eb, RADIUS_PREC, round_ceiling),
+                          RADIUS_PREC, round_ceiling)
+            if ea[1]:
+                scale = mpf_add(mpf_abs(b), eb, RADIUS_PREC, round_ceiling)
+                err = mpf_add(err, mpf_mul(scale, ea, RADIUS_PREC, round_ceiling),
+                              RADIUS_PREC, round_ceiling)
+        elif ea[1]:
+            err = mpf_add(err, mpf_mul(mpf_abs(b), ea, RADIUS_PREC, round_ceiling),
+                          RADIUS_PREC, round_ceiling)
+        return _raw(v, err)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "BoundedReal":
-        o = BoundedReal.exact(other)
-        denom_low = _sub_down(_abs_exact(o.value), o.abs_err)
-        if denom_low <= 0:
+        if type(other) is not BoundedReal:
+            other = BoundedReal.exact(other)
+        a, b, ea, eb = self._v, other._v, self._e, other._e
+        abs_b = mpf_abs(b)
+        denom_low = mpf_sub(abs_b, eb, RADIUS_PREC, round_floor)
+        if denom_low[0] or not denom_low[1]:
             raise PrecisionError("division by an interval containing zero")
-        v = self.value / o.value
-        num = _add_up(
-            _mul_up(_abs_exact(o.value), self.abs_err),
-            _mul_up(_abs_exact(self.value), o.abs_err),
-        )
-        err = _add_up(_div_up(num, _mul_up(_abs_exact(o.value), denom_low)), _ulp_slop(v))
-        return BoundedReal(v, err)
+        prec = mp.prec
+        v = mpf_div(a, b, prec, round_nearest)
+        err = _ulp_slop(v, prec)
+        if ea[1] or eb[1]:
+            # |a/b - (a+s)/(b+t)| <= (|b| ea + |a| eb) / (|b| (|b| - eb));
+            # the denominator is rounded down so the quotient is an upper bound
+            num = mpf_add(
+                mpf_mul(abs_b, ea, RADIUS_PREC, round_ceiling),
+                mpf_mul(mpf_abs(a), eb, RADIUS_PREC, round_ceiling),
+                RADIUS_PREC, round_ceiling,
+            )
+            den = mpf_mul(abs_b, denom_low, RADIUS_PREC, round_floor)
+            err = mpf_add(err, mpf_div(num, den, RADIUS_PREC, round_ceiling),
+                          RADIUS_PREC, round_ceiling)
+        return _raw(v, err)
 
     def __rtruediv__(self, other) -> "BoundedReal":
         return BoundedReal.exact(other) / self
 
     def __abs__(self) -> "BoundedReal":
-        return BoundedReal(_abs_exact(self.value), self.abs_err)
+        return _raw(mpf_abs(self._v), self._e)
 
     # -- transcendental operations -----------------------------------------
 
     def exp(self) -> "BoundedReal":
-        v = mpmath.exp(self.value)
-        # |e^(x+d) - e^x| <= e^x (e^d - 1) <= e^x * d * e^d for d >= 0
-        d = self.abs_err
-        growth = _mul_up(d, mpmath.exp(_add_up(d, _ulp_slop(d))))
-        err = _add_up(_mul_up(_add_up(v, _ulp_slop(v)), growth), _ulp_slop(v))
-        return BoundedReal(v, err)
+        d = self._e
+        prec = mp.prec
+        v = mpf_exp(self._v, prec, round_nearest)
+        err = _ulp_slop(v, prec)
+        if d[1]:
+            # |e^(x+t) - e^x| <= e^x (e^d - 1) <= e^x * d * e^d for |t| <= d.
+            # mpf_exp is accurate to well under an ulp but does not promise
+            # to round in the requested direction, hence the 2^(4-RADIUS_PREC)
+            # relative pad on e^d.
+            exp_d = mpf_exp(d, RADIUS_PREC, round_ceiling)
+            exp_d = mpf_add(exp_d, mpf_shift(exp_d, 4 - RADIUS_PREC),
+                            RADIUS_PREC, round_ceiling)
+            growth = mpf_mul(d, exp_d, RADIUS_PREC, round_ceiling)
+            top = mpf_add(v, err, RADIUS_PREC, round_ceiling)  # >= e^x
+            err = mpf_add(err, mpf_mul(top, growth, RADIUS_PREC, round_ceiling),
+                          RADIUS_PREC, round_ceiling)
+        return _raw(v, err)
 
     def log(self) -> "BoundedReal":
-        low = _sub_down(self.value, self.abs_err)
-        if low <= 0:
+        x, d = self._v, self._e
+        low = mpf_sub(x, d, RADIUS_PREC, round_floor)
+        if low[0] or not low[1]:
             raise PrecisionError("log of an interval touching zero")
-        v = mpmath.log(self.value)
-        # |log(x+d) - log(x)| <= d / (x - d) over the interval
-        err = _add_up(_div_up(self.abs_err, low), _ulp_slop(v))
-        return BoundedReal(v, err)
+        prec = mp.prec
+        v = mpf_log(x, prec, round_nearest)
+        err = _ulp_slop(v, prec)
+        if d[1]:
+            # |log(x+t) - log(x)| <= d / (x - d) for |t| <= d
+            err = mpf_add(err, mpf_div(d, low, RADIUS_PREC, round_ceiling),
+                          RADIUS_PREC, round_ceiling)
+        return _raw(v, err)
 
     def pow_int(self, n: int) -> "BoundedReal":
         if n == 0:
@@ -284,6 +368,45 @@ class BoundedReal:
 
     def __repr__(self) -> str:
         return f"BoundedReal({mpmath.nstr(self.value, 12)}, err<={mpmath.nstr(self.abs_err, 3)})"
+
+
+_new = object.__new__
+_set_v = BoundedReal._v.__set__
+_set_e = BoundedReal._e.__set__
+
+
+def _raw(v: tuple, e: tuple) -> BoundedReal:
+    """BoundedReal from raw tuples, with the public constructor's checks."""
+    # a zero mantissa is either fzero or one of finf, fninf, fnan
+    if (not v[1] and v != fzero) or (not e[1] and e != fzero):
+        raise PrecisionError("non-finite BoundedReal")
+    if e[0]:
+        raise ValueError("abs_err must be nonnegative")
+    x = _new(BoundedReal)
+    _set_v(x, v)
+    _set_e(x, e)
+    return x
+
+
+def _rounded(t: tuple) -> BoundedReal:
+    """The exact raw value t, rounded to working precision if it is longer."""
+    prec = mp.prec
+    if t[3] <= prec:
+        return _raw(t, fzero)
+    v = normalize(t[0], t[1], t[2], t[3], prec, round_nearest)
+    return _raw(v, _ulp_slop(v, prec))
+
+
+def _sum(x: BoundedReal, y: BoundedReal, op) -> BoundedReal:
+    """x + y or x - y, as op is mpf_add or mpf_sub."""
+    prec = mp.prec
+    v = op(x._v, y._v, prec, round_nearest)
+    err = _ulp_slop(v, prec)
+    if x._e[1]:
+        err = mpf_add(err, x._e, RADIUS_PREC, round_ceiling)
+    if y._e[1]:
+        err = mpf_add(err, y._e, RADIUS_PREC, round_ceiling)
+    return _raw(v, err)
 
 
 def _decimal_exponent(a: Fraction) -> int:

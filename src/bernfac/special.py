@@ -47,12 +47,20 @@ _bern_even: list = [Fraction(1)]  # _bern_even[m] = B_{2m}
 
 
 def _extend_bernoulli(upto_even_index: int) -> None:
-    m_max = upto_even_index // 2
+    """Make the cache hold B_0 .. B_upto_even_index, possibly more.
+
+    The tangent triangle cannot be extended in place, so each growth
+    rebuilds it. Growing to at least twice the cached length makes callers
+    that ask for B_2, B_4, ... one at a time pay O(m^2) in total instead of
+    O(m^3) (Brent & Harvey, arXiv:1108.0286).
+    """
     with _lock:
-        if m_max < len(_bern_even):
+        cached = len(_bern_even)
+        if upto_even_index // 2 < cached:
             return
+        m_max = max(upto_even_index // 2, 2 * cached)
         T = _tangent_numbers(m_max)
-        for m in range(len(_bern_even), m_max + 1):
+        for m in range(cached, m_max + 1):
             num = (-1) ** (m - 1) * 2 * m * T[m]
             den = 2 ** (2 * m) * (2 ** (2 * m) - 1)
             _bern_even.append(Fraction(num, den))

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from mpmath import mp, mpf
 
 from bernfac.precision import (
@@ -156,6 +156,91 @@ def test_mixed_operand_promotion(a):
     assert (1 - x).contains(1 - a)
     assert (-x).contains(-a)
     assert abs(x).contains(abs(a))
+
+
+# mpf operands of widely varying size: a mantissa and a binary exponent
+mpf_parts_st = st.tuples(
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.integers(min_value=-150, max_value=150),
+)
+radius_parts_st = st.tuples(
+    st.integers(min_value=1, max_value=10**20),
+    st.integers(min_value=-400, max_value=100),
+)
+
+
+@pytest.mark.parametrize("dps", [20, 300])
+@given(mpf_parts_st, radius_parts_st, mpf_parts_st, radius_parts_st)
+def test_ops_on_wide_intervals_contain_all_four_corners(dps, a, ea, b, eb):
+    with mp.workdps(dps):
+        x = BoundedReal(mpf(a), mpf(ea))
+        y = BoundedReal(mpf(b), mpf(eb))
+        A, EA, B, EB = (
+            mpf_to_fraction(t) for t in (x.value, x.abs_err, y.value, y.abs_err)
+        )
+        corners = [(A + sa * EA, B + sb * EB) for sa in (-1, 1) for sb in (-1, 1)]
+        total, diff, prod = x + y, x - y, x * y
+        for p, q in corners:
+            assert total.contains(p + q)
+            assert diff.contains(p - q)
+            assert prod.contains(p * q)
+        assume(abs(B) > EB)
+        quot = x / y
+        for p, q in corners:
+            assert quot.contains(p / q)
+
+
+@pytest.mark.parametrize(
+    "a, ea, b, eb",
+    [
+        (
+            "0.0000267909855964311471962911919760005",
+            "24031425599647916316184616.2633018",
+            "62072894027199746994984453160.3359",
+            "61192844096113398839734397929.4219",
+        ),
+        # a 64-bit |b| (|b| - eb) that needs rounding, with nothing else
+        # in the radius to absorb a wrong direction
+        (0, mpf(2) ** -10, 16557738134717660093, 708),
+    ],
+)
+def test_division_radius_rounds_its_denominator_down(a, ea, b, eb):
+    # (|b| ea + |a| eb) / (|b| (|b| - eb)) is a bound only if the product in
+    # the denominator is rounded down
+    with mp.workdps(30):
+        x = BoundedReal(mpf(a), mpf(ea))
+        y = BoundedReal(mpf(b), mpf(eb))
+        A, EA, B, EB = (
+            mpf_to_fraction(t) for t in (x.value, x.abs_err, y.value, y.abs_err)
+        )
+        assert (x / y).contains((A + EA) / (B - EB))
+
+
+@pytest.mark.parametrize("mid", [-1, 1])
+def test_upper_and_lower_bound_the_interval_for_either_sign(mid):
+    with mp.workdps(30):
+        x = BoundedReal(mpf(mid), mpf(2) ** -200)
+        assert mpf_to_fraction(x.upper()) >= mid + Fraction(1, 2**200)
+        assert mpf_to_fraction(x.lower()) <= mid - Fraction(1, 2**200)
+
+
+def test_bounded_real_is_an_immutable_value():
+    x = BoundedReal(mpf(3), mpf("0.25"))
+    assert isinstance(x.value, mpf) and isinstance(x.abs_err, mpf)
+    assert x == BoundedReal(mpf(3), mpf("0.25"))
+    assert hash(x) == hash(BoundedReal(mpf(3), mpf("0.25")))
+    assert x != BoundedReal(mpf(3), mpf("0.5"))
+    with pytest.raises(AttributeError):
+        x.value = mpf(4)
+
+
+def test_exact_keeps_every_bit_of_a_longer_mpf():
+    with mp.workdps(50):
+        third = mpf(1) / 3
+    with mp.workdps(20):
+        x = BoundedReal.exact(third)
+        assert x.abs_err == 0
+        assert mpf_to_fraction(x.value) == mpf_to_fraction(third)
 
 
 def test_division_by_interval_containing_zero():

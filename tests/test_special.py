@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from bernfac import special
 from bernfac.precision import BoundedReal, make_context, mpf_to_fraction
 from bernfac.special import (
     abelian_group_count,
@@ -68,6 +69,25 @@ def test_bernoulli_even_signs_alternate():
 def test_bernoulli_defining_recurrence(n):
     total = sum(Fraction(math.comb(n + 1, j)) * bernoulli(j) for j in range(n + 1))
     assert total == 0
+
+
+def test_bernoulli_cache_grows_geometrically(monkeypatch):
+    builds = []
+    build = special._tangent_numbers
+
+    def counted(m):
+        builds.append(m)
+        return build(m)
+
+    monkeypatch.setattr(special, "_tangent_numbers", counted)
+    monkeypatch.setattr(special, "_bern_even", [Fraction(1)])
+    one_at_a_time = [bernoulli(n) for n in range(2, 801, 2)]
+    assert len(builds) <= 12
+
+    monkeypatch.setattr(special, "_bern_even", [Fraction(1)])
+    bernoulli(800)
+    assert special._bern_even[1:] == one_at_a_time
+    assert one_at_a_time[-1] == Fraction(*mpmath.bernfrac(800))
 
 
 def test_bernoulli_table_checks_and_indexing():
