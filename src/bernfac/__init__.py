@@ -27,18 +27,29 @@ from bernfac.constants import (
     gamma_product_constants,
     glaisher_a,
 )
-from bernfac.verify import (
-    IdentityReport,
-    RatioReport,
-    VerificationFailure,
-    abelian_average_check,
-    eta_identity_check,
-    exact_bernoulli_product,
-    exact_factorial_product,
-    identity_suite,
-    milnor_equivalence_check,
-    ratio_suite,
+
+# The verification suite loads on first use (PEP 562), so the constant and
+# table requests never import it.
+_VERIFY_NAMES = (
+    "IdentityReport",
+    "RatioReport",
+    "VerificationFailure",
+    "abelian_average_check",
+    "eta_identity_check",
+    "exact_bernoulli_product",
+    "exact_factorial_product",
+    "identity_suite",
+    "milnor_equivalence_check",
+    "ratio_suite",
 )
+
+
+def __getattr__(name):
+    if name in _VERIFY_NAMES:
+        from bernfac import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BoundedReal",

@@ -29,16 +29,6 @@ from .constants import (
     glaisher_a,
 )
 from .precision import PrecisionError, format_bound, make_context
-from .verify import (
-    VerificationFailure,
-    abelian_average_check,
-    eta_identity_check,
-    identity_suite,
-    milnor_equivalence_check,
-    ratio_suite,
-    report_lines,
-    report_records,
-)
 
 CONSTANT_SELECTORS = (
     "C1",
@@ -216,6 +206,16 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import (
+        VerificationFailure,
+        abelian_average_check,
+        eta_identity_check,
+        identity_suite,
+        milnor_equivalence_check,
+        report_lines,
+        report_records,
+    )
+
     ctx = make_context(args.digits)
     reports = []
     failed = False
@@ -246,6 +246,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_ratio(args) -> int:
+    from .verify import ratio_suite, report_lines, report_records
+
     ctx = make_context(args.digits)
     targets = args.targets or None
     reports = ratio_suite(targets=targets, ctx=ctx)

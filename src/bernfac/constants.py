@@ -36,11 +36,13 @@ from bernfac.precision import (
 )
 from bernfac.special import (
     bernoulli,
+    clear_zeta_cache,
     euler_gamma,
     harmonic,
     log_gamma_rational,
     log_two_pi,
     pi_const,
+    zeta_family,
     zeta_int,
     zeta_neg_int,
     zeta_prime_neg,
@@ -82,8 +84,10 @@ def _ctx_key(ctx: PrecisionContext):
 
 
 def clear_cache() -> None:
+    """Drop the memoized reports and the cached zeta values."""
     with _cache_lock:
         _cache.clear()
+    clear_zeta_cache()
 
 
 # -- display helpers for interval endpoints -----------------------------------
@@ -122,15 +126,37 @@ def ceil_to_digits(a: Fraction, digits: int) -> str:
 # -- zeta products C1, C2, C3 --------------------------------------------------
 
 def _zeta_product_cutoff(ctx: PrecisionContext) -> int:
-    """Smallest N' with 2^(-N'+3/N') below a tenth of the target tolerance.
+    """Smallest N' >= 4 with 2^(-N'+3/N') below a tenth of the target tolerance.
 
-    The comparison is exact: 2^(-N'+3/N') < t iff 8 < (t 2^N')^N'.
+    2^(-N'+3/N') < 10^-(d+3) iff N' - 3/N' > L = (d+3) log2(10). The left
+    side increases with N', so N' is the first integer above the positive
+    root of N^2 - L N = 3, which is never an integer (L is irrational). A
+    certified enclosure of L decides the candidate from that root and its
+    predecessor. L needs a relative accuracy of only about 1/(d N'), so the
+    enclosure starts at a few digits more than d has, and its precision is
+    doubled only while it straddles one of the two.
     """
-    tol = Fraction(1, 10 ** (ctx.target_digits + 3))
-    n_prime = 4
-    while (tol * Fraction(2) ** n_prime) ** n_prime <= 8:
-        n_prime += 1
-    return n_prime
+    d = ctx.target_digits
+    digits = len(str(d)) + 10
+    while True:
+        with PrecisionContext(digits, 10).workprec():
+            log2_10 = BoundedReal.exact(10).log() / BoundedReal.exact(2).log()
+            big_l = log2_10 * (d + 3)
+
+            def side(n: int) -> int:
+                """+1 if n - 3/n > L, -1 if below, 0 if undecided."""
+                gap = BoundedReal.exact(Fraction(n * n - 3, n)) - big_l
+                return 1 if gap.lower() > 0 else -1 if gap.upper() < 0 else 0
+
+            approx = float(big_l.value)
+            n = max(4, math.ceil((approx + math.sqrt(approx * approx + 12)) / 2))
+            while n > 4 and side(n - 1) > 0:
+                n -= 1
+            while side(n) < 0:
+                n += 1
+            if side(n) > 0 and (n == 4 or side(n - 1) < 0):
+                return n
+        digits *= 2
 
 
 def c_constant(which: int, ctx: PrecisionContext) -> ConstantReport:
@@ -142,8 +168,10 @@ def c_constant(which: int, ctx: PrecisionContext) -> ConstantReport:
         with ctx.workprec():
             n_prime = _zeta_product_cutoff(ctx)
             start, step = {1: (2, 1), 2: (2, 2), 3: (3, 2)}[which]
+            s_values = range(start, n_prime + 1, step)
+            zeta_family(s_values, ctx)
             prod = BoundedReal.exact(1)
-            for s in range(start, n_prime + 1, step):
+            for s in s_values:
                 prod = prod * zeta_int(s, ctx)
             # remaining factors multiply by e^delta with
             # 0 <= delta < b = 2^(1-N') >= 2^(-N'+3/N'); e^b - 1 <= b + b^2

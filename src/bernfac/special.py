@@ -1,9 +1,15 @@
 """Exact Bernoulli and harmonic numbers, and certified special functions.
 
-The zeta values and derivatives are computed by Euler-Maclaurin summation
-with a certified remainder: for completely monotone integrands the error of
-the truncated correction series is bounded by the first omitted term, which
-is what the returned BoundedReal carries (plus accumulated rounding).
+zeta(s) at integers s >= 2 is evaluated for a whole family of s at once and
+cached (zeta_family, read through zeta_int). Even s below the direct-sum
+range are exact: zeta(2j) = |B_2j| (2 pi)^(2j) / (2 (2j)!), with only pi
+rounded. Other s are summed in exact fixed-point integers whose every floor
+is counted in the radius: large s directly, with the tail bound
+V^(1-s)/(s-1) rounded upward into the radius, and odd s below that range by
+Euler-Maclaurin. zeta'(s) is summed by Euler-Maclaurin in mpf. For
+completely monotone integrands the error of the truncated correction series
+is bounded by the first omitted term, which the returned BoundedReal
+carries.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from typing import Union
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from bernfac.precision import (
     BoundedReal,
@@ -162,7 +169,7 @@ def log_two_pi(ctx: PrecisionContext) -> BoundedReal:
         return two_pi.log()
 
 
-# -- Riemann zeta at integers via Euler-Maclaurin ----------------------------
+# -- Riemann zeta at integers -----------------------------------------------
 
 def _pochhammer(s: int, m: int) -> int:
     """Rising factorial s(s+1)...(s+m-1)."""
@@ -172,68 +179,199 @@ def _pochhammer(s: int, m: int) -> int:
     return acc
 
 
+# zeta_int values, write-once per (s, target_digits, guard_digits), filled by
+# zeta_family. Racing fills compute identical values; setdefault keeps one.
+_zeta_cache: dict = {}
+
+
 def zeta_int(s: int, ctx: PrecisionContext) -> BoundedReal:
-    """zeta(s) for integer s >= 2 with a certified error bound."""
+    """zeta(s) for integer s >= 2 with a certified error bound.
+
+    Read from the cache that zeta_family fills; a miss evaluates s alone.
+    """
     if s < 2:
         raise ValueError("zeta_int needs s >= 2")
-    with ctx.workprec():
-        wd = ctx.working_digits
-        goal = mpf(10) ** (-(wd + 2))
-
-        # For large s the direct sum already meets the goal at a tiny cutoff.
-        # Tail bound: sum_{v>V} v^-s < V^(1-s)/(s-1).
-        if s > 3:
-            V = 2
-            while V <= 64:
-                if mpf(V) ** (1 - s) / (s - 1) < goal:
-                    partial = BoundedReal.exact(0)
-                    for v in range(1, V + 1):
-                        partial = partial + BoundedReal.exact(
-                            Fraction(1, v**s)
-                        )
-                    return BoundedReal(
-                        partial.value, _add_up(partial.abs_err, goal)
-                    )
-                V *= 2
-
-        N = max(10, (3 * wd) // 4)
-        for _ in range(8):
-            result = _zeta_em(s, N, goal)
-            if result is not None:
-                return result
-            N *= 2
-        raise PrecisionError(f"Euler-Maclaurin for zeta({s}) did not converge")
+    key = (s, ctx.target_digits, ctx.guard_digits)
+    value = _zeta_cache.get(key)
+    if value is None:
+        zeta_family((s,), ctx)
+        value = _zeta_cache[key]
+    return value
 
 
-def _zeta_em(s: int, N: int, goal: mpf):
-    """One Euler-Maclaurin attempt; None if the series bottomed out early.
+def clear_zeta_cache() -> None:
+    with _lock:
+        _zeta_cache.clear()
 
-    zeta(s) = sum_{v<N} v^-s + N^(1-s)/(s-1) + N^(-s)/2
-              + sum_j B_2j/(2j)! * (s)_{2j-1} * N^(1-s-2j)  [+ remainder]
-    with |remainder| <= first omitted correction term (the integrand
-    x^-s is completely monotone on (0, inf)).
+
+def _zeta_plan(ctx: PrecisionContext) -> tuple:
+    """(n, g, P): Euler-Maclaurin cutoff, goal 2^-g, fixed-point unit 2^-P.
+
+    2^-g < 10^-(working digits + 2), the goal every zeta value meets.
     """
-    partial = mpf(0)
-    for v in range(1, N):
-        partial += mpf(v) ** (-s)
-    acc = partial + mpf(N) ** (1 - s) / (s - 1) + mpf(N) ** (-s) / 2
-    err = _mul_up(abs(acc), mpf(2) ** (6 - mp.prec) * (N + 4))
-    prev_mag = None
+    wd = ctx.working_digits
+    g = (10 ** (wd + 2)).bit_length()
+    return max(10, (3 * wd) // 4), g, g + 32
+
+
+def _direct_terms(s: int, n: int, g: int):
+    """Least V <= n with tail bound V^(1-s)/(s-1) < 2^-g, or None.
+
+    The test (s-1) V^(s-1) > 2^g is exact; a float root, trusted only to
+    within a factor 2, picks the first V to try and skips the test at n
+    when the root is far from n.
+    """
+    target = 1 << g
+
+    def enough(v: int) -> bool:
+        return (s - 1) * v ** (s - 1) > target
+
+    log_root = (g - math.log2(s - 1)) / (s - 1)
+    log_n = math.log2(n)
+    if log_root > log_n + 1 or (log_root > log_n - 1 and not enough(n)):
+        return None
+    v = max(1, min(n, int(2.0 ** log_root)))
+    while v > 1 and enough(v - 1):
+        v -= 1
+    while not enough(v):
+        v += 1
+    return v
+
+
+def _power_sums(upto: dict, P: int) -> dict:
+    """sum_{v<=upto[s]} floor(2^P v^-s) for each s, one division ladder per v.
+
+    Each v walks the exponents that need it in increasing order and divides
+    its running floor by v^(s - previous s). If the running value is below
+    2^P v^-s by less than c, the next is below by less than c/v + 1, so
+    every term with v >= 2 is below the exact 2^P v^-s by less than 2.
+    """
+    one = 1 << P
+    order = sorted(upto)
+    reach = [upto[s] for s in order]
+    for i in range(len(reach) - 2, -1, -1):  # suffix maxima: where to stop
+        reach[i] = max(reach[i], reach[i + 1])
+    sums = dict.fromkeys(order, one)
+    for v in range(2, reach[0] + 1 if reach else 0):
+        x, at = one, 0
+        for s, last in zip(order, reach):
+            if last < v:
+                break
+            if upto[s] >= v:
+                x //= v ** (s - at)
+                at = s
+                sums[s] += x
+    return sums
+
+
+def _from_units(units: int, err: int, P: int) -> BoundedReal:
+    """units * 2^-P with radius err * 2^-P, both exact."""
+    return BoundedReal(mp.make_mpf(from_man_exp(units, -P)),
+                       mp.make_mpf(from_man_exp(err, -P)))
+
+
+def _zeta_em(s: int, n: int, partial: int, P: int, g: int) -> BoundedReal:
+    """zeta(s) by Euler-Maclaurin at cutoff n, in units of 2^-P.
+
+    zeta(s) = sum_{v<n} v^-s + n^(1-s)/(s-1) + n^(-s)/2
+              + sum_j B_2j/(2j)! * (s)_{2j-1} * n^(1-s-2j)  [+ remainder]
+    with |remainder| <= first omitted correction term (the integrand
+    x^-s is completely monotone on (0, inf)). partial is
+    sum_{v<n} floor(2^P v^-s), below the exact sum by less than 2 per
+    v >= 2; every other piece is one floor division, off by less than 1.
+    """
+    one = 1 << P
+    goal = 1 << (P - g)
+    power = n ** (s - 1)
+    units = partial + one // ((s - 1) * power) + one // (2 * power * n)
+    err = 2 * (n - 2) + 2
+    n2 = n * n
+    power *= n2  # n^(s+2j-1)
+    poch = s  # (s)_{2j-1}
+    fact = 2  # (2j)!
+    prev = None
     j = 1
     while True:
-        c = Fraction(bernoulli(2 * j), math.factorial(2 * j)) * _pochhammer(
-            s, 2 * j - 1
-        )
-        term = BoundedReal.exact(c).value * mpf(N) ** (1 - s - 2 * j)
-        mag = abs(term)
+        b = bernoulli(2 * j)
+        t = one * b.numerator * poch // (b.denominator * fact * power)
+        mag = abs(t) + 1  # above |term|
         if mag < goal:
-            return BoundedReal(acc, _add_up(err, mag))
-        if prev_mag is not None and mag >= prev_mag:
-            return None  # divergence reached before the goal; enlarge N
-        acc += term
-        err = _add_up(err, _mul_up(abs(term), mpf(2) ** (5 - mp.prec)))
-        prev_mag = mag
+            return _from_units(units, err + mag, P)
+        if prev is not None and mag >= prev:
+            raise PrecisionError(
+                f"Euler-Maclaurin for zeta({s}) diverged before the goal"
+            )
+        units += t
+        err += 1
+        prev = mag
+        poch *= (s + 2 * j - 1) * (s + 2 * j)
+        fact *= (2 * j + 1) * (2 * j + 2)
+        power *= n2
         j += 1
+
+
+def _zeta_even(s_values: list, ctx: PrecisionContext) -> dict:
+    """zeta(2j) = |B_2j| (2 pi)^(2j) / (2 (2j)!) for sorted even s = 2j."""
+    bernoulli(s_values[-1])  # one cache growth for the whole range
+    with ctx.workprec():
+        step = (pi_const(ctx) * 2).pow_int(2)
+        power, at = BoundedReal.exact(1), 0
+        values = {}
+        for s in s_values:
+            power = power * step.pow_int((s - at) // 2)
+            at = s
+            values[s] = power * Fraction(
+                abs(bernoulli(s)), 2 * math.factorial(s)
+            )
+    return values
+
+
+def zeta_family(s_values, ctx: PrecisionContext) -> None:
+    """Put zeta(s) for every s in s_values into zeta_int's cache, in one pass.
+
+    With n = max(10, 3/4 working digits) and 2^-g < 10^-(working digits
+    + 2), each s takes one route:
+
+    - direct sum to V, the least V <= n whose tail bound V^(1-s)/(s-1)
+      is below 2^-g; the tail bound, rounded upward, joins the radius;
+    - below that range, even s: exact Bernoulli numbers and powers of 2 pi;
+    - below that range, odd s: Euler-Maclaurin at cutoff n.
+
+    The sums are exact integers in units of 2^-P, P = g + 32. Each v^-s
+    comes from one ladder of floor divisions per v, shared by every s
+    (the power ladder of Johansson, arXiv:1309.2877), and the radius
+    counts every floor.
+    """
+    key = (ctx.target_digits, ctx.guard_digits)
+    todo = sorted({s for s in s_values if (s, *key) not in _zeta_cache})
+    if not todo:
+        return
+    if todo[0] < 2:
+        raise ValueError("zeta_int needs s >= 2")
+    n, g, P = _zeta_plan(ctx)
+    direct, odd, even = {}, [], []
+    for s in todo:
+        v = _direct_terms(s, n, g)
+        if v is not None:
+            direct[s] = v
+        elif s % 2:
+            odd.append(s)
+        else:
+            even.append(s)
+    sums = _power_sums({**direct, **dict.fromkeys(odd, n - 1)}, P)
+    one = 1 << P
+    values = {}
+    for s, v in direct.items():
+        # sum_{w>v} w^-s < v^(1-s)/(s-1), rounded up to whole units
+        tail = -(-one // ((s - 1) * v ** (s - 1)))
+        values[s] = _from_units(sums[s], 2 * (v - 1) + tail, P)
+    for s in odd:
+        values[s] = _zeta_em(s, n, sums[s], P, g)
+    if even:
+        values.update(_zeta_even(even, ctx))
+    with _lock:
+        for s, value in values.items():
+            _zeta_cache.setdefault((s, *key), value)
 
 
 def zeta_prime_int(s: int, ctx: PrecisionContext) -> BoundedReal:

@@ -725,6 +725,8 @@ def _abelian_count_sums(limit: int) -> dict:
             for j in range(i, limit + 1, i):
                 if spf[j] == 0:
                     spf[j] = i
+    # no exponent exceeds log2(limit): one lookup table of p(e)
+    parts = [partition_count(e) for e in range(limit.bit_length() + 1)]
     checkpoints = {}
     total = 1  # a(1) = 1
     if limit >= 1 and limit == 1:
@@ -739,7 +741,7 @@ def _abelian_count_sums(limit: int) -> dict:
             while m % p == 0:
                 m //= p
                 e += 1
-            a_n *= partition_count(e)
+            a_n *= parts[e]
         total += a_n
         if n == next_mark:
             checkpoints[n] = total

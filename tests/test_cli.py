@@ -6,6 +6,10 @@ identical arguments produce identical bytes.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +103,110 @@ def test_selector_listings_are_stable():
     assert "F_inf_weak" in CONSTANT_SELECTORS
     assert TABLE_NAMES == ("f-constants", "b-constants", "fr1-constants")
     assert VERIFY_TARGETS == ("identities", "eta", "abelian", "milnor", "all")
+
+
+# -- --json goldens -------------------------------------------------------------
+
+# The --json records of these requests as printed before zeta(s) was
+# evaluated as one family (exact even values, fixed-point power ladders).
+# Every byte still matches except the radius-derived fields in TIGHTENED,
+# which carried the rounding slop of the old Euler-Maclaurin and direct
+# sums and are now smaller.
+GOLDEN_JSON = {
+    ("C1", "200"): {
+        "bound": "2.928e-203",
+        "digits": 200,
+        "method": "closed_form",
+        "name": "C1",
+        "params": {
+            "N_prime": "675",
+            "tail_log_bound": "1.276e-203"
+        },
+        "value": (
+            "2.2948565916733137941835158313443112887131637994416686732758"
+            "140300013970120113231575017968045232724908138429721721032851"
+            "797614210419641238664544365013492072834077931192467477693330"
+            "500671993398727953740"
+        )
+    },
+    ("C2", "100"): {
+        "bound": "2.036e-103",
+        "digits": 100,
+        "method": "closed_form",
+        "name": "C2",
+        "params": {
+            "N_prime": "343",
+            "tail_log_bound": "1.116e-103"
+        },
+        "value": (
+            "1.8210174514992923904067251322260068485782680286482717550020"
+            "93800286065886770548893639602497521452976"
+        )
+    },
+    ("C3", "100"): {
+        "bound": "1.409e-103",
+        "digits": 100,
+        "method": "closed_form",
+        "name": "C3",
+        "params": {
+            "N_prime": "343",
+            "tail_log_bound": "1.116e-103"
+        },
+        "value": (
+            "1.2602057107052417107678172260024106280343798640849496403771"
+            "53013930632488429804315668650096411634734"
+        )
+    },
+    ("B1", "100"): {
+        "bound": "5.427e-103",
+        "digits": 100,
+        "method": "closed_form",
+        "name": "B1",
+        "params": {},
+        "value": (
+            "4.8550966465222675125277433155870454073817575328823178799376"
+            "33217808155936644611630535972762736707632"
+        )
+    },
+    ("F_inf", "20"): {
+        "bound": "3.160e-22",
+        "digits": 20,
+        "method": "refined_sum",
+        "name": "F_inf",
+        "params": {
+            "bound": "6.321e-22",
+            "bound_float": "6.32081633532083e-22",
+            "log_bound": "6.169e-22",
+            "m": "17",
+            "n": "7",
+            "theta_max": "0.0380798668503",
+            "theta_max_float": "0.03807986685030054",
+            "theta_min": "0.0380798668503",
+            "theta_min_float": "0.03807986685030054"
+        },
+        "value": "1.0246068826555972148"
+    },
+}
+
+TIGHTENED = {
+    ("C2", "100"): {"bound": "2.034e-103"},
+    ("C3", "100"): {"bound": "1.407e-103"},
+    ("B1", "100"): {"bound": "5.422e-103"},
+    ("F_inf", "20"): {"bound_float": "6.320816312259722e-22"},
+}
+
+
+@pytest.mark.parametrize("name, digits", sorted(GOLDEN_JSON))
+def test_constant_json_goldens(capsys, name, digits):
+    code, out, err = invoke(capsys, "constant", name, "--digits", digits, "--json")
+    assert code == 0 and err == ""
+    golden = GOLDEN_JSON[(name, digits)]
+    expected = dict(golden, params=dict(golden["params"]))
+    for field, text in TIGHTENED.get((name, digits), {}).items():
+        record = expected if field in expected else expected["params"]
+        assert float(text) < float(record[field])
+        record[field] = text
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 # -- table --------------------------------------------------------------------
@@ -199,7 +307,7 @@ def test_ratio_unknown_target(capsys):
 # -- failure exit code ----------------------------------------------------------
 
 def test_ratio_failure_exits_one(capsys, monkeypatch):
-    import bernfac.cli
+    import bernfac.verify
     from bernfac.verify import RatioReport
 
     bad = RatioReport(
@@ -208,14 +316,14 @@ def test_ratio_failure_exits_one(capsys, monkeypatch):
         monotone_tail=False,
         offending=((25, 50),),
     )
-    monkeypatch.setattr(bernfac.cli, "ratio_suite", lambda **kw: [bad])
+    monkeypatch.setattr(bernfac.verify, "ratio_suite", lambda **kw: [bad])
     code, out, _ = invoke(capsys, "ratio", "power-tower-r1")
     assert code == 1
     assert out.splitlines()[-1] == "1 targets, FAIL"
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    import bernfac.cli
+    import bernfac.verify
     from bernfac.verify import IdentityReport, VerificationFailure
 
     report = IdentityReport(
@@ -230,7 +338,28 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     def boom(prime_bound, ctx):
         raise VerificationFailure(report)
 
-    monkeypatch.setattr(bernfac.cli, "eta_identity_check", boom)
+    monkeypatch.setattr(bernfac.verify, "eta_identity_check", boom)
     code, out, _ = invoke(capsys, "verify", "eta")
     assert code == 1
     assert out.splitlines()[-1] == "1 checks, FAIL"
+
+
+# -- import cost ------------------------------------------------------------------
+
+def test_cli_import_leaves_verify_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    probe = (
+        "import sys, bernfac.cli\n"
+        "assert 'bernfac.verify' not in sys.modules\n"
+        "from bernfac import identity_suite, VerificationFailure\n"
+        "import bernfac\n"
+        "assert identity_suite is sys.modules['bernfac.verify'].identity_suite\n"
+        "assert all(hasattr(bernfac, name) for name in bernfac.__all__)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

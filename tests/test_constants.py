@@ -7,9 +7,11 @@ is additionally checked for route agreement within certified bounds.
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import mpf
 
+from bernfac import constants
 from bernfac.constants import (
     b_family,
     c_constant,
@@ -33,6 +35,7 @@ from bernfac.constants import (
 )
 from bernfac.precision import (
     BoundedReal,
+    PrecisionContext,
     make_context,
     mpf_to_fraction,
     round_to_digits,
@@ -116,6 +119,47 @@ def test_c_constant_params_and_validation():
     assert rep.params["N_prime"] > 20
     with pytest.raises(ValueError):
         c_constant(4, CTX)
+
+
+CUTOFF_DIGITS = [*range(1, 61), 100, 150, 200]
+
+
+def test_zeta_product_cutoff_brackets_the_root():
+    # N' - 3/N' > (d+3) log2(10) > (N'-1) - 3/(N'-1), in mpmath at 60 digits
+    cutoffs = {d: constants._zeta_product_cutoff(make_context(d))
+               for d in CUTOFF_DIGITS}
+    with mpmath.workdps(60):
+        for d, n in cutoffs.items():
+            big_l = (d + 3) * mpmath.log(10) / mpmath.log(2)
+            assert n - mpf(3) / n > big_l > (n - 1) - mpf(3) / (n - 1)
+    assert (cutoffs[20], cutoffs[100], cutoffs[200]) == (77, 343, 675)
+
+
+def test_zeta_product_cutoff_builds_no_fraction_powers(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Fraction.__pow__ called")
+
+    monkeypatch.setattr(Fraction, "__pow__", refuse)
+    n = constants._zeta_product_cutoff(make_context(2000))
+    monkeypatch.undo()
+    with mpmath.workdps(60):
+        big_l = 2003 * mpmath.log(10) / mpmath.log(2)
+        assert n - mpf(3) / n > big_l > (n - 1) - mpf(3) / (n - 1)
+
+
+def test_zeta_product_cutoff_raises_precision_when_undecided(monkeypatch):
+    # a context that installs one bit per digit: 13 bits cannot separate
+    # N' = 675 from 674 at 200 digits, so the enclosure must be refined
+    tried = []
+
+    class Coarse(PrecisionContext):
+        def workprec(self):
+            tried.append(self.target_digits)
+            return mpmath.workprec(self.target_digits)
+
+    monkeypatch.setattr(constants, "PrecisionContext", Coarse)
+    assert constants._zeta_product_cutoff(make_context(200)) == 675
+    assert len(tried) > 1
 
 
 # -- Glaisher-type constants ------------------------------------------------------

@@ -174,6 +174,58 @@ def test_zeta_int_error_bounds_are_tight():
         assert float(zeta_int(s, CTX).abs_err) < 1e-25
 
 
+@pytest.mark.parametrize("digits", [20, 100, 200])
+def test_zeta_int_contains_mpmath_around_each_branch(digits):
+    # s = thr-2 .. thr+1 puts an even and an odd s on each side of the
+    # direct-sum threshold: exact Bernoulli values and Euler-Maclaurin
+    # below it, direct sums above it
+    ctx = make_context(digits)
+    n, g, _ = special._zeta_plan(ctx)
+    thr = next(s for s in range(3, 10 * digits)
+               if special._direct_terms(s, n, g) is not None)
+    assert special._direct_terms(thr - 1, n, g) is None
+    s_values = [2, 3, thr - 2, thr - 1, thr, thr + 1, 4 * digits]
+    with mp.workdps(3 * digits):
+        for s in s_values:
+            z = zeta_int(s, ctx)
+            assert z.contains(mp.zeta(s)), s
+            assert z.abs_err < mpf(10) ** -(digits + 5)
+
+
+def test_power_sums_stay_within_two_units_per_term():
+    P = 200
+    upto = {2: 40, 3: 40, 5: 17, 6: 9, 11: 9, 12: 2, 90: 3}
+    sums = special._power_sums(upto, P)
+    for s, top in upto.items():
+        exact = sum(Fraction(2**P, v**s) for v in range(1, top + 1))
+        assert 0 <= exact - sums[s] < 2 * (top - 1)
+
+
+def test_zeta_family_fills_the_zeta_int_cache(monkeypatch):
+    ctx = make_context(30)
+    special.clear_zeta_cache()
+    special.zeta_family(range(2, 200), ctx)
+    monkeypatch.setattr(special, "zeta_family", None)  # a miss would call it
+    for s in (2, 3, 57, 199):
+        assert zeta_int(s, ctx) is zeta_int(s, ctx)
+
+
+def test_f_infty_refined_runs_few_euler_maclaurin_sums(monkeypatch):
+    from bernfac.constants import clear_cache, f_infty_refined
+
+    runs = []
+    em = special._zeta_em
+
+    def counted(*args):
+        runs.append(args[0])
+        return em(*args)
+
+    monkeypatch.setattr(special, "_zeta_em", counted)
+    clear_cache()
+    f_infty_refined(7, 17, make_context(20))
+    assert 1 <= len(runs) <= 16
+
+
 # -- zeta derivatives ----------------------------------------------------------
 
 def test_zeta_prime_int_against_mpmath():

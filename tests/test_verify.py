@@ -307,6 +307,21 @@ def test_abelian_count_sums_against_direct_counts():
     assert sums[1000] == 2091
 
 
+def test_abelian_count_sums_look_up_partitions_once(monkeypatch):
+    asked = []
+    count = verify.partition_count
+
+    def counted(e):
+        asked.append(e)
+        return count(e)
+
+    monkeypatch.setattr(verify, "partition_count", counted)
+    assert _abelian_count_sums(4096)[4096] == sum(
+        abelian_group_count(n) for n in range(1, 4097)
+    )
+    assert sorted(asked) == list(range(14))
+
+
 def test_abelian_average_check_small():
     rep = abelian_average_check(10000, CTX)
     assert rep.status == "within-bounds"
