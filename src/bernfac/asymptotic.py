@@ -1,10 +1,9 @@
 """Algebra of asymptotic main terms: spans of x^v and x^v log x.
 
 A form f(x) = sum_v (alpha_v x^v + beta_v x^v log x) captures the main
-term of the log of the products studied here; psi extracts the constant
-term alpha_0 (the asymptotic constant once the divergent remainder is
-split off), and rescale implements f(lambda x), whose constant shifts by
-beta_0 log lambda.
+term of the log of the products studied here; its constant term alpha_0
+is the asymptotic constant once the divergent remainder is split off, and
+evaluate gives f(x) with a certified bound.
 
 Coefficients are exact Fractions where the math is exact, BoundedReal
 otherwise; the two mix freely.
@@ -44,22 +43,6 @@ class AsymptoticForm:
     def degree(self) -> int:
         return len(self.alpha) - 1
 
-    def __add__(self, other: "AsymptoticForm") -> "AsymptoticForm":
-        n = max(self.degree, other.degree) + 1
-        a = [Fraction(0)] * n
-        b = [Fraction(0)] * n
-        for src in (self, other):
-            for v in range(src.degree + 1):
-                a[v] = a[v] + src.alpha[v]
-                b[v] = b[v] + src.beta[v]
-        return AsymptoticForm(tuple(a), tuple(b))
-
-    def scale(self, c: Coeff) -> "AsymptoticForm":
-        return AsymptoticForm(
-            tuple(c * x if not _is_zero(x) else Fraction(0) for x in self.alpha),
-            tuple(c * x if not _is_zero(x) else Fraction(0) for x in self.beta),
-        )
-
 
 def _is_zero(c: Coeff) -> bool:
     return isinstance(c, Fraction) and c == 0
@@ -77,45 +60,6 @@ def _with(form: AsymptoticForm, kind: str, v: int, delta: Coeff) -> AsymptoticFo
     else:
         b[v] = b[v] + delta
     return AsymptoticForm(tuple(a), tuple(b))
-
-
-def psi(form: AsymptoticForm) -> Coeff:
-    """Constant term alpha_0: the asymptotic constant of the form."""
-    return form.alpha[0]
-
-
-def rescale(
-    form: AsymptoticForm, lam: Union[Exactish, BoundedReal], ctx: PrecisionContext
-) -> AsymptoticForm:
-    """The form of g(x) = f(lambda x) for lambda > 0.
-
-    g's coefficients: alpha'_v = lambda^v (alpha_v + beta_v log lambda),
-    beta'_v = lambda^v beta_v; in particular
-    psi(g) = psi(f) + beta_0 log lambda.
-    """
-    with ctx.workprec():
-        lam_b = lam if isinstance(lam, BoundedReal) else BoundedReal.exact(lam)
-        if lam_b.lower() <= 0:
-            raise ValueError("rescale needs lambda > 0")
-        exact_one = isinstance(lam, int) and lam == 1 or (
-            isinstance(lam, Fraction) and lam == 1
-        )
-        log_lam: Coeff = Fraction(0) if exact_one else lam_b.log()
-        alpha = []
-        beta = []
-        for v in range(form.degree + 1):
-            if isinstance(lam, (int, Fraction)):
-                lam_pow: Coeff = Fraction(lam) ** v
-            else:
-                lam_pow = lam_b.pow_int(v)
-            a_v = form.alpha[v]
-            if not _is_zero(form.beta[v]) and not _is_zero(log_lam):
-                a_v = a_v + form.beta[v] * log_lam
-            alpha.append(a_v * lam_pow if not _is_zero(a_v) else Fraction(0))
-            beta.append(
-                form.beta[v] * lam_pow if not _is_zero(form.beta[v]) else Fraction(0)
-            )
-        return AsymptoticForm(tuple(alpha), tuple(beta))
 
 
 def evaluate(
@@ -186,9 +130,9 @@ def s_r_weighted(
 def q_r_form(r: int) -> AsymptoticForm:
     """Form of log Q_r: (S_r(n) - zeta(-r)) log n + S_r(n; H_r - H_diamond).
 
-    All coefficients are exact Fractions. psi of this form is 0; the
-    beta_0 slot carries -zeta(-r), so products over rescaled arguments
-    pick up the -zeta(-r) log lambda shift.
+    All coefficients are exact Fractions. The constant term alpha_0 is 0;
+    the beta_0 slot carries -zeta(-r), so products over rescaled arguments
+    n -> lambda n pick up the -zeta(-r) log lambda shift.
     """
     coeffs = s_r_coeffs(r)
     hr = harmonic(r)

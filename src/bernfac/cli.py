@@ -16,38 +16,89 @@ import argparse
 import json
 import sys
 
-from .constants import (
-    ConstantReport,
-    b_family,
-    c_constant,
-    f_infty_refined,
-    f_infty_weak,
-    f_k_closed,
-    f_k_series,
-    f_r1,
-    f_rk_series,
-    glaisher_a,
-)
+from . import constants
+from .constants import ConstantReport
 from .precision import PrecisionError, format_bound, make_context
 
-CONSTANT_SELECTORS = (
-    "C1",
-    "C2",
-    "C3",
-    "A_r",
-    "F_k",
-    "F_k_series",
-    "F_inf",
-    "F_inf_weak",
-    "F_r1",
-    "F_rk_series",
-    "B1",
-    "B2",
-    "B3",
-    "Bprime",
-)
+# Each selector of `constant`: the name of its route in bernfac.constants,
+# then the route's arguments before the context, each either fixed or an
+# (option, default) pair. Routes are looked up by name at each call, so a
+# rebound module attribute (a tracer's wrapper, a test's patch) is the one
+# called. A route that returns a tuple of reports (b_family) is searched by
+# the selector's name.
+_ROUTES = {
+    "C1": ("c_constant", 1),
+    "C2": ("c_constant", 2),
+    "C3": ("c_constant", 3),
+    "A_r": ("glaisher_a", ("r", 1)),
+    "F_k": ("f_k_closed", ("k", 1)),
+    "F_k_series": ("f_k_series", ("k", 1)),
+    "F_inf": ("f_infty_refined", ("n", 7), ("m", 17)),
+    "F_inf_weak": ("f_infty_weak",),
+    "F_r1": ("f_r1", ("r", 0)),
+    "F_rk_series": ("f_rk_series", ("r", 0), ("k", 1)),
+    "B1": ("b_family",),
+    "B2": ("b_family",),
+    "B3": ("b_family",),
+    "Bprime": ("b_family",),
+}
 
-TABLE_NAMES = ("f-constants", "b-constants", "fr1-constants")
+CONSTANT_SELECTORS = tuple(_ROUTES)
+
+
+def _report(name: str, ctx, options: dict) -> ConstantReport:
+    """The report of selector name; options overrides parameter defaults."""
+    route, *params = _ROUTES[name]
+    args = []
+    for param in params:
+        if isinstance(param, tuple):
+            option, default = param
+            param = options.get(option)
+            if param is None:
+                param = default
+        args.append(param)
+    result = getattr(constants, route)(*args, ctx)
+    if isinstance(result, tuple):
+        return next(report for report in result if report.name == name)
+    return result
+
+
+def _row(report: ConstantReport, digits: int, params=None) -> dict:
+    """A table row; m and bound come from params if given."""
+    if params is None:
+        m, bound = "-", format_bound(report.value.abs_err)
+    else:
+        m, bound = str(params["m"]), params["bound"]
+    return {"name": report.name, "value": report.digits(digits), "m": m,
+            "bound": bound}
+
+
+def _f_rows(ctx, digits: int) -> list:
+    rows = [
+        _row(_report("F_k", ctx, {"k": k}), digits,
+             _report("F_k_series", ctx, {"k": k}).params)
+        for k in range(1, 7)
+    ]
+    weak = _report("F_inf_weak", ctx, {})
+    interval = f"({weak.params['lower']}, {weak.params['upper']})"
+    rows.append(dict(_row(weak, digits, weak.params), value=interval))
+    refined = _report("F_inf", ctx, {})
+    rows.append(_row(refined, digits, refined.params))
+    return rows
+
+
+_TABLES = {
+    "f-constants": _f_rows,
+    "b-constants": lambda ctx, digits: [
+        _row(_report(name, ctx, {}), digits)
+        for name in ("B1", "B2", "B3", "Bprime")
+    ],
+    "fr1-constants": lambda ctx, digits: [
+        _row(_report("F_r1", ctx, {"r": r}), digits) for r in range(6)
+    ],
+}
+
+TABLE_NAMES = tuple(_TABLES)
 VERIFY_TARGETS = ("identities", "eta", "abelian", "milnor", "all")
 
 
@@ -89,33 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _constant_report(args) -> ConstantReport:
-    ctx = make_context(args.digits)
-    name = args.name
-    if name in ("C1", "C2", "C3"):
-        return c_constant(int(name[1]), ctx)
-    if name == "A_r":
-        return glaisher_a(args.r if args.r is not None else 1, ctx)
-    if name == "F_k":
-        return f_k_closed(args.k if args.k is not None else 1, ctx)
-    if name == "F_k_series":
-        return f_k_series(args.k if args.k is not None else 1, ctx)
-    if name == "F_inf":
-        n = args.n if args.n is not None else 7
-        m = args.m if args.m is not None else 17
-        return f_infty_refined(n, m, ctx)
-    if name == "F_inf_weak":
-        return f_infty_weak(ctx)
-    if name == "F_r1":
-        return f_r1(args.r if args.r is not None else 0, ctx)
-    if name == "F_rk_series":
-        r = args.r if args.r is not None else 0
-        k = args.k if args.k is not None else 1
-        return f_rk_series(r, k, ctx)
-    family = {report.name: report for report in b_family(make_context(args.digits))}
-    return family[name]
-
-
 def _constant_record(report: ConstantReport, digits: int) -> dict:
     return {
         "name": report.name,
@@ -128,7 +152,7 @@ def _constant_record(report: ConstantReport, digits: int) -> dict:
 
 
 def _cmd_constant(args) -> int:
-    report = _constant_report(args)
+    report = _report(args.name, make_context(args.digits), vars(args))
     if args.as_json:
         print(json.dumps(_constant_record(report, args.digits),
                          sort_keys=True, indent=2))
@@ -137,55 +161,8 @@ def _cmd_constant(args) -> int:
     return 0
 
 
-def _table_rows(name: str, digits: int) -> list:
-    ctx = make_context(max(digits, 21))
-    rows = []
-    if name == "f-constants":
-        for k in range(1, 7):
-            closed = f_k_closed(k, ctx)
-            series = f_k_series(k, ctx)
-            rows.append({
-                "name": closed.name,
-                "value": closed.digits(digits),
-                "m": str(series.params["m"]),
-                "bound": series.params["bound"],
-            })
-        weak = f_infty_weak(ctx)
-        rows.append({
-            "name": weak.name,
-            "value": f"({weak.params['lower']}, {weak.params['upper']})",
-            "m": str(weak.params["m"]),
-            "bound": weak.params["bound"],
-        })
-        refined = f_infty_refined(7, 17, ctx)
-        rows.append({
-            "name": refined.name,
-            "value": refined.digits(digits),
-            "m": str(refined.params["m"]),
-            "bound": refined.params["bound"],
-        })
-    elif name == "b-constants":
-        for report in b_family(ctx):
-            rows.append({
-                "name": report.name,
-                "value": report.digits(digits),
-                "m": "-",
-                "bound": format_bound(report.value.abs_err),
-            })
-    else:
-        for r in range(0, 6):
-            report = f_r1(r, ctx)
-            rows.append({
-                "name": report.name,
-                "value": report.digits(digits),
-                "m": "-",
-                "bound": format_bound(report.value.abs_err),
-            })
-    return rows
-
-
 def _cmd_table(args) -> int:
-    rows = _table_rows(args.name, args.digits)
+    rows = _TABLES[args.name](make_context(max(args.digits, 21)), args.digits)
     if args.as_json:
         print(json.dumps(rows, sort_keys=True, indent=2))
         return 0

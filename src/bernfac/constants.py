@@ -12,14 +12,14 @@ cross-checked against each other; every value carries a certified bound.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from bernfac.asymptotic import n_coeff, s_r_weighted
 from bernfac.divergent import DivergentTail, eval_optimal
@@ -28,10 +28,9 @@ from bernfac.precision import (
     PrecisionContext,
     PrecisionError,
     _add_up,
-    _decimal_exponent,
+    _decimal,
     _mul_up,
     format_bound,
-    mpf_to_fraction,
     round_to_digits,
 )
 from bernfac.special import (
@@ -63,24 +62,30 @@ class ConstantReport:
         return round_to_digits(self.value, d)
 
 
-# Memo cache: write-once per (operation, arguments, context) key. Concurrent
-# readers may race to compute the same entry; setdefault keeps the first
-# result, and all routes are deterministic, so no digit can ever change.
+# Memo cache: write-once per (route, positional arguments), the context
+# included: PrecisionContext is a frozen dataclass, so it hashes and compares
+# by (target_digits, guard_digits). Reads take no lock, since a dict lookup
+# is atomic and no entry is ever replaced. Concurrent readers may race to
+# compute the same entry; setdefault keeps the first result, and all routes
+# are deterministic, so no digit can ever change.
 _cache: dict = {}
 _cache_lock = threading.Lock()
 
 
-def _memo(key, compute):
-    with _cache_lock:
-        if key in _cache:
-            return _cache[key]
-    value = compute()
-    with _cache_lock:
-        return _cache.setdefault(key, value)
+def _memoized(fn):
+    """fn, taking positional arguments only, with its results memoized."""
 
+    @functools.wraps(fn)
+    def memoized(*args):
+        key = (fn, args)
+        value = _cache.get(key)
+        if value is None:
+            value = fn(*args)
+            with _cache_lock:
+                value = _cache.setdefault(key, value)
+        return value
 
-def _ctx_key(ctx: PrecisionContext):
-    return (ctx.target_digits, ctx.guard_digits)
+    return memoized
 
 
 def clear_cache() -> None:
@@ -88,39 +93,6 @@ def clear_cache() -> None:
     with _cache_lock:
         _cache.clear()
     clear_zeta_cache()
-
-
-# -- display helpers for interval endpoints -----------------------------------
-
-def _compose_decimal(mantissa: int, e: int, digits: int) -> str:
-    s = str(mantissa)
-    assert len(s) == digits
-    if 0 <= e < digits:
-        return s[: e + 1] + ("." + s[e + 1 :] if e + 1 < digits else "")
-    if e < 0:
-        return "0." + "0" * (-e - 1) + s
-    return s[0] + ("." + s[1:] if digits > 1 else "") + f"e+{e}"
-
-
-def floor_to_digits(a: Fraction, digits: int) -> str:
-    """Largest d-digit decimal not exceeding the positive rational a."""
-    assert a > 0
-    e = _decimal_exponent(a)
-    return _compose_decimal(int(a * Fraction(10) ** (digits - 1 - e)), e, digits)
-
-
-def ceil_to_digits(a: Fraction, digits: int) -> str:
-    """Smallest d-digit decimal not below the positive rational a."""
-    assert a > 0
-    e = _decimal_exponent(a)
-    scaled = a * Fraction(10) ** (digits - 1 - e)
-    m = int(scaled)
-    if scaled > m:
-        m += 1
-        if m == 10 ** digits:
-            m //= 10
-            e += 1
-    return _compose_decimal(m, e, digits)
 
 
 # -- zeta products C1, C2, C3 --------------------------------------------------
@@ -159,68 +131,60 @@ def _zeta_product_cutoff(ctx: PrecisionContext) -> int:
         digits *= 2
 
 
+@_memoized
 def c_constant(which: int, ctx: PrecisionContext) -> ConstantReport:
     """C1 = prod_{v>=2} zeta(v), C2 = even-index part, C3 = odd-index part."""
     if which not in (1, 2, 3):
         raise ValueError("c_constant selects 1, 2 or 3")
-
-    def compute():
-        with ctx.workprec():
-            n_prime = _zeta_product_cutoff(ctx)
-            start, step = {1: (2, 1), 2: (2, 2), 3: (3, 2)}[which]
-            s_values = range(start, n_prime + 1, step)
-            zeta_family(s_values, ctx)
-            prod = BoundedReal.exact(1)
-            for s in s_values:
-                prod = prod * zeta_int(s, ctx)
-            # remaining factors multiply by e^delta with
-            # 0 <= delta < b = 2^(1-N') >= 2^(-N'+3/N'); e^b - 1 <= b + b^2
-            b = mpf(2) ** (1 - n_prime)
-            widen = _mul_up(prod.upper(), _add_up(b, _mul_up(b, b)))
-            value = BoundedReal(prod.value, _add_up(prod.abs_err, widen))
-        return ConstantReport(
-            name=f"C{which}",
-            value=value,
-            method="closed_form",
-            params={"N_prime": n_prime, "tail_log_bound": format_bound(b)},
-        )
-
-    return _memo(("C", which, _ctx_key(ctx)), compute)
+    with ctx.workprec():
+        n_prime = _zeta_product_cutoff(ctx)
+        start, step = {1: (2, 1), 2: (2, 2), 3: (3, 2)}[which]
+        s_values = range(start, n_prime + 1, step)
+        zeta_family(s_values, ctx)
+        prod = BoundedReal.exact(1)
+        for s in s_values:
+            prod = prod * zeta_int(s, ctx)
+        # remaining factors multiply by e^delta with
+        # 0 <= delta < b = 2^(1-N') >= 2^(-N'+3/N'); e^b - 1 <= b + b^2
+        b = mpf(2) ** (1 - n_prime)
+        widen = _mul_up(prod.upper(), _add_up(b, _mul_up(b, b)))
+        value = BoundedReal(prod.value, _add_up(prod.abs_err, widen))
+    return ConstantReport(
+        name=f"C{which}",
+        value=value,
+        method="closed_form",
+        params={"N_prime": n_prime, "tail_log_bound": format_bound(b)},
+    )
 
 
 # -- Glaisher-type constants A_r ----------------------------------------------
 
+@_memoized
 def log_glaisher_a(r: int, ctx: PrecisionContext) -> BoundedReal:
     """log A_r = -zeta(-r) H_r - zeta'(-r)."""
     if r < 0:
         raise ValueError("log_glaisher_a needs r >= 0")
-
-    def compute():
-        with ctx.workprec():
-            exact_part = -zeta_neg_int(r) * harmonic(r)
-            return BoundedReal.exact(exact_part) - zeta_prime_neg(r, ctx)
-
-    return _memo(("logA", r, _ctx_key(ctx)), compute)
+    with ctx.workprec():
+        exact_part = -zeta_neg_int(r) * harmonic(r)
+        return BoundedReal.exact(exact_part) - zeta_prime_neg(r, ctx)
 
 
+@_memoized
 def glaisher_a(r: int, ctx: PrecisionContext) -> ConstantReport:
     """A_r, the asymptotic constant of prod_{v<=n} v^(v^r)."""
-
-    def compute():
-        with ctx.workprec():
-            value = log_glaisher_a(r, ctx).exp()
-        return ConstantReport(
-            name="A" if r == 1 else f"A_{r}",
-            value=value,
-            method="closed_form",
-            params={"r": r},
-        )
-
-    return _memo(("A", r, _ctx_key(ctx)), compute)
+    with ctx.workprec():
+        value = log_glaisher_a(r, ctx).exp()
+    return ConstantReport(
+        name="A" if r == 1 else f"A_{r}",
+        value=value,
+        method="closed_form",
+        params={"r": r},
+    )
 
 
 # -- factorial-product constants F_k ------------------------------------------
 
+@_memoized
 def f_k_log_closed(k: int, ctx: PrecisionContext) -> BoundedReal:
     """Certified log F_k by the closed form in log A and log Gamma(v/k).
 
@@ -229,59 +193,53 @@ def f_k_log_closed(k: int, ctx: PrecisionContext) -> BoundedReal:
     """
     if k < 1:
         raise ValueError("f_k_log_closed needs k >= 1")
-
-    def compute():
-        with ctx.workprec():
-            la = log_glaisher_a(1, ctx)
-            l2p = log_two_pi(ctx)
-            kf = Fraction(k)
-            main = (
-                la * (-(kf + 1 / kf))
-                + BoundedReal.exact(Fraction(1, 12 * k))
-                + l2p * Fraction(k, 4)
+    with ctx.workprec():
+        la = log_glaisher_a(1, ctx)
+        l2p = log_two_pi(ctx)
+        kf = Fraction(k)
+        main = (
+            la * (-(kf + 1 / kf))
+            + BoundedReal.exact(Fraction(1, 12 * k))
+            + l2p * Fraction(k, 4)
+        )
+        if k > 1:
+            main = main - BoundedReal.exact(k).log() * Fraction(1, 12 * k)
+        for nu in range(1, k):
+            main = main - log_gamma_rational(Fraction(nu, k), ctx) * Fraction(
+                nu, k
             )
-            if k > 1:
-                main = main - BoundedReal.exact(k).log() * Fraction(1, 12 * k)
-            for nu in range(1, k):
-                main = main - log_gamma_rational(Fraction(nu, k), ctx) * Fraction(
-                    nu, k
+        if k >= 3:
+            alt = (
+                la * (-(kf + 1 / kf))
+                + l2p * (kf / 4 + 1 / (2 * kf) - Fraction(1, 2))
+                + BoundedReal.exact(k).log() * Fraction(5, 12 * k)
+                + BoundedReal.exact(Fraction(1, 12 * k))
+            )
+            for nu in range(2, k):
+                alt = alt - log_gamma_rational(
+                    Fraction(nu, k), ctx
+                ) * Fraction(nu - 1, k)
+            if not main.agrees_with(alt):
+                raise PrecisionError(
+                    f"the two closed routes for log F_{k} disagree"
                 )
-            if k >= 3:
-                alt = (
-                    la * (-(kf + 1 / kf))
-                    + l2p * (kf / 4 + 1 / (2 * kf) - Fraction(1, 2))
-                    + BoundedReal.exact(k).log() * Fraction(5, 12 * k)
-                    + BoundedReal.exact(Fraction(1, 12 * k))
-                )
-                for nu in range(2, k):
-                    alt = alt - log_gamma_rational(
-                        Fraction(nu, k), ctx
-                    ) * Fraction(nu - 1, k)
-                if not main.agrees_with(alt):
-                    raise PrecisionError(
-                        f"the two closed routes for log F_{k} disagree"
-                    )
-            return main
-
-    return _memo(("logFk", k, _ctx_key(ctx)), compute)
+        return main
 
 
+@_memoized
 def f_k_closed(k: int, ctx: PrecisionContext) -> ConstantReport:
     """F_k by closed form."""
-
-    def compute():
-        with ctx.workprec():
-            value = f_k_log_closed(k, ctx).exp()
-        return ConstantReport(
-            name=f"F_{k}",
-            value=value,
-            method="closed_form",
-            params={"k": k, "cross_checked": k >= 3},
-        )
-
-    return _memo(("Fk", k, _ctx_key(ctx)), compute)
+    with ctx.workprec():
+        value = f_k_log_closed(k, ctx).exp()
+    return ConstantReport(
+        name=f"F_{k}",
+        value=value,
+        method="closed_form",
+        params={"k": k, "cross_checked": k >= 3},
+    )
 
 
+@_memoized
 def f_rk_series(r: int, k: int, ctx: PrecisionContext) -> ConstantReport:
     """F_{r,k} by optimal truncation of its divergent series.
 
@@ -291,41 +249,37 @@ def f_rk_series(r: int, k: int, ctx: PrecisionContext) -> ConstantReport:
     """
     if k < 1 or r < 0:
         raise ValueError("f_rk_series needs k >= 1, r >= 0")
-
-    def compute():
-        with ctx.workprec():
-            big_r = (r + 1) // 2
-            if r % 2 == 1:
-                j_start = big_r + 1
-                prefix = BoundedReal.exact(0)
-            else:
-                j_start = big_r + 2
-                prefix = euler_gamma(ctx) * n_coeff(r + 2, k)
-            tail = DivergentTail(
-                coeff=lambda j: n_coeff(2 * j, k) * zeta_int(2 * j - (r + 1), ctx),
-                j_start=j_start,
-                description=f"series of log F({r},{k})",
-            )
-            trunc = eval_optimal(tail, 1, ctx)
-            log_val = prefix + trunc.partial_sum
-            log_val = BoundedReal(
-                log_val.value, _add_up(log_val.abs_err, trunc.remainder_bound)
-            )
-            value = log_val.exp()
-        return ConstantReport(
-            name=f"F_{k}" if r == 0 else f"F({r},{k})",
-            value=value,
-            method="divergent_series",
-            params={
-                "r": r,
-                "k": k,
-                "m": trunc.m_opt,
-                "bound": format_bound(trunc.remainder_bound),
-                "bound_float": float(trunc.remainder_bound),
-            },
+    with ctx.workprec():
+        big_r = (r + 1) // 2
+        if r % 2 == 1:
+            j_start = big_r + 1
+            prefix = BoundedReal.exact(0)
+        else:
+            j_start = big_r + 2
+            prefix = euler_gamma(ctx) * n_coeff(r + 2, k)
+        tail = DivergentTail(
+            coeff=lambda j: n_coeff(2 * j, k) * zeta_int(2 * j - (r + 1), ctx),
+            j_start=j_start,
+            description=f"series of log F({r},{k})",
         )
-
-    return _memo(("Frk-series", r, k, _ctx_key(ctx)), compute)
+        trunc = eval_optimal(tail, 1, ctx)
+        log_val = prefix + trunc.partial_sum
+        log_val = BoundedReal(
+            log_val.value, _add_up(log_val.abs_err, trunc.remainder_bound)
+        )
+        value = log_val.exp()
+    return ConstantReport(
+        name=f"F_{k}" if r == 0 else f"F({r},{k})",
+        value=value,
+        method="divergent_series",
+        params={
+            "r": r,
+            "k": k,
+            "m": trunc.m_opt,
+            "bound": format_bound(trunc.remainder_bound),
+            "bound_float": float(trunc.remainder_bound),
+        },
+    )
 
 
 def f_k_series(k: int, ctx: PrecisionContext) -> ConstantReport:
@@ -363,6 +317,7 @@ def m_tilde_matrix(k: int) -> list:
     ]
 
 
+@_memoized
 def f_k_via_linear_system(k: int, ctx: PrecisionContext) -> ConstantReport:
     """F_k by solving the k x k system with the explicit inverse.
 
@@ -374,46 +329,43 @@ def f_k_via_linear_system(k: int, ctx: PrecisionContext) -> ConstantReport:
     """
     if k < 2:
         raise ValueError("the linear-system route needs k >= 2")
-
-    def compute():
-        with ctx.workprec():
-            l2p = log_two_pi(ctx)
-            la = log_glaisher_a(1, ctx)
-            b = []
-            for l in range(k - 1):
-                bl = l2p * Fraction(1, 2)
-                if l > 0:
-                    bl = bl - log_gamma_rational(Fraction(k - l, k), ctx)
-                b.append(bl)
-            b.append(
-                l2p * Fraction(1, 2)
-                - la
-                + BoundedReal.exact(Fraction(1, 12))
-                + BoundedReal.exact(k).log() * Fraction(5, 12)
-            )
-            mt = m_tilde_matrix(k)
-            x = []
-            for i in range(k):
-                acc = BoundedReal.exact(0)
-                for j in range(k):
-                    if mt[i][j]:
-                        acc = acc + b[j] * Fraction(mt[i][j])
-                x.append(acc * Fraction(1, k))
-            log_fk = x[0] - l2p * Fraction(1, 4) - la * k
-            value = log_fk.exp()
-        return ConstantReport(
-            name=f"F_{k}",
-            value=value,
-            method="linear_system",
-            params={"k": k, "det": k},
-            components=tuple(x),
+    with ctx.workprec():
+        l2p = log_two_pi(ctx)
+        la = log_glaisher_a(1, ctx)
+        b = []
+        for l in range(k - 1):
+            bl = l2p * Fraction(1, 2)
+            if l > 0:
+                bl = bl - log_gamma_rational(Fraction(k - l, k), ctx)
+            b.append(bl)
+        b.append(
+            l2p * Fraction(1, 2)
+            - la
+            + BoundedReal.exact(Fraction(1, 12))
+            + BoundedReal.exact(k).log() * Fraction(5, 12)
         )
-
-    return _memo(("Fk-linsys", k, _ctx_key(ctx)), compute)
+        mt = m_tilde_matrix(k)
+        x = []
+        for i in range(k):
+            acc = BoundedReal.exact(0)
+            for j in range(k):
+                if mt[i][j]:
+                    acc = acc + b[j] * Fraction(mt[i][j])
+            x.append(acc * Fraction(1, k))
+        log_fk = x[0] - l2p * Fraction(1, 4) - la * k
+        value = log_fk.exp()
+    return ConstantReport(
+        name=f"F_{k}",
+        value=value,
+        method="linear_system",
+        params={"k": k, "det": k},
+        components=tuple(x),
+    )
 
 
 # -- F_inf ---------------------------------------------------------------------
 
+@_memoized
 def f_infty_weak(ctx: PrecisionContext) -> ConstantReport:
     """Enclosure of F_inf straight from its divergent series.
 
@@ -421,49 +373,46 @@ def f_infty_weak(ctx: PrecisionContext) -> ConstantReport:
     summed to the smallest term; the signed first omitted term brackets
     log F_inf one-sidedly, giving an interval after exponentiation.
     """
-
-    def compute():
-        with ctx.workprec():
-            g = euler_gamma(ctx)
-            prefix = g * g * Fraction(1, 12)
-            tail = DivergentTail(
-                coeff=lambda j: Fraction(bernoulli(2 * j), 2 * j * (2 * j - 1))
-                * zeta_int(2 * j - 1, ctx).pow_int(2),
-                j_start=2,
-                description="series of log F_inf",
-            )
-            trunc = eval_optimal(tail, 1, ctx)
-            s = prefix + trunc.partial_sum
-            shifted = s + trunc.omitted_term
-            lo_log, hi_log = (
-                (shifted, s) if trunc.omitted_term.value < 0 else (s, shifted)
-            )
-            lo = lo_log.exp()
-            hi = hi_log.exp()
-            mid = (lo + hi) * Fraction(1, 2)
-            err = max(
-                mpmath.fsub(hi.upper(), mid.value, rounding="u"),
-                mpmath.fsub(mid.value, lo.lower(), rounding="u"),
-            )
-            value = BoundedReal(mid.value, err)
-            lower_str = floor_to_digits(mpf_to_fraction(lo.lower()), 6)
-            upper_str = ceil_to_digits(mpf_to_fraction(hi.upper()), 6)
-        return ConstantReport(
-            name="F_inf",
-            value=value,
-            method="divergent_series",
-            params={
-                "m": trunc.m_opt,
-                "bound": format_bound(trunc.remainder_bound),
-                "bound_float": float(trunc.remainder_bound),
-                "lower": lower_str,
-                "upper": upper_str,
-            },
+    with ctx.workprec():
+        g = euler_gamma(ctx)
+        prefix = g * g * Fraction(1, 12)
+        tail = DivergentTail(
+            coeff=lambda j: Fraction(bernoulli(2 * j), 2 * j * (2 * j - 1))
+            * zeta_int(2 * j - 1, ctx).pow_int(2),
+            j_start=2,
+            description="series of log F_inf",
         )
+        trunc = eval_optimal(tail, 1, ctx)
+        s = prefix + trunc.partial_sum
+        shifted = s + trunc.omitted_term
+        lo_log, hi_log = (
+            (shifted, s) if trunc.omitted_term.value < 0 else (s, shifted)
+        )
+        lo = lo_log.exp()
+        hi = hi_log.exp()
+        mid = (lo + hi) * Fraction(1, 2)
+        err = max(
+            mpmath.fsub(hi.upper(), mid.value, rounding="u"),
+            mpmath.fsub(mid.value, lo.lower(), rounding="u"),
+        )
+        value = BoundedReal(mid.value, err)
+        lower_str = _decimal(lo.lower(), 6)[0]
+        upper_str = _decimal(hi.upper(), 6, up=True)[0]
+    return ConstantReport(
+        name="F_inf",
+        value=value,
+        method="divergent_series",
+        params={
+            "m": trunc.m_opt,
+            "bound": format_bound(trunc.remainder_bound),
+            "bound_float": float(trunc.remainder_bound),
+            "lower": lower_str,
+            "upper": upper_str,
+        },
+    )
 
-    return _memo(("Finf-weak", _ctx_key(ctx)), compute)
 
-
+@_memoized
 def f_infty_refined(n: int, m: int, ctx: PrecisionContext) -> ConstantReport:
     """F_inf to full precision by bracketing the divergent remainder.
 
@@ -480,81 +429,77 @@ def f_infty_refined(n: int, m: int, ctx: PrecisionContext) -> ConstantReport:
         raise ValueError("f_infty_refined needs m > 2")
     if n < 1:
         raise ValueError("f_infty_refined needs n >= 1")
-
-    def compute():
-        # eta_k comes from a catastrophic cancellation: the series partial
-        # sums reach magnitude ~ the j=m term, so double guard digits
-        inner = PrecisionContext(ctx.target_digits, 2 * ctx.guard_digits)
-        with inner.workprec():
-            g = euler_gamma(inner)
-            z = zeta_int(2 * m - 1, inner)
-            etas = []
-            for k in range(1, n + 1):
-                partial = g * Fraction(1, 12 * k)
-                for j in range(2, m):
-                    partial = partial + n_coeff(2 * j, k) * zeta_int(
-                        2 * j - 1, inner
-                    )
-                t_mk = n_coeff(2 * m, k) * z
-                eta = (f_k_log_closed(k, inner) - partial) / t_mk
-                if not (eta.lower() > 0 and eta.upper() < 1):
-                    raise PrecisionError(
-                        f"eta_{k} = {eta!r} not certified inside (0,1)"
-                    )
-                etas.append(eta)
-            s_eta = BoundedReal.exact(0)
-            s_eta_m1 = BoundedReal.exact(0)
-            s_plain = Fraction(0)
-            for k, eta in enumerate(etas, start=1):
-                w = Fraction(1, k ** (2 * m - 1))
-                s_eta = s_eta + eta * w
-                s_eta_m1 = s_eta_m1 + (eta - 1) * w
-                s_plain += w
-            theta_min = s_eta / z
-            theta_max = BoundedReal.exact(1) + s_eta_m1 / z
-            if not (theta_min.lower() > 0 and theta_max.upper() < 1):
-                raise PrecisionError("theta bracket escaped (0,1)")
-            r_term = Fraction(bernoulli(2 * m), 2 * m * (2 * m - 1))
-            r_signed = BoundedReal.exact(r_term) * z.pow_int(2)
-            r_abs = abs(r_signed)
-            theta_err = (
-                BoundedReal.exact(1) - BoundedReal.exact(s_plain) / z
-            ) * r_abs
-            base = g * g * Fraction(1, 12)
+    # eta_k comes from a catastrophic cancellation: the series partial
+    # sums reach magnitude ~ the j=m term, so double guard digits
+    inner = PrecisionContext(ctx.target_digits, 2 * ctx.guard_digits)
+    with inner.workprec():
+        g = euler_gamma(inner)
+        z = zeta_int(2 * m - 1, inner)
+        etas = []
+        for k in range(1, n + 1):
+            partial = g * Fraction(1, 12 * k)
             for j in range(2, m):
-                base = base + Fraction(
-                    bernoulli(2 * j), 2 * j * (2 * j - 1)
-                ) * zeta_int(2 * j - 1, inner).pow_int(2)
-            theta_mid = (theta_min + theta_max) * Fraction(1, 2)
-            half_width = (theta_max - theta_min) * Fraction(1, 2)
-            log_val = base + theta_mid * r_signed
-            log_val = BoundedReal(
-                log_val.value,
-                _add_up(
-                    log_val.abs_err,
-                    _mul_up(half_width.upper(), r_abs.upper()),
-                ),
-            )
-            value = log_val.exp()
-            value_bound = _mul_up(theta_err.upper(), value.upper())
-        return ConstantReport(
-            name="F_inf",
-            value=value,
-            method="refined_sum",
-            params={
-                "n": n,
-                "m": m,
-                "theta_min": mpmath.nstr(theta_min.value, 12),
-                "theta_max": mpmath.nstr(theta_max.value, 12),
-                "theta_min_float": float(theta_min.value),
-                "theta_max_float": float(theta_max.value),
-                "log_bound": format_bound(theta_err.upper()),
-                "bound": format_bound(value_bound),
-                "bound_float": float(value_bound),
-            },
+                partial = partial + n_coeff(2 * j, k) * zeta_int(
+                    2 * j - 1, inner
+                )
+            t_mk = n_coeff(2 * m, k) * z
+            eta = (f_k_log_closed(k, inner) - partial) / t_mk
+            if not (eta.lower() > 0 and eta.upper() < 1):
+                raise PrecisionError(
+                    f"eta_{k} = {eta!r} not certified inside (0,1)"
+                )
+            etas.append(eta)
+        s_eta = BoundedReal.exact(0)
+        s_eta_m1 = BoundedReal.exact(0)
+        s_plain = Fraction(0)
+        for k, eta in enumerate(etas, start=1):
+            w = Fraction(1, k ** (2 * m - 1))
+            s_eta = s_eta + eta * w
+            s_eta_m1 = s_eta_m1 + (eta - 1) * w
+            s_plain += w
+        theta_min = s_eta / z
+        theta_max = BoundedReal.exact(1) + s_eta_m1 / z
+        if not (theta_min.lower() > 0 and theta_max.upper() < 1):
+            raise PrecisionError("theta bracket escaped (0,1)")
+        r_term = Fraction(bernoulli(2 * m), 2 * m * (2 * m - 1))
+        r_signed = BoundedReal.exact(r_term) * z.pow_int(2)
+        r_abs = abs(r_signed)
+        theta_err = (
+            BoundedReal.exact(1) - BoundedReal.exact(s_plain) / z
+        ) * r_abs
+        base = g * g * Fraction(1, 12)
+        for j in range(2, m):
+            base = base + Fraction(
+                bernoulli(2 * j), 2 * j * (2 * j - 1)
+            ) * zeta_int(2 * j - 1, inner).pow_int(2)
+        theta_mid = (theta_min + theta_max) * Fraction(1, 2)
+        half_width = (theta_max - theta_min) * Fraction(1, 2)
+        log_val = base + theta_mid * r_signed
+        log_val = BoundedReal(
+            log_val.value,
+            _add_up(
+                log_val.abs_err,
+                _mul_up(half_width.upper(), r_abs.upper()),
+            ),
         )
-
-    return _memo(("Finf-refined", n, m, _ctx_key(ctx)), compute)
+        value = log_val.exp()
+        value_bound = _mul_up(theta_err.upper(), value.upper())
+    return ConstantReport(
+        name="F_inf",
+        value=value,
+        method="refined_sum",
+        params={
+            "n": n,
+            "m": m,
+            "theta_min": mpmath.nstr(theta_min.value, 12),
+            "theta_max": mpmath.nstr(theta_max.value, 12),
+            "theta_min_float": float(theta_min.value),
+            "theta_max_float": float(theta_max.value),
+            "log_bound": format_bound(theta_err.upper()),
+            "bound": format_bound(value_bound),
+            "bound_float": float(value_bound),
+        },
+    )
 
 
 # -- F_{r,1} closed forms -------------------------------------------------------
@@ -577,6 +522,7 @@ def f_r1_alpha(r: int, j: int) -> Fraction:
     return -delta - Fraction(math.comb(r + 1, j)) * bernoulli(r + 1 - j) / (r + 1)
 
 
+@_memoized
 def f_r1_log(r: int, ctx: PrecisionContext) -> BoundedReal:
     """Certified log F_{r,1} via the A_j exponent table.
 
@@ -585,62 +531,55 @@ def f_r1_log(r: int, ctx: PrecisionContext) -> BoundedReal:
     """
     if r < 0:
         raise ValueError("f_r1_log needs r >= 0")
-
-    def compute():
-        with ctx.workprec():
-            if r == 0:
-                main = (
-                    BoundedReal.exact(Fraction(1, 12))
-                    + log_glaisher_a(0, ctx) * Fraction(1, 2)
-                    - log_glaisher_a(1, ctx) * 2
-                )
-            else:
-                main = BoundedReal.exact(f_r1_alpha(r, 0))
-                for j in range(1, r + 2):
-                    a = f_r1_alpha(r, j)
-                    if a != 0:
-                        main = main + log_glaisher_a(j, ctx) * a
-
-            def weight(i: int) -> BoundedReal:
-                return BoundedReal.exact(n_coeff(i + 1, 1)) - log_glaisher_a(
-                    i, ctx
-                )
-
-            alt = (
-                log_glaisher_a(r, ctx) * Fraction(1, 2)
-                - log_glaisher_a(r + 1, ctx)
-                + s_r_weighted(r, 1, weight)
+    with ctx.workprec():
+        if r == 0:
+            main = (
+                BoundedReal.exact(Fraction(1, 12))
+                + log_glaisher_a(0, ctx) * Fraction(1, 2)
+                - log_glaisher_a(1, ctx) * 2
             )
-            if not main.agrees_with(alt):
-                raise PrecisionError(
-                    f"the two closed routes for log F({r},1) disagree"
-                )
-            return main
+        else:
+            main = BoundedReal.exact(f_r1_alpha(r, 0))
+            for j in range(1, r + 2):
+                a = f_r1_alpha(r, j)
+                if a != 0:
+                    main = main + log_glaisher_a(j, ctx) * a
 
-    return _memo(("logFr1", r, _ctx_key(ctx)), compute)
+        def weight(i: int) -> BoundedReal:
+            return BoundedReal.exact(n_coeff(i + 1, 1)) - log_glaisher_a(
+                i, ctx
+            )
+
+        alt = (
+            log_glaisher_a(r, ctx) * Fraction(1, 2)
+            - log_glaisher_a(r + 1, ctx)
+            + s_r_weighted(r, 1, weight)
+        )
+        if not main.agrees_with(alt):
+            raise PrecisionError(
+                f"the two closed routes for log F({r},1) disagree"
+            )
+        return main
 
 
+@_memoized
 def f_r1(r: int, ctx: PrecisionContext) -> ConstantReport:
     """F_{r,1} by the A_j-form closed expression."""
-
-    def compute():
-        with ctx.workprec():
-            value = f_r1_log(r, ctx).exp()
-        alphas = {}
-        if r > 0:
-            alphas = {
-                str(j): str(f_r1_alpha(r, j))
-                for j in range(r + 2)
-                if f_r1_alpha(r, j) != 0
-            }
-        return ConstantReport(
-            name=f"F({r},1)",
-            value=value,
-            method="closed_form",
-            params={"r": r, "alpha": alphas},
-        )
-
-    return _memo(("Fr1", r, _ctx_key(ctx)), compute)
+    with ctx.workprec():
+        value = f_r1_log(r, ctx).exp()
+    alphas = {}
+    if r > 0:
+        alphas = {
+            str(j): str(f_r1_alpha(r, j))
+            for j in range(r + 2)
+            if f_r1_alpha(r, j) != 0
+        }
+    return ConstantReport(
+        name=f"F({r},1)",
+        value=value,
+        method="closed_form",
+        params={"r": r, "alpha": alphas},
+    )
 
 
 def f_r1_log_zeta_form(r: int, ctx: PrecisionContext) -> BoundedReal:
@@ -668,6 +607,7 @@ def f_r1_log_zeta_form(r: int, ctx: PrecisionContext) -> BoundedReal:
 
 # -- Bernoulli-product constants -----------------------------------------------
 
+@_memoized
 def b_family(ctx: PrecisionContext) -> tuple:
     """B1, B2, B3 and B' with internal consistency checks.
 
@@ -675,63 +615,56 @@ def b_family(ctx: PrecisionContext) -> tuple:
     B3 = B2 sqrt(2); B' = C2 e^(1/24) / (2^(5/4) A^(1/2)).
     Verified: B1 = C2 F_2 A^2 (2pi)^(1/4) and B' = 2^(1/24) 2^(-3/2) B2.
     """
-
-    def compute():
-        with ctx.workprec():
-            c2 = c_constant(2, ctx).value
-            la = log_glaisher_a(1, ctx)
-            log2 = BoundedReal.exact(2).log()
-            l2p = log_two_pi(ctx)
-            core = (
-                log2 * Fraction(5, 24)
-                + BoundedReal.exact(Fraction(1, 24))
-                - la * Fraction(1, 2)
-            )
-            b2 = c2 * core.exp()
-            b1 = b2 * (l2p * Fraction(1, 2)).exp()
-            b3 = b2 * (log2 * Fraction(1, 2)).exp()
-            bprime = b2 * (log2 * Fraction(-35, 24)).exp()
-            direct = c2 * (
-                BoundedReal.exact(Fraction(1, 24))
-                - log2 * Fraction(5, 4)
-                - la * Fraction(1, 2)
-            ).exp()
-            if not bprime.agrees_with(direct):
-                raise PrecisionError("the two routes for B' disagree")
-            alt_b1 = c2 * (
-                f_k_log_closed(2, ctx) + la * 2 + l2p * Fraction(1, 4)
-            ).exp()
-            if not b1.agrees_with(alt_b1):
-                raise PrecisionError("the F_2-based route for B1 disagrees")
-        reports = tuple(
-            ConstantReport(name=name, value=value, method="closed_form")
-            for name, value in (
-                ("B1", b1),
-                ("B2", b2),
-                ("B3", b3),
-                ("Bprime", bprime),
-            )
+    with ctx.workprec():
+        c2 = c_constant(2, ctx).value
+        la = log_glaisher_a(1, ctx)
+        log2 = BoundedReal.exact(2).log()
+        l2p = log_two_pi(ctx)
+        core = (
+            log2 * Fraction(5, 24)
+            + BoundedReal.exact(Fraction(1, 24))
+            - la * Fraction(1, 2)
         )
-        return reports
-
-    return _memo(("Bfam", _ctx_key(ctx)), compute)
+        b2 = c2 * core.exp()
+        b1 = b2 * (l2p * Fraction(1, 2)).exp()
+        b3 = b2 * (log2 * Fraction(1, 2)).exp()
+        bprime = b2 * (log2 * Fraction(-35, 24)).exp()
+        direct = c2 * (
+            BoundedReal.exact(Fraction(1, 24))
+            - log2 * Fraction(5, 4)
+            - la * Fraction(1, 2)
+        ).exp()
+        if not bprime.agrees_with(direct):
+            raise PrecisionError("the two routes for B' disagree")
+        alt_b1 = c2 * (
+            f_k_log_closed(2, ctx) + la * 2 + l2p * Fraction(1, 4)
+        ).exp()
+        if not b1.agrees_with(alt_b1):
+            raise PrecisionError("the F_2-based route for B1 disagrees")
+    reports = tuple(
+        ConstantReport(name=name, value=value, method="closed_form")
+        for name, value in (
+            ("B1", b1),
+            ("B2", b2),
+            ("B3", b3),
+            ("Bprime", bprime),
+        )
+    )
+    return reports
 
 
 # -- constants of the Gamma-power product --------------------------------------
 
+@_memoized
 def gamma_product_constants(ctx: PrecisionContext) -> tuple:
     """The two constants of prod_{v<n} Gamma(v/n)^v as n grows.
 
     Returns (e^((1-gamma)/12)/A, (2pi)^(1/4)/A).
     """
-
-    def compute():
-        with ctx.workprec():
-            la = log_glaisher_a(1, ctx)
-            first = (
-                (BoundedReal.exact(1) - euler_gamma(ctx)) * Fraction(1, 12) - la
-            ).exp()
-            second = (log_two_pi(ctx) * Fraction(1, 4) - la).exp()
-        return (first, second)
-
-    return _memo(("gamma-prod", _ctx_key(ctx)), compute)
+    with ctx.workprec():
+        la = log_glaisher_a(1, ctx)
+        first = (
+            (BoundedReal.exact(1) - euler_gamma(ctx)) * Fraction(1, 12) - la
+        ).exp()
+        second = (log_two_pi(ctx) * Fraction(1, 4) - la).exp()
+    return (first, second)

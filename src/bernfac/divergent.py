@@ -10,20 +10,17 @@ a rigorous error bound, with its sign giving one-sided information.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
-import mpmath
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from bernfac.precision import (
     BoundedReal,
     PrecisionContext,
     PrecisionError,
     _add_up,
-    _mul_up,
 )
 from bernfac.special import bernoulli, log_two_pi
 
@@ -55,7 +52,6 @@ class TruncationResult:
     m_opt: int
     remainder_bound: mpf
     omitted_term: BoundedReal
-    theta_interval: tuple = (Fraction(0), Fraction(1))
 
 
 def stirling_tail() -> DivergentTail:
@@ -64,22 +60,6 @@ def stirling_tail() -> DivergentTail:
         coeff=lambda j: Fraction(bernoulli(2 * j), 2 * j * (2 * j - 1)),
         j_start=1,
         description="stirling",
-    )
-
-
-def dk_tail(k: int) -> DivergentTail:
-    """D_k tail: sum N_{2j,k} x^-(2j-1) with N_{m,k} = B_m/(m(m-1)k^(m-1)).
-
-    dk_tail(1) coincides with stirling_tail term by term.
-    """
-    if k < 1:
-        raise ValueError("dk_tail needs k >= 1")
-    return DivergentTail(
-        coeff=lambda j: Fraction(
-            bernoulli(2 * j), 2 * j * (2 * j - 1) * k ** (2 * j - 1)
-        ),
-        j_start=1,
-        description=f"dk[{k}]",
     )
 
 

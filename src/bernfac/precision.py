@@ -23,6 +23,7 @@ caches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -75,10 +76,6 @@ class PrecisionContext:
     def workprec(self):
         """Context manager installing the working precision in mpmath."""
         return mp.workdps(self.working_digits)
-
-    def widened(self, extra: int) -> "PrecisionContext":
-        """Same target, more guard digits."""
-        return PrecisionContext(self.target_digits, self.guard_digits + extra)
 
 
 def make_context(target_digits: int) -> PrecisionContext:
@@ -409,18 +406,56 @@ def _sum(x: BoundedReal, y: BoundedReal, op) -> BoundedReal:
     return _raw(v, err)
 
 
-def _decimal_exponent(a: Fraction) -> int:
-    """Exact floor(log10(a)) for a positive rational."""
-    assert a > 0
-    # float estimate, then exact adjustment by comparing with powers of 10
-    num, den = a.numerator, a.denominator
-    est = (num.bit_length() - den.bit_length()) * 0.30103
-    e = int(est) - 2
-    while a >= Fraction(10) ** (e + 1):
-        e += 1
-    while a < Fraction(10) ** e:
-        e -= 1
-    return e
+_LOG10_2 = math.log10(2)
+
+
+def _ratio(man: int, exp: int, q: int) -> tuple:
+    """(num, den), two integers with num / den = man * 2^exp * 10^q."""
+    num, den = man << max(exp, 0), 1 << max(-exp, 0)
+    if q >= 0:
+        return num * 10 ** q, den
+    return num, den * 10 ** -q
+
+
+def _decimal(v: mpf, digits: int, up: bool = False) -> tuple:
+    """(text, last_place): v written with d digit characters.
+
+    The layout is round_to_digits'. The magnitude is rounded toward zero,
+    or away from zero if up is set (floor and ceiling for positive v), and
+    10^last_place is the unit of the last printed digit. Every digit comes
+    from v's exact mantissa and exponent in integer arithmetic.
+    """
+    sign, man, exp, bc = v._mpf_
+    if not man:
+        return ("0" if digits == 1 else "0." + "0" * (digits - 1)), 1 - digits
+    # e = floor(log10 |v|) from the top 53 bits, corrected exactly below
+    shift = max(bc - 53, 0)
+    e = math.floor(math.log10(man >> shift) + (exp + shift) * _LOG10_2)
+    while True:
+        q = digits - 1 if -digits < e < 0 else digits - 1 - e
+        m, rest = divmod(*_ratio(man, exp, q))
+        low = 10 ** (e + q)  # m lies in [low, 10 low) iff 10^e <= |v| < 10^(e+1)
+        if m < low:
+            e -= 1
+        elif m >= 10 * low:
+            e += 1
+        else:
+            break
+    if up and rest:
+        m += 1
+        if m == 10 * low:  # carried to 10^(e+1)
+            e += 1
+            q = digits - 1 if -digits < e < 0 else digits - 1 - e
+            m = 10 ** (e + q)
+    s = str(m)
+    if 0 <= e < digits:
+        text = s[: e + 1] + ("." + s[e + 1 :] if e + 1 < digits else "")
+    elif -digits < e < 0:
+        text = "0." + s.rjust(digits - 1, "0")
+    else:
+        suffix = f"e+{e}" if e > 0 else f"e-{-e}"
+        text = s[0] + ("." + s[1:] if digits > 1 else "") + suffix
+    return ("-" + text if sign else text), -q
 
 
 def round_to_digits(x: BoundedReal, digits: int) -> str:
@@ -438,35 +473,10 @@ def round_to_digits(x: BoundedReal, digits: int) -> str:
     """
     if digits < 1:
         raise ValueError("digits must be at least 1")
-    val = mpf_to_fraction(x.value)
-    err = mpf_to_fraction(x.abs_err)
-    neg = val < 0
-    a = -val if neg else val
-    if a == 0:
-        body = "0" if digits == 1 else "0." + "0" * (digits - 1)
-        certified = err < Fraction(1, 2) * Fraction(10) ** (1 - digits)
-        return body + ("" if certified else "~")
-    e = _decimal_exponent(a)
-    if 0 <= e < digits:
-        mantissa = int(a * Fraction(10) ** (digits - 1 - e))  # truncation
-        s = str(mantissa)
-        body = s[: e + 1] + ("." + s[e + 1 :] if e + 1 < digits else "")
-        last_place = e - digits + 1
-    elif -digits < e < 0:
-        frac_digits = digits - 1
-        mantissa = int(a * Fraction(10) ** frac_digits)
-        body = "0." + str(mantissa).rjust(frac_digits, "0")
-        last_place = -frac_digits
-    else:
-        mantissa = int(a * Fraction(10) ** (digits - 1 - e))
-        s = str(mantissa)
-        suffix = f"e+{e}" if e > 0 else f"e-{-e}"
-        body = s[0] + ("." + s[1:] if digits > 1 else "") + suffix
-        last_place = e - digits + 1
-    if neg:
-        body = "-" + body
-    certified = err < Fraction(1, 2) * Fraction(10) ** last_place
-    return body + ("" if certified else "~")
+    text, last_place = _decimal(x.value, digits)
+    _, man, exp, _ = x._e
+    num, den = _ratio(man, exp + 1, -last_place)  # 2 abs_err / 10^last_place
+    return text if num < den else text + "~"
 
 
 def is_certified(x: BoundedReal, digits: int) -> bool:

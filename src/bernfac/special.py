@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -85,51 +84,6 @@ def bernoulli(n: int) -> Fraction:
     return _bern_even[n // 2]
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Exact table of B_0..B_max_index with structural self-checks run."""
-
-    max_index: int
-    entries: tuple
-
-    def __getitem__(self, n: int) -> Fraction:
-        if not 0 <= n <= self.max_index:
-            raise IndexError(f"B_{n} outside table (max {self.max_index})")
-        return self.entries[n]
-
-
-def _check_von_staudt_clausen(n: int, b: Fraction) -> None:
-    # denominator of B_n (even n >= 2) is the product of primes p with (p-1) | n
-    den = 1
-    for p in range(2, n + 2):
-        if all(p % q for q in range(2, int(math.isqrt(p)) + 1)):
-            if n % (p - 1) == 0:
-                den *= p
-    if b.denominator != den:
-        raise AssertionError(f"von Staudt-Clausen failed at B_{n}")
-
-
-def bernoulli_table(max_index: int) -> BernoulliTable:
-    """B_0..B_max_index, cross-checked two ways before being returned.
-
-    The tangent-number values are verified against the defining recurrence
-    sum(C(n+1,j) B_j, j=0..n) = 0 for every even n <= min(max_index, 64),
-    and von Staudt-Clausen denominators are checked throughout.
-    """
-    if max_index < 0:
-        raise ValueError("max_index must be nonnegative")
-    entries = tuple(bernoulli(n) for n in range(max_index + 1))
-    for n in range(2, min(max_index, 64) + 1, 2):
-        total = sum(
-            Fraction(math.comb(n + 1, j)) * entries[j] for j in range(n + 1)
-        )
-        if total != 0:
-            raise AssertionError(f"defining recurrence failed at B_{n}")
-    for n in range(2, max_index + 1, 2):
-        _check_von_staudt_clausen(n, entries[n])
-    return BernoulliTable(max_index, entries)
-
-
 _harmonic_cache: list = [Fraction(0)]
 
 
@@ -170,14 +124,6 @@ def log_two_pi(ctx: PrecisionContext) -> BoundedReal:
 
 
 # -- Riemann zeta at integers -----------------------------------------------
-
-def _pochhammer(s: int, m: int) -> int:
-    """Rising factorial s(s+1)...(s+m-1)."""
-    acc = 1
-    for i in range(m):
-        acc *= s + i
-    return acc
-
 
 # zeta_int values, write-once per (s, target_digits, guard_digits), filled by
 # zeta_family. Racing fills compute identical values; setdefault keeps one.
@@ -379,8 +325,9 @@ def zeta_prime_int(s: int, ctx: PrecisionContext) -> BoundedReal:
 
     Euler-Maclaurin on g(x) = log(x) x^-s. The derivatives expand as
     g^(m)(x) = (-1)^m x^(-s-m) ((s)_m log x - c_m) with
-    c_m = sum_{i=1..m} C(m,i) (i-1)! (s)_{m-i}, so both the correction
-    terms and an integral bound for the remainder are explicit.
+    c_m = sum_{i=1..m} C(m,i) (i-1)! (s)_{m-i}, built by recurrence in
+    _log_power_coeffs, so both the correction terms and an integral bound
+    for the remainder are explicit.
     """
     if s < 2:
         raise ValueError("zeta_prime_int needs s >= 2")
@@ -413,11 +360,17 @@ def zeta_prime_int(s: int, ctx: PrecisionContext) -> BoundedReal:
         raise PrecisionError(f"Euler-Maclaurin for zeta'({s}) did not converge")
 
 
-def _c_coeff(s: int, m: int) -> int:
-    return sum(
-        math.comb(m, i) * math.factorial(i - 1) * _pochhammer(s, m - i)
-        for i in range(1, m + 1)
-    )
+def _log_power_coeffs(s: int):
+    """((s)_m, c_m) for m = 0, 1, 2, ...: the derivatives of log(x) x^-s.
+
+    g^(m)(x) = (-1)^m x^(-s-m) ((s)_m log x - c_m), and differentiating once
+    more gives (s)_(m+1) = (s)_m (s+m) and c_(m+1) = (s+m) c_m + (s)_m.
+    """
+    poch, c, m = 1, 0, 0
+    while True:
+        yield poch, c
+        poch, c = poch * (s + m), (s + m) * c + poch
+        m += 1
 
 
 def _zeta_prime_em(s: int, N: int, goal: mpf):
@@ -429,18 +382,21 @@ def _zeta_prime_em(s: int, N: int, goal: mpf):
     acc += mpf(N) ** (1 - s) * (logN / (s - 1) + mpf(1) / (s - 1) ** 2)
     acc += logN * mpf(N) ** (-s) / 2
     err = _mul_up(abs(acc) + 1, mpf(2) ** (7 - mp.prec) * (N + 4))
+    coeffs = _log_power_coeffs(s)
+    next(coeffs)  # m = 0
     prev_mag = None
     j = 1
     while True:
-        m = 2 * j - 1
+        poch, c = next(coeffs)  # m = 2j - 1
         bfac = BoundedReal.exact(
             Fraction(bernoulli(2 * j), math.factorial(2 * j))
         ).value
         # correction term -B_2j/(2j)! g^(2j-1)(N); the odd derivative order
         # contributes (-1)^(2j-1) = -1, so the signs cancel
-        core = _pochhammer(s, m) * logN - _c_coeff(s, m)
+        core = poch * logN - c
         term = bfac * mpf(N) ** (1 - s - 2 * j) * core
         # remainder bound via |B_2p|/(2p)! int |g^(2p)|
+        poch, c = next(coeffs)  # m = 2j
         mm = 2 * j
         int_log = mpf(N) ** (1 - s - mm) * (
             logN / (s + mm - 1) + mpf(1) / (s + mm - 1) ** 2
@@ -448,10 +404,7 @@ def _zeta_prime_em(s: int, N: int, goal: mpf):
         int_plain = mpf(N) ** (1 - s - mm) / (s + mm - 1)
         bound = _mul_up(
             abs(bfac),
-            _add_up(
-                _mul_up(mpf(_pochhammer(s, mm)), int_log),
-                _mul_up(mpf(_c_coeff(s, mm)), int_plain),
-            ),
+            _add_up(_mul_up(mpf(poch), int_log), _mul_up(mpf(c), int_plain)),
         )
         if bound < goal:
             return BoundedReal(-acc, _add_up(err, bound))
@@ -580,23 +533,3 @@ def partition_count(n: int) -> int:
                 k += 1
             _partition_cache.append(total)
         return _partition_cache[n]
-
-
-def abelian_group_count(n: int) -> int:
-    """Number of abelian groups of order n: prod p(e_i) over prime powers."""
-    if n < 1:
-        raise ValueError("abelian_group_count needs n >= 1")
-    result = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            result *= partition_count(e)
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result *= partition_count(1)
-    return result

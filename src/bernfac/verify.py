@@ -13,11 +13,10 @@ an ulp bound), not from Stirling-type expansions.
 
 import itertools
 import math
-import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
@@ -42,8 +41,8 @@ from .special import (
     pi_const,
 )
 
-DEFAULT_BIT_CAP = 1 << 26
-BIT_CAP_ENV = "BERNFAC_ORACLE_BIT_CAP"
+# exact_factorial_product refuses products projected to exceed this many bits
+ORACLE_BIT_CAP = 1 << 26
 # the weighted-split identity builds its big integers only below this size;
 # above it the prime-exponent vectors alone decide
 WEIGHTED_SPLIT_INT_BITS = 1 << 20
@@ -142,25 +141,20 @@ def report_records(reports: Iterable) -> List[dict]:
 
 # -- exact oracles ------------------------------------------------------------
 
-def _bit_cap() -> int:
-    return int(os.environ.get(BIT_CAP_ENV, DEFAULT_BIT_CAP))
-
-
 def exact_factorial_product(k: int, n: int, r: int) -> int:
     """Exact prod_{v=1..n} (k v)!^(v^r) as a big integer.
 
-    Refuses (OverflowError) when the projected bit size exceeds the cap
-    configured via the BERNFAC_ORACLE_BIT_CAP environment variable.
+    Refuses (OverflowError) when the projected bit size exceeds
+    ORACLE_BIT_CAP.
     """
     if k < 1 or n < 0 or r < 0:
         raise ValueError("need k >= 1, n >= 0, r >= 0")
     projected = sum(
         v ** r * math.lgamma(k * v + 1) for v in range(1, n + 1)
     ) / math.log(2)
-    cap = _bit_cap()
-    if projected > cap:
+    if projected > ORACLE_BIT_CAP:
         raise OverflowError(
-            f"projected {projected:.3e} bits exceeds cap {cap}"
+            f"projected {projected:.3e} bits exceeds cap {ORACLE_BIT_CAP}"
         )
     product = 1
     fact = 1
@@ -460,10 +454,6 @@ def _gap_pairs(grid, gap_fn) -> Tuple[tuple, bool, tuple]:
             offending = (n1, n2)
             break
     return gaps, monotone, offending
-
-
-def _log_pi(ctx) -> BoundedReal:
-    return log_two_pi(ctx) - BoundedReal.exact(2).log()
 
 
 def _factorial_progression_gap(k, ctx) -> Callable[[int], float]:

@@ -20,16 +20,13 @@ from bernfac.asymptotic import (
     milnor_g_log,
     n_coeff,
     p_rk_log,
-    psi,
-    q_r_form,
     q_r_log,
-    rescale,
     s_r,
     s_r_coeffs,
     s_r_weighted,
 )
 from bernfac.precision import BoundedReal, make_context
-from bernfac.special import log_two_pi, zeta_neg_int
+from bernfac.special import log_two_pi
 
 CTX = make_context(21)
 
@@ -43,22 +40,6 @@ def test_form_validation_and_degree():
         AsymptoticForm((Fraction(1),), ())
 
 
-def test_form_addition_pads_degrees():
-    f = AsymptoticForm((Fraction(1), Fraction(2)), (Fraction(0), Fraction(3)))
-    g = AsymptoticForm((Fraction(5),), (Fraction(7),))
-    h = f + g
-    assert h.degree == 1
-    assert h.alpha == (Fraction(6), Fraction(2))
-    assert h.beta == (Fraction(7), Fraction(3))
-
-
-def test_form_scale():
-    f = AsymptoticForm((Fraction(1), Fraction(2)), (Fraction(3), Fraction(0)))
-    g = f.scale(Fraction(1, 2))
-    assert g.alpha == (Fraction(1, 2), Fraction(1))
-    assert g.beta == (Fraction(3, 2), Fraction(0))
-
-
 def test_evaluate_polynomial_with_log():
     # f(x) = x^2 + 3 x log x at x = 7
     f = AsymptoticForm(
@@ -70,41 +51,6 @@ def test_evaluate_polynomial_with_log():
         want = BoundedReal.exact(49) + 3 * 7 * BoundedReal.exact(7).log()
         assert got.agrees_with(want)
         assert abs(float((got - want).value)) < 1e-25
-
-
-def test_rescale_shifts_constant_by_beta0_log_lambda():
-    for r in (0, 1, 2):
-        f = q_r_form(r)
-        assert psi(f) == 0
-        g = rescale(f, 2, CTX)
-        with CTX.workprec():
-            want = -zeta_neg_int(r) * BoundedReal.exact(2).log()
-            got = psi(g)
-            assert abs(float((got - want).value)) < 1e-25
-
-
-def test_rescale_by_one_is_identity():
-    f = q_r_form(1)
-    g = rescale(f, 1, CTX)
-    assert g.alpha == f.alpha
-    assert g.beta == f.beta
-
-
-def test_rescale_consistency_with_evaluate():
-    # f(lambda x) evaluated two ways
-    f = q_r_form(1)
-    lam = Fraction(3)
-    g = rescale(f, lam, CTX)
-    with CTX.workprec():
-        direct = evaluate(f, 12, CTX)
-        via = evaluate(g, 4, CTX)
-        assert direct.agrees_with(via)
-        assert abs(float((direct - via).value)) < 1e-24
-
-
-def test_rescale_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        rescale(q_r_form(0), 0, CTX)
 
 
 # -- power sums -------------------------------------------------------------------

@@ -87,6 +87,23 @@ def test_constant_series_selector(capsys):
     assert record["method"] == "divergent_series"
 
 
+def test_constant_looks_routes_up_when_called(capsys, monkeypatch):
+    # a rebound route (a tracer's wrapper, a patch) is the one called
+    from bernfac import constants
+
+    asked = []
+    route = constants.glaisher_a
+
+    def counted(*args):
+        asked.append(args[0])
+        return route(*args)
+
+    monkeypatch.setattr(constants, "glaisher_a", counted)
+    code, out, _ = invoke(capsys, "constant", "A_r", "--r", "2", "--digits", "21")
+    assert code == 0 and out == "1.03091675219739211419\n"
+    assert asked == [2]
+
+
 def test_constant_rejects_unknown_name(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run(["constant", "NOPE"])
@@ -100,18 +117,24 @@ def test_constant_rejects_bad_digits(capsys):
 
 
 def test_selector_listings_are_stable():
-    assert "F_inf_weak" in CONSTANT_SELECTORS
+    assert CONSTANT_SELECTORS == (
+        "C1", "C2", "C3", "A_r", "F_k", "F_k_series", "F_inf", "F_inf_weak",
+        "F_r1", "F_rk_series", "B1", "B2", "B3", "Bprime",
+    )
     assert TABLE_NAMES == ("f-constants", "b-constants", "fr1-constants")
     assert VERIFY_TARGETS == ("identities", "eta", "abelian", "milnor", "all")
 
 
 # -- --json goldens -------------------------------------------------------------
 
-# The --json records of these requests as printed before zeta(s) was
-# evaluated as one family (exact even values, fixed-point power ladders).
-# Every byte still matches except the radius-derived fields in TIGHTENED,
+# The --json records of `constant NAME --digits D [options]`, keyed by
+# (NAME, D, *options). The first five were printed before zeta(s) was
+# evaluated as one family (exact even values, fixed-point power ladders);
+# every byte still matches except the radius-derived fields in TIGHTENED,
 # which carried the rounding slop of the old Euler-Maclaurin and direct
-# sums and are now smaller.
+# sums and are now smaller. The 20-digit records of the other selectors,
+# with default parameters and with --k 3 or --r 2, pin every selector's
+# route and defaults.
 GOLDEN_JSON = {
     ("C1", "200"): {
         "bound": "2.928e-203",
@@ -186,6 +209,162 @@ GOLDEN_JSON = {
         },
         "value": "1.0246068826555972148"
     },
+    ("A_r", "20"): {
+        "bound": "5.238e-29",
+        "digits": 20,
+        "method": "closed_form",
+        "name": "A",
+        "params": {
+            "r": "1"
+        },
+        "value": "1.2824271291006226368"
+    },
+    ("A_r", "20", "--r", "2"): {
+        "bound": "2.122e-30",
+        "digits": 20,
+        "method": "closed_form",
+        "name": "A_2",
+        "params": {
+            "r": "2"
+        },
+        "value": "1.0309167521973921141"
+    },
+    ("F_k", "20"): {
+        "bound": "8.788e-29",
+        "digits": 20,
+        "method": "closed_form",
+        "name": "F_1",
+        "params": {
+            "cross_checked": "False",
+            "k": "1"
+        },
+        "value": "1.0463350667705031809"
+    },
+    ("F_k", "20", "--k", "3"): {
+        "bound": "1.128e-27",
+        "digits": 20,
+        "method": "closed_form",
+        "name": "F_3",
+        "params": {
+            "cross_checked": "True",
+            "k": "3"
+        },
+        "value": "1.0160405370646209912"
+    },
+    ("F_k_series", "20"): {
+        "bound": "6.286e-4",
+        "digits": 20,
+        "method": "divergent_series",
+        "name": "F_1",
+        "params": {
+            "bound": "6.002e-4",
+            "bound_float": "0.0006002079032035255",
+            "k": "1",
+            "m": "4"
+        },
+        "value": "1.0466401923416621295~"
+    },
+    ("F_k_series", "20", "--k", "3"): {
+        "bound": "1.217e-9",
+        "digits": 20,
+        "method": "divergent_series",
+        "name": "F_3",
+        "params": {
+            "bound": "1.198e-9",
+            "bound_float": "1.1980392652583435e-09",
+            "k": "3",
+            "m": "10"
+        },
+        "value": "1.0160405376835301611~"
+    },
+    ("F_inf_weak", "20"): {
+        "bound": "3.101e-4",
+        "digits": 20,
+        "method": "divergent_series",
+        "name": "F_inf",
+        "params": {
+            "bound": "6.052e-4",
+            "bound_float": "0.000605219205474194",
+            "lower": "1.02428",
+            "m": "4",
+            "upper": "1.02491"
+        },
+        "value": "1.0245995847825720406~"
+    },
+    ("F_r1", "20"): {
+        "bound": "8.961e-29",
+        "digits": 20,
+        "method": "closed_form",
+        "name": "F(0,1)",
+        "params": {
+            "alpha": "{}",
+            "r": "0"
+        },
+        "value": "1.0463350667705031809"
+    },
+    ("F_r1", "20", "--r", "2"): {
+        "bound": "1.317e-29",
+        "digits": 20,
+        "method": "closed_form",
+        "name": "F(2,1)",
+        "params": {
+            "alpha": "{'0': '7/540', '1': '-1/6', '3': '-4/3'}",
+            "r": "2"
+        },
+        "value": "0.9990461441813558684"
+    },
+    ("F_rk_series", "20"): {
+        "bound": "6.286e-4",
+        "digits": 20,
+        "method": "divergent_series",
+        "name": "F_1",
+        "params": {
+            "bound": "6.002e-4",
+            "bound_float": "0.0006002079032035255",
+            "k": "1",
+            "m": "4",
+            "r": "0"
+        },
+        "value": "1.0466401923416621295~"
+    },
+    ("F_rk_series", "20", "--r", "2", "--k", "3"): {
+        "bound": "1.198e-9",
+        "digits": 20,
+        "method": "divergent_series",
+        "name": "F(2,3)",
+        "params": {
+            "bound": "1.198e-9",
+            "bound_float": "1.1980461287941321e-09",
+            "k": "3",
+            "m": "10",
+            "r": "2"
+        },
+        "value": "0.9999442966135343531~"
+    },
+    ("B2", "20"): {
+        "bound": "2.564e-23",
+        "digits": 20,
+        "method": "closed_form",
+        "name": "B2",
+        "params": {},
+        "value": "1.9369033277329419206"
+    },
+    ("B3", "20"): {
+        "bound": "3.626e-23",
+        "digits": 20,
+        "method": "closed_form",
+        "name": "B3",
+        "params": {},
+        "value": "2.7391949550855062199"
+    },
+    ("Bprime", "20"): {
+        "bound": "9.329e-24",
+        "digits": 20,
+        "method": "closed_form",
+        "name": "Bprime",
+        "params": {},
+        "value": "0.7048648734680203105"
+    },
 }
 
 TIGHTENED = {
@@ -196,13 +375,19 @@ TIGHTENED = {
 }
 
 
-@pytest.mark.parametrize("name, digits", sorted(GOLDEN_JSON))
-def test_constant_json_goldens(capsys, name, digits):
-    code, out, err = invoke(capsys, "constant", name, "--digits", digits, "--json")
+@pytest.mark.parametrize(
+    "key", sorted(GOLDEN_JSON),
+    ids=lambda key: "-".join(part.lstrip("-") for part in key),
+)
+def test_constant_json_goldens(capsys, key):
+    name, digits, *options = key
+    code, out, err = invoke(
+        capsys, "constant", name, "--digits", digits, *options, "--json"
+    )
     assert code == 0 and err == ""
-    golden = GOLDEN_JSON[(name, digits)]
+    golden = GOLDEN_JSON[key]
     expected = dict(golden, params=dict(golden["params"]))
-    for field, text in TIGHTENED.get((name, digits), {}).items():
+    for field, text in TIGHTENED.get(key, {}).items():
         record = expected if field in expected else expected["params"]
         assert float(text) < float(record[field])
         record[field] = text

@@ -5,6 +5,7 @@ of certified values. Every constant with more than one mathematical route
 is additionally checked for route agreement within certified bounds.
 """
 
+import types
 from fractions import Fraction
 
 import mpmath
@@ -15,7 +16,6 @@ from bernfac import constants
 from bernfac.constants import (
     b_family,
     c_constant,
-    ceil_to_digits,
     clear_cache,
     f_infty_refined,
     f_infty_weak,
@@ -28,7 +28,6 @@ from bernfac.constants import (
     f_r1_log,
     f_r1_log_zeta_form,
     f_rk_series,
-    floor_to_digits,
     gamma_product_constants,
     glaisher_a,
     log_glaisher_a,
@@ -36,6 +35,7 @@ from bernfac.constants import (
 from bernfac.precision import (
     BoundedReal,
     PrecisionContext,
+    _decimal,
     make_context,
     mpf_to_fraction,
     round_to_digits,
@@ -88,12 +88,13 @@ B_VALUES = {
 # -- display helpers -----------------------------------------------------------
 
 def test_floor_ceil_to_digits():
-    a = Fraction(123456, 100000)
-    assert floor_to_digits(a, 4) == "1.234"
-    assert ceil_to_digits(a, 4) == "1.235"
-    assert floor_to_digits(Fraction(5, 4), 3) == "1.25"
-    assert ceil_to_digits(Fraction(5, 4), 3) == "1.25"
-    assert ceil_to_digits(Fraction(9999, 10000), 3) == "1.00"
+    # f_infty_weak's interval ends: the one decimal path, rounded down or up
+    a = mpf("1.23456")
+    assert _decimal(a, 4) == ("1.234", -3)
+    assert _decimal(a, 4, up=True) == ("1.235", -3)
+    assert _decimal(mpf(1.25), 3) == ("1.25", -2)
+    assert _decimal(mpf(1.25), 3, up=True) == ("1.25", -2)
+    assert _decimal(mpf("0.9999"), 3, up=True)[0] == "1.00"
 
 
 # -- zeta products ---------------------------------------------------------------
@@ -393,6 +394,15 @@ def test_memoized_reports_are_shared():
     a = c_constant(2, CTX)
     b = c_constant(2, CTX)
     assert a is b
+    # the key holds the context's value, not its identity
+    assert c_constant(2, PrecisionContext(21, 10)) is a
+
+
+def test_memoized_routes_stay_plain_functions_of_the_module():
+    # perfbench's tracer wraps only functions whose __module__ is this one
+    for route in (c_constant, glaisher_a, f_rk_series, b_family):
+        assert isinstance(route, types.FunctionType)
+        assert route.__module__ == "bernfac.constants"
 
 
 def test_clear_cache_preserves_values():

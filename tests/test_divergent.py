@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
+from bernfac.asymptotic import n_coeff
 from bernfac.divergent import (
+    DivergentTail,
     NoDecreaseError,
     TruncationResult,
-    dk_tail,
     eval_optimal,
     log_factorial,
     stirling_tail,
@@ -27,7 +28,7 @@ from bernfac.precision import (
     mpf_to_fraction,
 )
 from bernfac import divergent
-from bernfac.special import bernoulli, log_gamma_rational, log_two_pi
+from bernfac.special import log_gamma_rational, log_two_pi
 
 CTX = make_context(21)
 
@@ -40,20 +41,6 @@ def test_stirling_tail_coefficients():
     assert tail.coeff(1) == Fraction(1, 12)
     assert tail.coeff(2) == Fraction(-1, 360)
     assert tail.coeff(3) == Fraction(1, 1260)
-
-
-def test_dk_tail_matches_stirling_at_k1():
-    a, b = dk_tail(1), stirling_tail()
-    for j in range(1, 8):
-        assert a.coeff(j) == b.coeff(j)
-
-
-def test_dk_tail_scaling():
-    tail = dk_tail(2)
-    assert tail.coeff(1) == Fraction(1, 24)
-    assert tail.coeff(2) == bernoulli(4) / (4 * 3 * 2**3)
-    with pytest.raises(ValueError):
-        dk_tail(0)
 
 
 # -- optimal truncation -----------------------------------------------------------
@@ -93,7 +80,6 @@ def test_eval_optimal_brackets_true_stirling_tail():
         assert abs(residue) <= abs(omitted_exact) + slack
         # theta in (0,1): the residue has the sign of the omitted term
         assert (residue > 0) == (omitted_exact > 0)
-        assert trunc.theta_interval == (Fraction(0), Fraction(1))
         # the certified objects enclose the exact quantities
         assert trunc.partial_sum.contains(partial_exact)
         assert trunc.omitted_term.contains(omitted_exact)
@@ -122,7 +108,10 @@ def test_eval_optimal_rejects_nonpositive():
 
 
 def test_eval_optimal_result_shape():
-    trunc = eval_optimal(dk_tail(3), 4, CTX)
+    # the D_3 tail sum_j N_{2j,3} x^-(2j-1), with f_rk_series' coefficients
+    tail = DivergentTail(coeff=lambda j: n_coeff(2 * j, 3), j_start=1,
+                         description="D_3")
+    trunc = eval_optimal(tail, 4, CTX)
     assert isinstance(trunc, TruncationResult)
     assert trunc.m_opt >= 2
     assert trunc.remainder_bound > 0

@@ -45,13 +45,6 @@ def test_context_validation():
         make_context(0)
 
 
-def test_context_widened():
-    ctx = make_context(20)
-    wider = ctx.widened(15)
-    assert wider.target_digits == 20
-    assert wider.guard_digits == 25
-
-
 def test_workprec_scopes_mpmath_dps():
     ctx = make_context(40)
     before = mp.dps
@@ -335,6 +328,12 @@ def test_round_to_digits_scientific_branches():
     assert round_to_digits(small, 3) == "1.00e-3"
     edge = BoundedReal.exact(Fraction(1, 100))
     assert round_to_digits(edge, 3) == "0.01"
+    # 10^20 - 1 in 67 bits: its top 53 bits put log10 at 20.0 in floats,
+    # so the exponent must be corrected down exactly
+    with mp.workprec(200):
+        below = BoundedReal.exact(10**20 - 1)
+    assert round_to_digits(below, 3) == "9.99e+19"
+    assert round_to_digits(below, 20) == "99999999999999999999"
 
 
 def test_round_to_digits_zero():
@@ -348,6 +347,9 @@ def test_round_to_digits_uncertified_marker():
     assert round_to_digits(rough, 1) == "1"
     assert is_certified(rough, 1)
     assert not is_certified(rough, 5)
+    # certified only below half a unit of the last printed place
+    assert round_to_digits(BoundedReal(mpf(1), mpf(0.5)), 1) == "1~"
+    assert round_to_digits(BoundedReal(mpf(1), mpf(0.375)), 1) == "1"
 
 
 def test_round_to_digits_validates_digits():

@@ -16,9 +16,7 @@ from mpmath import mp, mpf
 from bernfac import special
 from bernfac.precision import BoundedReal, make_context, mpf_to_fraction
 from bernfac.special import (
-    abelian_group_count,
     bernoulli,
-    bernoulli_table,
     dedekind_eta_imag,
     euler_gamma,
     harmonic,
@@ -88,16 +86,6 @@ def test_bernoulli_cache_grows_geometrically(monkeypatch):
     bernoulli(800)
     assert special._bern_even[1:] == one_at_a_time
     assert one_at_a_time[-1] == Fraction(*mpmath.bernfrac(800))
-
-
-def test_bernoulli_table_checks_and_indexing():
-    table = bernoulli_table(64)
-    assert table[12] == Fraction(-691, 2730)
-    assert table.max_index == 64
-    with pytest.raises(IndexError):
-        table[65]
-    with pytest.raises(ValueError):
-        bernoulli_table(-1)
 
 
 # -- harmonic numbers and Euler's constant ------------------------------------
@@ -237,6 +225,32 @@ def test_zeta_prime_int_against_mpmath():
             assert float(ours.abs_err) < 1e-25
 
 
+def _c_coeff_by_sum(s, m):
+    # c_m = sum_{i=1..m} C(m,i) (i-1)! (s)_{m-i}, summed term by term
+    return sum(
+        math.comb(m, i) * math.factorial(i - 1) * math.prod(range(s, s + m - i))
+        for i in range(1, m + 1)
+    )
+
+
+def test_log_power_coeffs_match_the_binomial_sum():
+    for s in range(2, 8):
+        coeffs = special._log_power_coeffs(s)
+        for m in range(40):
+            poch, c = next(coeffs)
+            assert poch == math.prod(range(s, s + m))
+            assert c == _c_coeff_by_sum(s, m), (s, m)
+
+
+def test_zeta_prime_int_contains_mpmath_at_300_digits():
+    ctx = make_context(300)
+    with mp.workdps(900):
+        for s in (2, 3):
+            ours = zeta_prime_int(s, ctx)
+            assert ours.contains(mp.zeta(s, derivative=1)), s
+            assert ours.abs_err < mpf(10) ** -305
+
+
 def test_zeta_prime_int_rejects_small_s():
     with pytest.raises(ValueError):
         zeta_prime_int(1, CTX)
@@ -351,30 +365,3 @@ def test_partition_known_values():
 def test_partition_rejects_negative():
     with pytest.raises(ValueError):
         partition_count(-1)
-
-
-def test_abelian_group_count_known_values():
-    assert abelian_group_count(1) == 1
-    assert abelian_group_count(7) == 1
-    assert abelian_group_count(4) == 2
-    assert abelian_group_count(8) == 3
-    assert abelian_group_count(16) == 5
-    assert abelian_group_count(36) == 4
-    assert abelian_group_count(72) == 6
-    assert abelian_group_count(2**10) == partition_count(10)
-
-
-@given(
-    st.integers(min_value=1, max_value=500),
-    st.integers(min_value=1, max_value=500),
-)
-def test_abelian_group_count_multiplicative(a, b):
-    if math.gcd(a, b) == 1:
-        assert abelian_group_count(a * b) == abelian_group_count(
-            a
-        ) * abelian_group_count(b)
-
-
-def test_abelian_group_count_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        abelian_group_count(0)

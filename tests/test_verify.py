@@ -13,9 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from bernfac import verify
 from bernfac.precision import BoundedReal, make_context, mpf_to_fraction
-from bernfac.special import abelian_group_count, dedekind_eta_imag, pi_const
+from bernfac.special import dedekind_eta_imag, partition_count, pi_const
 from bernfac.verify import (
-    BIT_CAP_ENV,
     IdentityReport,
     RatioReport,
     WEIGHTED_SPLIT_INT_BITS,
@@ -60,10 +59,10 @@ def test_exact_factorial_product_brute(k, n, r):
 
 
 def test_exact_factorial_product_refuses_over_cap(monkeypatch):
-    monkeypatch.setenv(BIT_CAP_ENV, "1000")
+    monkeypatch.setattr(verify, "ORACLE_BIT_CAP", 1000)
     with pytest.raises(OverflowError):
         exact_factorial_product(1, 50, 1)
-    monkeypatch.delenv(BIT_CAP_ENV)
+    monkeypatch.undo()
     assert exact_factorial_product(1, 5, 0) == 1 * 2 * 6 * 24 * 120
 
 
@@ -296,6 +295,56 @@ def test_eta_identity_check_validation():
 
 
 # -- abelian averages -----------------------------------------------------------------
+
+def abelian_group_count(n: int) -> int:
+    """Number of abelian groups of order n: prod p(e_i) over prime powers.
+
+    The reference for _abelian_count_sums: trial division, one n at a time.
+    """
+    if n < 1:
+        raise ValueError("abelian_group_count needs n >= 1")
+    result = 1
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            result *= partition_count(e)
+        p += 1 if p == 2 else 2
+    if m > 1:
+        result *= partition_count(1)
+    return result
+
+
+def test_abelian_group_count_known_values():
+    assert abelian_group_count(1) == 1
+    assert abelian_group_count(7) == 1
+    assert abelian_group_count(4) == 2
+    assert abelian_group_count(8) == 3
+    assert abelian_group_count(16) == 5
+    assert abelian_group_count(36) == 4
+    assert abelian_group_count(72) == 6
+    assert abelian_group_count(2**10) == partition_count(10)
+
+
+@given(
+    st.integers(min_value=1, max_value=500),
+    st.integers(min_value=1, max_value=500),
+)
+def test_abelian_group_count_multiplicative(a, b):
+    if math.gcd(a, b) == 1:
+        assert abelian_group_count(a * b) == abelian_group_count(
+            a
+        ) * abelian_group_count(b)
+
+
+def test_abelian_group_count_rejects_nonpositive():
+    with pytest.raises(ValueError):
+        abelian_group_count(0)
+
 
 def test_abelian_count_sums_against_direct_counts():
     limit = 2000
