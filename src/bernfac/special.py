@@ -9,7 +9,8 @@ V^(1-s)/(s-1) rounded upward into the radius, and odd s below that range by
 Euler-Maclaurin. zeta'(s) is summed by Euler-Maclaurin in mpf. For
 completely monotone integrands the error of the truncated correction series
 is bounded by the first omitted term, which the returned BoundedReal
-carries.
+carries. The q-product of eta(i t) runs in the same fixed-point units, as
+two integer chains that bound it from above and below.
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ from typing import Union
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import (
+    from_man_exp,
+    mpf_shift,
+    round_ceiling,
+    round_floor,
+    to_int,
+)
 
 from bernfac.precision import (
     BoundedReal,
@@ -150,14 +157,18 @@ def clear_zeta_cache() -> None:
         _zeta_cache.clear()
 
 
-def _zeta_plan(ctx: PrecisionContext) -> tuple:
-    """(n, g, P): Euler-Maclaurin cutoff, goal 2^-g, fixed-point unit 2^-P.
+def _fixed_point_plan(ctx: PrecisionContext) -> tuple:
+    """(g, P): goal 2^-g < 10^-(working digits + 2), fixed-point unit 2^-P.
 
-    2^-g < 10^-(working digits + 2), the goal every zeta value meets.
+    P = g + 32 leaves 32 bits for the floors a sum counts in its radius.
     """
-    wd = ctx.working_digits
-    g = (10 ** (wd + 2)).bit_length()
-    return max(10, (3 * wd) // 4), g, g + 32
+    g = (10 ** (ctx.working_digits + 2)).bit_length()
+    return g, g + 32
+
+
+def _zeta_plan(ctx: PrecisionContext) -> tuple:
+    """(n, g, P): Euler-Maclaurin cutoff, goal 2^-g, fixed-point unit 2^-P."""
+    return (max(10, (3 * ctx.working_digits) // 4), *_fixed_point_plan(ctx))
 
 
 def _direct_terms(s: int, n: int, g: int):
@@ -471,40 +482,68 @@ def log_gamma_rational(x: Fraction, ctx: PrecisionContext) -> BoundedReal:
 
 # -- Dedekind eta on the imaginary axis --------------------------------------
 
+def _eta_q_product(qlo: int, qhi: int, P: int, g: int) -> tuple:
+    """(low, high, scale, V) for q in [qlo, qhi] units of 2^-P, qhi < 2^P.
+
+    V is the least index with q^(V+1)/(1-q)^2 < 2^-g at q = qhi 2^-P, an
+    integer test, and prod_{v<=V} (1 - q^v) lies in [low, high] units of
+    2^-scale. The product falls as q rises, so high comes from qlo and low
+    from qhi, each chain with every floor taken in its own direction. Both
+    are shifted up together whenever high drops below 2^(P-1), so that a
+    small product keeps P significant bits.
+    """
+    one = 1 << P
+    low = high = one
+    scale = P
+    qlo_pow = qhi_pow = one  # qlo^V rounded down, qhi^V rounded up
+    V = 0
+    while (qhi_pow * qhi) << g >= (one - qhi) ** 2:
+        qlo_pow = qlo_pow * qlo >> P
+        ceil_pow = -(-qhi_pow * qhi >> P)
+        if ceil_pow == qhi_pow:  # stuck: q is too close to 1
+            raise PrecisionError("eta product did not converge")
+        qhi_pow = ceil_pow
+        high = -(-high * (one - qlo_pow) >> P)
+        low = low * (one - qhi_pow) >> P
+        shift = P - high.bit_length()
+        if shift > 0:
+            high <<= shift
+            low <<= shift
+            scale += shift
+        V += 1
+    return low, high, scale, V
+
+
 def dedekind_eta_imag(t: Union[BoundedReal, Fraction, int], ctx: PrecisionContext) -> BoundedReal:
     """eta(i t) = e^(-pi t/12) prod_{v>=1} (1 - e^(-2 pi v t)) for t > 0.
 
-    The product is cut once the geometric tail bound for the remaining
-    log-factors drops below working precision; that bound is folded into
-    the result's abs_err.
+    q = e^(-2 pi t) is enclosed by integers qlo <= qhi in units of 2^-P
+    (_fixed_point_plan, plus 3 log2(1/(1-q)) bits when q is near 1), and
+    _eta_q_product bounds the product up to the first V with
+    q^(V+1)/(1-q)^2 < 2^-g. That bounds the log of the omitted factors,
+    and 2 * 2^-g * |result| joins the radius.
     """
+    g, P = _fixed_point_plan(ctx)
     with ctx.workprec():
         tb = t if isinstance(t, BoundedReal) else BoundedReal.exact(t)
         if tb.lower() <= 0:
             raise ValueError("dedekind_eta_imag needs t > 0")
         pi_t = pi_const(ctx) * tb
         prefactor = (-pi_t / 12).exp()
-        q = (-pi_t * 2).exp()  # e^(-2 pi t), in (0, 1)
-        goal = mpf(10) ** (-(ctx.working_digits + 2))
-        prod = BoundedReal.exact(1)
-        qpow = BoundedReal.exact(1)
-        v = 0
-        while True:
-            v += 1
-            qpow = qpow * q
-            prod = prod * (BoundedReal.exact(1) - qpow)
-            # remaining factors: 0 < -sum_{w>v} log(1-q^w) < q^(v+1)/(1-q)^2
-            tail = qpow.abs_upper() * q.abs_upper() / (1 - q.abs_upper()) ** 2
-            if tail < goal:
-                break
-            if v > 10_000_000:
-                raise PrecisionError("eta product did not converge")
-        result = prefactor * prod
-        # multiplicative tail: true = computed * exp(theta * tail), theta in (0,1)
-        return BoundedReal(
-            result.value,
-            _add_up(result.abs_err, _mul_up(result.abs_upper(), 2 * tail)),
-        )
+        q = (-pi_t * 2).exp()
+        gap = 1 - q.upper()
+        if gap <= 0:
+            raise PrecisionError("e^(-2 pi t) is not enclosed below 1")
+        # the chains run about V ~ 1/(1-q) steps, each off by up to
+        # 1/(1-q)^2 units relative: 3 log2(1/(1-q)) more bits cover that
+        P += 3 * max(0, -mpmath.mag(gap))
+        qlo = max(0, to_int(mpf_shift(q.lower()._mpf_, P), round_floor))
+        qhi = to_int(mpf_shift(q.upper()._mpf_, P), round_ceiling)
+        low, high, scale, _ = _eta_q_product(qlo, qhi, P, g)
+        result = prefactor * _from_units(low + high, high - low, scale + 1)
+        # true = result * exp(-theta * tail), theta in (0,1), tail < 2^-g
+        tail_err = _mul_up(result.abs_upper(), mpf(2) ** (1 - g))
+        return BoundedReal(result.value, _add_up(result.abs_err, tail_err))
 
 
 # -- abelian group counting ---------------------------------------------------

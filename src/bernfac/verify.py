@@ -8,7 +8,10 @@ constant, and require the absolute gap to shrink along an increasing n-grid.
 
 The suites are deliberately independent of the series machinery they test:
 product logs come from exact integers (bit length plus mantissa, wrapped with
-an ulp bound), not from Stirling-type expansions.
+an ulp bound), not from Stirling-type expansions. The factorial products
+prod (kv)!^(v^r) are not built at all: their log is sum_p e_p log p, with
+the prime exponents e_p from Legendre's formula, exact by unique
+factorization.
 """
 
 import itertools
@@ -141,12 +144,9 @@ def report_records(reports: Iterable) -> List[dict]:
 
 # -- exact oracles ------------------------------------------------------------
 
-def exact_factorial_product(k: int, n: int, r: int) -> int:
-    """Exact prod_{v=1..n} (k v)!^(v^r) as a big integer.
-
-    Refuses (OverflowError) when the projected bit size exceeds
-    ORACLE_BIT_CAP.
-    """
+def _check_oracle_cap(k: int, n: int, r: int) -> None:
+    """Refuse (OverflowError) a product prod_{v<=n} (kv)!^(v^r) projected
+    to exceed ORACLE_BIT_CAP bits, whether it is built or only logged."""
     if k < 1 or n < 0 or r < 0:
         raise ValueError("need k >= 1, n >= 0, r >= 0")
     projected = sum(
@@ -156,6 +156,16 @@ def exact_factorial_product(k: int, n: int, r: int) -> int:
         raise OverflowError(
             f"projected {projected:.3e} bits exceeds cap {ORACLE_BIT_CAP}"
         )
+
+
+def exact_factorial_product(k: int, n: int, r: int) -> int:
+    """Exact prod_{v=1..n} (k v)!^(v^r) as a big integer.
+
+    The exact reference for the ratio targets' prime-exponent logs.
+    Refuses (OverflowError) when the projected bit size exceeds
+    ORACLE_BIT_CAP.
+    """
+    _check_oracle_cap(k, n, r)
     product = 1
     fact = 1
     arg = 0
@@ -165,6 +175,33 @@ def exact_factorial_product(k: int, n: int, r: int) -> int:
         arg = k * v
         product *= pow(fact, v ** r)
     return product
+
+
+def _factorial_product_exponents(k: int, n: int, r: int) -> List[tuple]:
+    """[(p, e_p)] over the primes p <= kn with prod_{v<=n} (kv)!^(v^r) =
+    prod p^(e_p): e_p = sum_v v^r nu_p((kv)!), by Legendre's formula.
+
+    Exact by unique factorization, and never builds the product. Refuses
+    the same inputs as exact_factorial_product.
+    """
+    _check_oracle_cap(k, n, r)
+    weights = [v ** r for v in range(1, n + 1)]
+    return [
+        (p, sum(w * _legendre(k * v, p) for v, w in enumerate(weights, 1)))
+        for p in primes_up_to(k * n)
+    ]
+
+
+def _exponents_log(exponents, logs: dict, ctx) -> BoundedReal:
+    """sum e_p log p over [(p, e_p)]; logs keeps each log p once computed."""
+    with ctx.workprec():
+        total = BoundedReal.exact(0)
+        for p, e in exponents:
+            log_p = logs.get(p)
+            if log_p is None:
+                log_p = logs[p] = log_exact_int(p, ctx)
+            total = total + e * log_p
+        return total
 
 
 def exact_bernoulli_product(n: int, mode: str = "plain") -> Fraction:
@@ -407,10 +444,12 @@ def _telescope_matrix_inverse(reports, max_k):
     for k in range(2, max_k + 1):
         m = m_matrix(k)
         mt = m_tilde_matrix(k)
-        product = [
-            [sum(m[i][t] * mt[t][j] for t in range(k)) for j in range(k)]
-            for i in range(k)
-        ]
+        product = []
+        for row in m:  # bidiagonal plus one full row: O(k^2) in all
+            nonzero = [(t, x) for t, x in enumerate(row) if x]
+            product.append(
+                [sum(x * mt[t][j] for t, x in nonzero) for j in range(k)]
+            )
         expected = [[k if i == j else 0 for j in range(k)] for i in range(k)]
         _expect_equal(
             reports, "telescope-matrix-inverse", {"k": k}, product, expected
@@ -462,10 +501,12 @@ def _factorial_progression_gap(k, ctx) -> Callable[[int], float]:
     log_a1 = log_glaisher_a(1, ctx)
     log_2pi = log_two_pi(ctx)
     log_k = log_exact_int(k, ctx)
+    logs = {}
 
     def gap(n: int) -> float:
         with ctx.workprec():
-            lhs = log_exact_int(exact_factorial_product(k, n, 0), ctx)
+            exponents = _factorial_product_exponents(k, n, 0)
+            lhs = _exponents_log(exponents, logs, ctx)
             log_n = log_exact_int(n, ctx)
             rhs = log_fk + k * log_a1 + Fraction(1, 4) * log_2pi
             rhs = rhs + (Fraction(k, 2) * n * (n + 1)) * (
@@ -557,10 +598,12 @@ def _weighted_progression_gap(r, k, ctx) -> Callable[[int], float]:
     log_frk = f_rk_series(r, k, ctx).value.log()
     log_ar = log_glaisher_a(r, ctx)
     log_ar1 = log_glaisher_a(r + 1, ctx)
+    logs = {}
 
     def gap(n: int) -> float:
         with ctx.workprec():
-            lhs = log_exact_int(exact_factorial_product(k, n, r), ctx)
+            exponents = _factorial_product_exponents(k, n, r)
+            lhs = _exponents_log(exponents, logs, ctx)
             rhs = log_frk + Fraction(1, 2) * log_ar + k * log_ar1
             rhs = rhs + p_rk_log(r, k, n, ctx)
             rhs = rhs + Fraction(1, 2) * q_r_log(r, n, ctx)

@@ -132,9 +132,10 @@ def test_selector_listings_are_stable():
 # evaluated as one family (exact even values, fixed-point power ladders);
 # every byte still matches except the radius-derived fields in TIGHTENED,
 # which carried the rounding slop of the old Euler-Maclaurin and direct
-# sums and are now smaller. The 20-digit records of the other selectors,
-# with default parameters and with --k 3 or --r 2, pin every selector's
-# route and defaults.
+# sums and are now smaller. F_k for k >= 2 reads log Gamma(l/k), whose
+# Stirling tail is now summed in fixed point: its bound is smaller too.
+# The 20-digit records of the other selectors, with default parameters and
+# with --k 3 or --r 2, pin every selector's route and defaults.
 GOLDEN_JSON = {
     ("C1", "200"): {
         "bound": "2.928e-203",
@@ -372,6 +373,7 @@ TIGHTENED = {
     ("C3", "100"): {"bound": "1.407e-103"},
     ("B1", "100"): {"bound": "5.422e-103"},
     ("F_inf", "20"): {"bound_float": "6.320816312259722e-22"},
+    ("F_k", "20", "--k", "3"): {"bound": "6.356e-28"},
 }
 
 

@@ -19,7 +19,6 @@ from bernfac.divergent import (
     TruncationResult,
     eval_optimal,
     log_factorial,
-    stirling_tail,
 )
 from bernfac.precision import (
     BoundedReal,
@@ -28,12 +27,21 @@ from bernfac.precision import (
     mpf_to_fraction,
 )
 from bernfac import divergent
-from bernfac.special import log_gamma_rational, log_two_pi
+from bernfac.special import bernoulli, log_gamma_rational, log_two_pi
 
 CTX = make_context(21)
 
 
 # -- tail definitions -----------------------------------------------------------
+
+def stirling_tail() -> DivergentTail:
+    """Correction tail of log Gamma(x+1): sum B_2j/(2j(2j-1)) x^-(2j-1)."""
+    return DivergentTail(
+        coeff=lambda j: Fraction(bernoulli(2 * j), 2 * j * (2 * j - 1)),
+        j_start=1,
+        description="stirling",
+    )
+
 
 def test_stirling_tail_coefficients():
     tail = stirling_tail()
@@ -159,10 +167,13 @@ def test_log_factorial_rejects_nonpositive():
         log_factorial(Fraction(-1, 2), CTX)
 
 
-@pytest.mark.parametrize("digits", [20, 100])
+@pytest.mark.parametrize("digits", [20, 100, 300])
 def test_log_gamma_rational_contains_mpmath_loggamma(digits):
+    # 1/7, 2/3 and 49/3 take the promotion path, log((x+N)!) - log prod (x+j)
     ctx = make_context(digits)
-    for x in (Fraction(1, 3), Fraction(1, 2), Fraction(15), Fraction(50), Fraction(120)):
+    xs = (Fraction(1, 3), Fraction(1, 2), Fraction(15), Fraction(50),
+          Fraction(120), Fraction(1, 7), Fraction(2, 3), Fraction(49, 3))
+    for x in xs:
         lg = log_gamma_rational(x, ctx)
         with mp.workdps(3 * ctx.working_digits):
             ref = mpmath.loggamma(mpf(x.numerator) / x.denominator)
@@ -174,12 +185,35 @@ def test_log_factorial_stops_at_goal(monkeypatch):
     # the Stirling sum stops at the first term below the goal, far before
     # the smallest term (near j = pi x = 157 at x = 50)
     seen = []
+    units = divergent._stirling_units
 
-    def spy(*args, **kwargs):
-        result = eval_optimal(*args, **kwargs)
-        seen.append(result.m_opt)
+    def spy(*args):
+        result = units(*args)
+        seen.append(result[2])
         return result
 
-    monkeypatch.setattr(divergent, "eval_optimal", spy)
+    monkeypatch.setattr(divergent, "_stirling_units", spy)
     log_gamma_rational(Fraction(50), make_context(20))
     assert seen and max(seen) <= 20
+
+
+def test_stirling_units_bracket_the_exact_tail():
+    # the kept terms and the radius against the exact rational partial sums
+    # of the tail, and the remainder rule against a 300-digit reference
+    P, g = 200, 90
+    coeff = stirling_tail().coeff
+    for big in (Fraction(12), Fraction(37, 3), Fraction(401, 7)):
+        units, radius, j = divergent._stirling_units(big, P, g)
+        kept = sum(coeff(i) * big ** (1 - 2 * i) for i in range(1, j))
+        omitted = coeff(j) * big ** (1 - 2 * j)
+        assert abs(kept * 2**P - units) < j - 1
+        assert abs(omitted) * 2**P < radius - (j - 1)
+        assert abs(omitted) * 2**P < 2 ** (P - g)
+        with mp.workdps(300):
+            b = mpf(big.numerator) / big.denominator
+            ref = mpmath.loggamma(b + 1) - (
+                mp.log(2 * mp.pi) / 2 + (b + mpf(1) / 2) * mp.log(b) - b
+            )
+            assert abs(mpf_to_fraction(ref) * 2**P - units) <= radius
+    # at 12 the smallest term, about e^(-24 pi), is above 2^-150
+    assert divergent._stirling_units(Fraction(12), 200, 150) is None

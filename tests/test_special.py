@@ -6,6 +6,7 @@ sums or mpmath's own implementations for the transcendental ones.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -336,6 +337,20 @@ def test_eta_functional_equation():
         assert abs(float((lhs - rhs).value)) < 1e-25
 
 
+@pytest.mark.parametrize("t", [1000, 10**5])
+def test_eta_keeps_relative_precision_near_q_1(t):
+    # eta(i/t) = sqrt(t) eta(i t) is about 6e-113 at t = 1000 and 5e-11368
+    # at t = 10^5; the q-product, with q near 1, must converge and keep the
+    # target digits relative to the value
+    rel = mpf(10) ** -CTX.target_digits
+    with CTX.workprec():
+        small = dedekind_eta_imag(Fraction(1, t), CTX)
+        rhs = BoundedReal.exact(t).sqrt() * dedekind_eta_imag(t, CTX)
+        assert small.agrees_with(rhs)
+        assert abs((small - rhs).value) < rel * rhs.value
+        assert small.abs_err < rel * small.value
+
+
 def test_eta_matches_truncated_q_product():
     with CTX.workprec():
         t = Fraction(3, 2)
@@ -347,6 +362,49 @@ def test_eta_matches_truncated_q_product():
             qpow = qpow * q
             brute = brute * (BoundedReal.exact(1) - qpow)
         assert abs(float((e - brute).value)) < 1e-25
+
+
+def test_eta_q_product_brackets_the_exact_product():
+    # dyadic q at a coarse unit 2^-48, where every floor shows
+    P, g = 48, 40
+    one = 1 << P
+    goal = Fraction(1, 2**g)
+    rng = random.Random(5)
+
+    def product(q, V):
+        return math.prod((1 - Fraction(q, one) ** v for v in range(1, V + 1)),
+                         start=Fraction(1))
+
+    def tail(q, V):
+        return Fraction(q, one) ** (V + 1) / (1 - Fraction(q, one)) ** 2
+
+    for _ in range(40):
+        qlo = rng.randrange(1, one // 2)
+        qhi = qlo + rng.randrange(3)
+        low, high, scale, V = special._eta_q_product(qlo, qhi, P, g)
+        assert Fraction(low, 2**scale) <= product(qhi, V)
+        assert product(qlo, V) <= Fraction(high, 2**scale)
+        assert tail(qhi, V) < goal <= tail(qhi, V - 1)
+        assert high.bit_length() == P  # P significant bits
+
+
+@pytest.mark.parametrize("digits", [20, 100])
+def test_eta_contains_mpmath_eta(digits):
+    # exact t, and t = log p / pi as an enclosure (the eta identity's inputs)
+    ctx = make_context(digits)
+    cases = [(t, lambda t=t: mpf(t.numerator) / t.denominator) for t in
+             (Fraction(1, 5), Fraction(1, 2), Fraction(1), Fraction(2))]
+    for p in (3, 9973):
+        with ctx.workprec():
+            t = BoundedReal.exact(p).log() / pi_const(ctx)
+        cases.append((t, lambda p=p: mp.log(p) / mp.pi))
+    for t, tau in cases:
+        eta = dedekind_eta_imag(t, ctx)
+        with mp.workdps(3 * ctx.working_digits):
+            ref = mp.eta(1j * tau())
+            assert abs(ref.imag) < mpf(10) ** (-2 * ctx.working_digits)
+            assert eta.contains(mpf_to_fraction(ref.real)), t
+        assert eta.abs_err < mpf(10) ** -digits * abs(eta.value)
 
 
 def test_eta_rejects_nonpositive_argument():

@@ -71,6 +71,80 @@ def test_exact_factorial_product_validation():
         exact_factorial_product(0, 5, 0)
 
 
+def _exponents_by_counting(k, n, r):
+    # e_p counted over the factors m <= kn of the product: m occurs in
+    # (kv)! for every v >= m/k, with weight sum of those v^r
+    weight = {}
+    for m in range(1, k * n + 1):
+        weight[m] = sum(v**r for v in range(-(-m // k), n + 1))
+    exponents = []
+    for p in primes_up_to(k * n):
+        e = 0
+        for m in range(p, k * n + 1, p):
+            nu, rest = 0, m
+            while rest % p == 0:
+                rest //= p
+                nu += 1
+            e += nu * weight[m]
+        exponents.append((p, e))
+    return exponents
+
+
+def _projected_bits(k, n, r):
+    return sum(v**r * math.lgamma(k * v + 1) for v in range(1, n + 1)) / math.log(2)
+
+
+def test_factorial_product_exponents_and_log_match_the_exact_product():
+    # over k <= 3, n <= 40, r <= 3: the exponents against a count over the
+    # factors, and the log against the built product wherever that product
+    # stays below 2^18 bits (building the larger ones takes seconds each);
+    # above the cap both paths refuse
+    built = 0
+    for k in (1, 2, 3):
+        for r in range(4):
+            for n in range(41):
+                if _projected_bits(k, n, r) > verify.ORACLE_BIT_CAP:
+                    with pytest.raises(OverflowError):
+                        verify._factorial_product_exponents(k, n, r)
+                    with pytest.raises(OverflowError):
+                        exact_factorial_product(k, n, r)
+                    continue
+                exponents = verify._factorial_product_exponents(k, n, r)
+                assert exponents == _exponents_by_counting(k, n, r), (k, n, r)
+                if _projected_bits(k, n, r) > 1 << 18:
+                    continue
+                built += 1
+                exact = exact_factorial_product(k, n, r)
+                assert math.prod(p**e for p, e in exponents) == exact
+                log_sum = verify._exponents_log(exponents, {}, CTX)
+                assert log_sum.agrees_with(log_exact_int(exact, CTX)), (k, n, r)
+                if exact.bit_length() < 1 << 14:  # mpmath's log of it is slow
+                    assert _contains_mpmath_log(log_sum, exact, 1, CTX), (k, n, r)
+    assert built > 300
+
+
+def test_factorial_product_exponents_refuse_over_cap(monkeypatch):
+    monkeypatch.setattr(verify, "ORACLE_BIT_CAP", 1000)
+    with pytest.raises(OverflowError):
+        verify._factorial_product_exponents(1, 50, 1)
+    with pytest.raises(OverflowError):
+        ratio_suite(["weighted-progression-r1-k2"], (10, 20))
+    assert verify._factorial_product_exponents(1, 5, 0) == [(2, 8), (3, 3), (5, 1)]
+
+
+@pytest.mark.parametrize("grid", [(11, 45, 64), None])
+def test_factorial_ratio_targets_never_build_the_product(monkeypatch, grid):
+    def refuse(*args):
+        raise AssertionError("the ratio targets must not build the product")
+
+    monkeypatch.setattr(verify, "exact_factorial_product", refuse)
+    targets = ["factorial-progression-k1", "factorial-progression-k2",
+               "factorial-progression-k3", "weighted-progression-r1-k2"]
+    reports = ratio_suite(targets, grid)
+    assert [rep.name for rep in reports] == targets
+    assert all(rep.monotone_tail for rep in reports)
+
+
 def test_exact_bernoulli_product_examples():
     assert exact_bernoulli_product(2, "plain") == Fraction(1, 6) * Fraction(1, 30)
     assert exact_bernoulli_product(2, "over_2nu") == Fraction(1, 12) * Fraction(
