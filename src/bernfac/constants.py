@@ -22,7 +22,7 @@ import mpmath
 from mpmath import mpf
 
 from bernfac.asymptotic import n_coeff, s_r_weighted
-from bernfac.divergent import DivergentTail, eval_optimal
+from bernfac.divergent import smallest_term_sum
 from bernfac.precision import (
     BoundedReal,
     PrecisionContext,
@@ -257,16 +257,13 @@ def f_rk_series(r: int, k: int, ctx: PrecisionContext) -> ConstantReport:
         else:
             j_start = big_r + 2
             prefix = euler_gamma(ctx) * n_coeff(r + 2, k)
-        tail = DivergentTail(
-            coeff=lambda j: n_coeff(2 * j, k) * zeta_int(2 * j - (r + 1), ctx),
-            j_start=j_start,
-            description=f"series of log F({r},{k})",
+        kept, omitted, m = smallest_term_sum(
+            lambda j: n_coeff(2 * j, k) * zeta_int(2 * j - (r + 1), ctx),
+            j_start, ctx,
         )
-        trunc = eval_optimal(tail, 1, ctx)
-        log_val = prefix + trunc.partial_sum
-        log_val = BoundedReal(
-            log_val.value, _add_up(log_val.abs_err, trunc.remainder_bound)
-        )
+        bound = omitted.abs_upper()
+        log_val = prefix + kept
+        log_val = BoundedReal(log_val.value, _add_up(log_val.abs_err, bound))
         value = log_val.exp()
     return ConstantReport(
         name=f"F_{k}" if r == 0 else f"F({r},{k})",
@@ -275,9 +272,9 @@ def f_rk_series(r: int, k: int, ctx: PrecisionContext) -> ConstantReport:
         params={
             "r": r,
             "k": k,
-            "m": trunc.m_opt,
-            "bound": format_bound(trunc.remainder_bound),
-            "bound_float": float(trunc.remainder_bound),
+            "m": m,
+            "bound": format_bound(bound),
+            "bound_float": float(bound),
         },
     )
 
@@ -376,18 +373,18 @@ def f_infty_weak(ctx: PrecisionContext) -> ConstantReport:
     with ctx.workprec():
         g = euler_gamma(ctx)
         prefix = g * g * Fraction(1, 12)
-        tail = DivergentTail(
-            coeff=lambda j: Fraction(bernoulli(2 * j), 2 * j * (2 * j - 1))
+        kept, omitted, m = smallest_term_sum(
+            lambda j: Fraction(bernoulli(2 * j), 2 * j * (2 * j - 1))
             * zeta_int(2 * j - 1, ctx).pow_int(2),
-            j_start=2,
-            description="series of log F_inf",
+            2, ctx,
         )
-        trunc = eval_optimal(tail, 1, ctx)
-        s = prefix + trunc.partial_sum
-        shifted = s + trunc.omitted_term
-        lo_log, hi_log = (
-            (shifted, s) if trunc.omitted_term.value < 0 else (s, shifted)
-        )
+        bound = omitted.abs_upper()
+        s = prefix + kept
+        shifted = s + omitted
+        positive = omitted.lower() > 0  # t - e > 0 in units
+        if not positive and omitted.upper() >= 0:  # t + e >= 0 too
+            raise PrecisionError("the sign of the omitted term is not certified")
+        lo_log, hi_log = (s, shifted) if positive else (shifted, s)
         lo = lo_log.exp()
         hi = hi_log.exp()
         mid = (lo + hi) * Fraction(1, 2)
@@ -403,9 +400,9 @@ def f_infty_weak(ctx: PrecisionContext) -> ConstantReport:
         value=value,
         method="divergent_series",
         params={
-            "m": trunc.m_opt,
-            "bound": format_bound(trunc.remainder_bound),
-            "bound_float": float(trunc.remainder_bound),
+            "m": m,
+            "bound": format_bound(bound),
+            "bound_float": float(bound),
             "lower": lower_str,
             "upper": upper_str,
         },

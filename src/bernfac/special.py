@@ -1,20 +1,25 @@
 """Exact Bernoulli and harmonic numbers, and certified special functions.
 
+The series here are summed by one engine, _sum_units, in exact integers in
+units of 2^-P. A term source gives, per index j, the term after floor
+rounding, a bound on that floor's error and a bound on the remainder if
+the sum stops before j. The engine stops at the first remainder bound
+below the goal, or before the smallest term, and its radius counts every
+kept floor and the stopping remainder.
+
 zeta(s) at integers s >= 2 is evaluated for a whole family of s at once and
-cached (zeta_family, read through zeta_int). Even s below the direct-sum
-range are exact: zeta(2j) = |B_2j| (2 pi)^(2j) / (2 (2j)!), with only pi
-rounded. Other s are summed in exact fixed-point integers whose every floor
-is counted in the radius: large s directly, with the tail bound
-V^(1-s)/(s-1) rounded upward into the radius, and odd s below that range by
-Euler-Maclaurin. zeta'(s) is summed by Euler-Maclaurin in mpf. For
-completely monotone integrands the error of the truncated correction series
-is bounded by the first omitted term, which the returned BoundedReal
-carries. The q-product of eta(i t) runs in the same fixed-point units, as
-two integer chains that bound it from above and below.
+cached (zeta_family, read through zeta_int): large s by a direct sum plus
+its tail bound, even s below that range exactly from |B_2j| (2 pi)^(2j) /
+(2 (2j)!), and odd s by Euler-Maclaurin, whose remainder is below the first
+omitted correction since x^-s is completely monotone. zeta'(s) takes the
+same split, with log v built from the logs of primes and the integral form
+of the Euler-Maclaurin remainder. The q-product of eta(i t) runs in the
+same units, as two integer chains that bound it from above and below.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from fractions import Fraction
@@ -23,7 +28,9 @@ from typing import Union
 import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import (
+    from_int,
     from_man_exp,
+    mpf_log,
     mpf_shift,
     round_ceiling,
     round_floor,
@@ -227,6 +234,42 @@ def _from_units(units: int, err: int, P: int) -> BoundedReal:
                        mp.make_mpf(from_man_exp(err, -P)))
 
 
+def _to_units(x: BoundedReal, P: int) -> tuple:
+    """(t, e): t = floor(x.value 2^P), and every point of x is within e of t."""
+    return (to_int(mpf_shift(x._v, P), round_floor),
+            to_int(mpf_shift(x._e, P), round_ceiling) + 1)
+
+
+def _sum_units(terms, goal):
+    """Sum a series in units of 2^-P, stopping on its remainder bounds.
+
+    terms yields (j, t_j, e_j, r_j) for increasing indices j, all integers:
+    the term after floor rounding, a bound on that floor's error, and a
+    bound on the remainder if the sum stops before j. With an integer goal
+    the sum stops at the first r_j < goal. With goal None (smallest-term
+    mode) it stops instead at the first r_j that is not below r_(j-1),
+    before the smallest term j - 1. Returns (units, err, j): the sum of
+    the kept t, every kept e plus the stopping r_j, and the stopping index.
+    None means the r_j turned before the goal, or, in smallest-term mode,
+    never decreased. More than 100 000 terms raise PrecisionError.
+    """
+    units = err = 0
+    held = None  # the last term read, kept once the next one is smaller
+    for count, (j, t, e, r) in enumerate(terms):
+        if held:
+            if r >= held[3]:
+                if goal is None and count > 1:
+                    return units, err + held[3], held[0]
+                return None
+            units += held[1]
+            err += held[2]
+        if goal is not None and r < goal:
+            return units, err + r, j
+        if count == 100_000:
+            raise PrecisionError("no stop within 100 000 terms")
+        held = (j, t, e, r)
+
+
 def _zeta_em(s: int, n: int, partial: int, P: int, g: int) -> BoundedReal:
     """zeta(s) by Euler-Maclaurin at cutoff n, in units of 2^-P.
 
@@ -238,33 +281,23 @@ def _zeta_em(s: int, n: int, partial: int, P: int, g: int) -> BoundedReal:
     v >= 2; every other piece is one floor division, off by less than 1.
     """
     one = 1 << P
-    goal = 1 << (P - g)
     power = n ** (s - 1)
     units = partial + one // ((s - 1) * power) + one // (2 * power * n)
-    err = 2 * (n - 2) + 2
-    n2 = n * n
-    power *= n2  # n^(s+2j-1)
-    poch = s  # (s)_{2j-1}
-    fact = 2  # (2j)!
-    prev = None
-    j = 1
-    while True:
-        b = bernoulli(2 * j)
-        t = one * b.numerator * poch // (b.denominator * fact * power)
-        mag = abs(t) + 1  # above |term|
-        if mag < goal:
-            return _from_units(units, err + mag, P)
-        if prev is not None and mag >= prev:
-            raise PrecisionError(
-                f"Euler-Maclaurin for zeta({s}) diverged before the goal"
-            )
-        units += t
-        err += 1
-        prev = mag
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-        fact *= (2 * j + 1) * (2 * j + 2)
-        power *= n2
-        j += 1
+
+    def corrections():
+        poch, fact, scale = s, 2, power * n * n  # (s)_{2j-1}, (2j)!, n^(s+2j-1)
+        for j in itertools.count(1):
+            b = bernoulli(2 * j)
+            t = one * b.numerator * poch // (b.denominator * fact * scale)
+            yield j, t, 1, abs(t) + 1
+            poch *= (s + 2 * j - 1) * (s + 2 * j)
+            fact *= (2 * j + 1) * (2 * j + 2)
+            scale *= n * n
+
+    total = _sum_units(corrections(), 1 << (P - g))
+    if total is None:
+        raise PrecisionError(f"Euler-Maclaurin diverged for zeta({s})")
+    return _from_units(units + total[0], 2 * (n - 2) + 2 + total[1], P)
 
 
 def _zeta_even(s_values: list, ctx: PrecisionContext) -> dict:
@@ -331,44 +364,82 @@ def zeta_family(s_values, ctx: PrecisionContext) -> None:
             _zeta_cache.setdefault((s, *key), value)
 
 
-def zeta_prime_int(s: int, ctx: PrecisionContext) -> BoundedReal:
-    """zeta'(s) for integer s >= 2 with a certified error bound.
+def _log_units(top: int, P: int) -> list:
+    """log v in units of 2^-P for v <= top, each off by less than 2 Omega(v).
 
-    Euler-Maclaurin on g(x) = log(x) x^-s. The derivatives expand as
-    g^(m)(x) = (-1)^m x^(-s-m) ((s)_m log x - c_m) with
-    c_m = sum_{i=1..m} C(m,i) (i-1)! (s)_{m-i}, built by recurrence in
-    _log_power_coeffs, so both the correction terms and an integral bound
-    for the remainder are explicit.
+    log v = log(v/p) + log p for the smallest prime factor p of v. log p is
+    taken once per prime, at P + 16 bits: within |log p| 2^(-12-P) of the
+    true value (the ulp bound BoundedReal uses), and off by less than 2
+    units once floored.
+    """
+    logs, primes = [0, 0], []
+    for v in range(2, top + 1):
+        p = next((p for p in primes if v % p == 0), v)
+        if p < v:
+            logs.append(logs[v // p] + logs[p])
+        else:
+            primes.append(p)
+            log_p = mpf_log(from_int(p), P + 16, round_floor)
+            logs.append(to_int(mpf_shift(log_p, P), round_floor))
+    return logs
+
+
+def zeta_prime_int(s: int, ctx: PrecisionContext) -> BoundedReal:
+    """zeta'(s) = -sum_{v>=2} log(v) v^-s for integer s >= 2, certified.
+
+    Summed in units of 2^-P on zeta's plan and split. log v (_log_units) is
+    off by less than 2 log2 v < v^2 units, so each floor(log v 2^P / v^s)
+    is off by less than 2. If V = _direct_terms(s, n, g + b) exists, with
+    2^b > (bit length of n) + 1 > log n + 1, the sum runs to V, and the tail
+    bound V^(1-s) (log V/(s-1) + 1/(s-1)^2) < 2^-g joins the radius.
+    Otherwise Euler-Maclaurin runs on g(x) = log(x) x^-s at cutoff n, with
+    g^(m)(x) = (-1)^m x^(-s-m) ((s)_m log x - c_m) (_log_power_coeffs).
+    Once correction j is kept, the remainder is below |B_2j|/(2j)! times
+    the integral of |g^(2j)| over (n, inf) (DLMF 2.10.1), so r_j is that
+    integral plus a bound on correction j itself.
     """
     if s < 2:
         raise ValueError("zeta_prime_int needs s >= 2")
-    with ctx.workprec():
-        wd = ctx.working_digits
-        goal = mpf(10) ** (-(wd + 2))
+    n, g, P = _zeta_plan(ctx)
+    one = 1 << P
+    V = _direct_terms(s, n, g + (n.bit_length() + 1).bit_length())
+    top = n if V is None else V
+    logs = _log_units(top, P)
+    slop = 2 * top.bit_length()  # above the error of every logs[v], v <= top
+    log_up = logs[top] + slop  # above 2^P log(top)
+    last = n - 1 if V is None else V
+    units = sum(logs[v] // v ** s for v in range(2, last + 1))
+    if V is not None:
+        tail = -(-(log_up * (s - 1) + one) // ((s - 1) ** 2 * V ** (s - 1)))
+        return _from_units(-units, 2 * (V - 1) + tail, P)
+    # int_n^inf g + g(n)/2, each off by less than 1 + slop/n^(s-1) < 2 units
+    power = n ** (s - 1)
+    units += (logs[n] * (s - 1) + one) // ((s - 1) ** 2 * power)
+    units += logs[n] // (2 * power * n)
 
-        if s > 3:
-            # |zeta'(s) + sum_{v<=V} log(v) v^-s| <= integral tail
-            V = 2
-            while V <= 64:
-                logV = mpf(math.log(V + 1))
-                tail = mpf(V) ** (1 - s) * (logV / (s - 1) + mpf(1) / (s - 1) ** 2)
-                if tail < goal:
-                    acc = BoundedReal.exact(0)
-                    for v in range(2, V + 1):
-                        t = BoundedReal.exact(v).log() * BoundedReal.exact(
-                            Fraction(-1, v**s)
-                        )
-                        acc = acc + t
-                    return BoundedReal(acc.value, _add_up(acc.abs_err, tail))
-                V *= 2
+    def corrections():
+        # + B_2j/(2j)! n^(1-s-2j) ((s)_{2j-1} log n - c_{2j-1})
+        coeffs = _log_power_coeffs(s)
+        next(coeffs)
+        fact, scale = 1, power  # (2j)!, n^(s+2j-1)
+        for j in itertools.count(1):
+            poch, c = next(coeffs)  # m = 2j - 1
+            poch2, c2 = next(coeffs)  # m = 2j
+            fact *= (2 * j - 1) * (2 * j)
+            scale *= n * n
+            b = bernoulli(2 * j)
+            num, den = b.numerator, b.denominator * fact * scale
+            t = num * (poch * logs[n] - c * one) // den
+            e = 2 + abs(num) * poch * slop // den
+            k = s + 2 * j - 1
+            integral = abs(num) * (poch2 * (log_up * k + one) + c2 * k * one)
+            yield j, t, e, abs(t) + e - (-integral // (den * k * k))
 
-        N = max(10, (3 * wd) // 4)
-        for _ in range(8):
-            result = _zeta_prime_em(s, N, goal)
-            if result is not None:
-                return result
-            N *= 2
-        raise PrecisionError(f"Euler-Maclaurin for zeta'({s}) did not converge")
+    total = _sum_units(corrections(), 1 << (P - g))
+    if total is None:
+        raise PrecisionError(f"Euler-Maclaurin diverged for zeta'({s})")
+    units += total[0]
+    return _from_units(-units, 2 * (n - 2) + 4 + total[1], P)
 
 
 def _log_power_coeffs(s: int):
@@ -382,50 +453,6 @@ def _log_power_coeffs(s: int):
         yield poch, c
         poch, c = poch * (s + m), (s + m) * c + poch
         m += 1
-
-
-def _zeta_prime_em(s: int, N: int, goal: mpf):
-    logN = mpmath.log(N)
-    acc = mpf(0)
-    for v in range(2, N):
-        acc += mpmath.log(v) * mpf(v) ** (-s)
-    # integral of log(x) x^-s over (N, inf) plus boundary term g(N)/2
-    acc += mpf(N) ** (1 - s) * (logN / (s - 1) + mpf(1) / (s - 1) ** 2)
-    acc += logN * mpf(N) ** (-s) / 2
-    err = _mul_up(abs(acc) + 1, mpf(2) ** (7 - mp.prec) * (N + 4))
-    coeffs = _log_power_coeffs(s)
-    next(coeffs)  # m = 0
-    prev_mag = None
-    j = 1
-    while True:
-        poch, c = next(coeffs)  # m = 2j - 1
-        bfac = BoundedReal.exact(
-            Fraction(bernoulli(2 * j), math.factorial(2 * j))
-        ).value
-        # correction term -B_2j/(2j)! g^(2j-1)(N); the odd derivative order
-        # contributes (-1)^(2j-1) = -1, so the signs cancel
-        core = poch * logN - c
-        term = bfac * mpf(N) ** (1 - s - 2 * j) * core
-        # remainder bound via |B_2p|/(2p)! int |g^(2p)|
-        poch, c = next(coeffs)  # m = 2j
-        mm = 2 * j
-        int_log = mpf(N) ** (1 - s - mm) * (
-            logN / (s + mm - 1) + mpf(1) / (s + mm - 1) ** 2
-        )
-        int_plain = mpf(N) ** (1 - s - mm) / (s + mm - 1)
-        bound = _mul_up(
-            abs(bfac),
-            _add_up(_mul_up(mpf(poch), int_log), _mul_up(mpf(c), int_plain)),
-        )
-        if bound < goal:
-            return BoundedReal(-acc, _add_up(err, bound))
-        mag = abs(term)
-        if prev_mag is not None and mag >= prev_mag:
-            return None
-        acc += term
-        err = _add_up(err, _mul_up(abs(term) + 1, mpf(2) ** (6 - mp.prec)))
-        prev_mag = mag
-        j += 1
 
 
 def zeta_neg_int(r: int) -> Fraction:

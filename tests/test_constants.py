@@ -35,6 +35,7 @@ from bernfac.constants import (
 from bernfac.precision import (
     BoundedReal,
     PrecisionContext,
+    PrecisionError,
     _decimal,
     make_context,
     mpf_to_fraction,
@@ -269,6 +270,21 @@ def test_f_infty_weak_interval_display():
     assert rep.params["bound"] == "6.052e-4"
     # only a few digits are pinned down, so a long display is uncertified
     assert rep.digits(21).endswith("~")
+
+
+def test_f_infty_weak_refuses_an_uncertified_sign(monkeypatch):
+    # the bracket side comes from the omitted term's enclosure, so one that
+    # straddles 0 gives no side, whatever its midpoint
+    summed = constants.smallest_term_sum
+
+    def widened(coeff, j_start, ctx):
+        kept, omitted, m = summed(coeff, j_start, ctx)
+        return kept, BoundedReal(omitted.value, 2 * abs(omitted.value)), m
+
+    monkeypatch.setattr(constants, "smallest_term_sum", widened)
+    clear_cache()
+    with pytest.raises(PrecisionError):
+        f_infty_weak(CTX)
 
 
 def test_f_infty_weak_contains_refined_value():

@@ -1,9 +1,11 @@
 """Tests for optimal truncation of divergent tails and certified log x!.
 
-The key property: the true tail value lies within remainder_bound of the
-partial sum, with the sign of the omitted term giving the direction.
+The key property: the true tail value lies within the stopping remainder
+bound of the partial sum, with the sign of the omitted term giving the
+direction.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,13 +15,7 @@ from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
 from bernfac.asymptotic import n_coeff
-from bernfac.divergent import (
-    DivergentTail,
-    NoDecreaseError,
-    TruncationResult,
-    eval_optimal,
-    log_factorial,
-)
+from bernfac.divergent import log_factorial
 from bernfac.precision import (
     BoundedReal,
     PrecisionError,
@@ -27,103 +23,104 @@ from bernfac.precision import (
     mpf_to_fraction,
 )
 from bernfac import divergent
-from bernfac.special import bernoulli, log_gamma_rational, log_two_pi
+from bernfac.special import _sum_units, bernoulli, log_gamma_rational
 
 CTX = make_context(21)
 
 
 # -- tail definitions -----------------------------------------------------------
 
-def stirling_tail() -> DivergentTail:
-    """Correction tail of log Gamma(x+1): sum B_2j/(2j(2j-1)) x^-(2j-1)."""
-    return DivergentTail(
-        coeff=lambda j: Fraction(bernoulli(2 * j), 2 * j * (2 * j - 1)),
-        j_start=1,
-        description="stirling",
-    )
+def stirling_coeff(j: int) -> Fraction:
+    """B_2j/(2j(2j-1)): the tail of log Gamma(x+1) is sum_j coeff x^-(2j-1)."""
+    return Fraction(bernoulli(2 * j), 2 * j * (2 * j - 1))
 
 
 def test_stirling_tail_coefficients():
-    tail = stirling_tail()
-    assert tail.j_start == 1
-    assert tail.coeff(1) == Fraction(1, 12)
-    assert tail.coeff(2) == Fraction(-1, 360)
-    assert tail.coeff(3) == Fraction(1, 1260)
+    assert stirling_coeff(1) == Fraction(1, 12)
+    assert stirling_coeff(2) == Fraction(-1, 360)
+    assert stirling_coeff(3) == Fraction(1, 1260)
 
 
-# -- optimal truncation -----------------------------------------------------------
+# -- the summation engine in smallest-term mode ----------------------------------
 
-def _exact_stirling_tail(n: int) -> BoundedReal:
-    # log n! - (log(2 pi)/2 + (n + 1/2) log n - n), all terms certified
-    with CTX.workprec():
-        base = (
-            log_two_pi(CTX) / 2
-            + (BoundedReal.exact(n) + Fraction(1, 2)) * BoundedReal.exact(n).log()
-            - n
-        )
-        return BoundedReal.exact(math.factorial(n)).log() - base
+def _smallest_stirling(x, P):
+    """The Stirling tail at x summed to its smallest term, in units of 2^-P."""
+    return _sum_units(divergent._stirling_terms(Fraction(x), P), None)
 
 
-def test_eval_optimal_brackets_true_stirling_tail():
+def test_smallest_term_brackets_true_stirling_tail():
     # The coefficients and 1/n are rational, so the partial sum and the
     # omitted term are exact Fractions; the reference tail is computed far
-    # beyond the working precision.  This checks the bracketing claim at
-    # the full strength of the remainder bound (down to 1e-70 at n = 25),
-    # which a float comparison against a 21-digit reference could not.
-    tail = stirling_tail()
+    # beyond the unit 2^-480.  This checks the bracketing claim at the full
+    # strength of the remainder bound (down to 1e-70 at n = 25).
+    coeff = stirling_coeff
+    P = 480
     for n in (5, 10, 25):
-        trunc = eval_optimal(tail, n, CTX)
+        units, err, m = _smallest_stirling(n, P)
+
+        def term(j):
+            return coeff(j) * Fraction(n) ** (1 - 2 * j)
+
         with mp.workdps(160):
             ref = mp.log(mp.factorial(n)) - (
                 mp.log(2 * mp.pi) / 2 + (n + mpf(1) / 2) * mp.log(n) - n
             )
             ref_frac = mpf_to_fraction(ref)
-        partial_exact = sum(
-            (tail.coeff(j) * Fraction(n) ** (1 - 2 * j) for j in range(1, trunc.m_opt)),
-            Fraction(0),
-        )
-        omitted_exact = tail.coeff(trunc.m_opt) * Fraction(n) ** (1 - 2 * trunc.m_opt)
+        partial_exact = sum((term(j) for j in range(1, m)), Fraction(0))
+        omitted_exact = term(m)
+        # m is the smallest term
+        assert abs(omitted_exact) < abs(term(m - 1))
+        assert abs(omitted_exact) <= abs(term(m + 1))
         residue = ref_frac - partial_exact
         slack = Fraction(1, 10**130)
         assert abs(residue) <= abs(omitted_exact) + slack
         # theta in (0,1): the residue has the sign of the omitted term
         assert (residue > 0) == (omitted_exact > 0)
-        # the certified objects enclose the exact quantities
-        assert trunc.partial_sum.contains(partial_exact)
-        assert trunc.omitted_term.contains(omitted_exact)
-        assert mpf_to_fraction(trunc.remainder_bound) >= abs(omitted_exact)
-        # and the certified reference route is consistent within its own bound
-        measured = _exact_stirling_tail(n) - trunc.partial_sum
-        assert abs(mpf_to_fraction(measured.value)) <= (
-            mpf_to_fraction(trunc.remainder_bound) + mpf_to_fraction(measured.abs_err)
-        )
+        # each kept floor is off by less than one unit, and the rest of
+        # the radius, the stopping r_m, covers the omitted term
+        assert abs(partial_exact * 2**P - units) < m - 1
+        assert abs(omitted_exact) * 2**P < err - (m - 1)
+        assert abs(ref_frac * 2**P - units) <= err
 
 
-def test_eval_optimal_m_opt_grows_with_x():
-    m_small = eval_optimal(stirling_tail(), 2, CTX).m_opt
-    m_large = eval_optimal(stirling_tail(), 30, CTX).m_opt
+def test_smallest_term_index_grows_with_x():
+    m_small = _smallest_stirling(2, 400)[2]
+    m_large = _smallest_stirling(30, 400)[2]
     assert m_small < m_large
 
 
-def test_eval_optimal_rejects_tiny_argument():
-    with pytest.raises(NoDecreaseError):
-        eval_optimal(stirling_tail(), Fraction(1, 10), CTX)
+def test_smallest_term_is_none_when_terms_never_decrease():
+    assert _smallest_stirling(Fraction(1, 10), 400) is None
 
 
-def test_eval_optimal_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        eval_optimal(stirling_tail(), 0, CTX)
+def test_sum_units_caps_the_term_count():
+    # remainder bounds that keep decreasing but never reach the goal, nor
+    # turn: both modes give up after 100 000 terms
+    for goal in (1, None):
+        terms = ((j, 0, 0, 10**9 - j) for j in itertools.count(1))
+        with pytest.raises(PrecisionError):
+            _sum_units(terms, goal)
 
 
-def test_eval_optimal_result_shape():
-    # the D_3 tail sum_j N_{2j,3} x^-(2j-1), with f_rk_series' coefficients
-    tail = DivergentTail(coeff=lambda j: n_coeff(2 * j, 3), j_start=1,
-                         description="D_3")
-    trunc = eval_optimal(tail, 4, CTX)
-    assert isinstance(trunc, TruncationResult)
-    assert trunc.m_opt >= 2
-    assert trunc.remainder_bound > 0
-    assert trunc.partial_sum.abs_err >= 0
+def test_smallest_term_sum_of_d3_tail():
+    # the D_3 tail sum_j N_{2j,3} x^-(2j-1) at x = 4, with f_rk_series'
+    # coefficients, each floored to units of 2^-P
+    P, x = 200, 4
+
+    def exact(j):
+        return n_coeff(2 * j, 3) * Fraction(1, x ** (2 * j - 1))
+
+    def terms():
+        for j in itertools.count(1):
+            t = math.floor(exact(j) * 2**P)
+            yield j, t, 1, abs(t) + 1
+
+    units, err, m = _sum_units(terms(), None)
+    assert all(isinstance(v, int) for v in (units, err, m))
+    assert m >= 2
+    kept = sum((exact(j) for j in range(1, m)), Fraction(0))
+    assert abs(kept * 2**P - units) < m - 1
+    assert abs(exact(m)) * 2**P < err - (m - 1)
 
 
 # -- certified log factorial -------------------------------------------------------
@@ -185,25 +182,30 @@ def test_log_factorial_stops_at_goal(monkeypatch):
     # the Stirling sum stops at the first term below the goal, far before
     # the smallest term (near j = pi x = 157 at x = 50)
     seen = []
-    units = divergent._stirling_units
+    engine = divergent._sum_units
 
     def spy(*args):
-        result = units(*args)
+        result = engine(*args)
         seen.append(result[2])
         return result
 
-    monkeypatch.setattr(divergent, "_stirling_units", spy)
+    monkeypatch.setattr(divergent, "_sum_units", spy)
     log_gamma_rational(Fraction(50), make_context(20))
     assert seen and max(seen) <= 20
+
+
+def _stirling_units(big, P, g):
+    """The Stirling tail of log(big!) summed to the goal 2^-g."""
+    return _sum_units(divergent._stirling_terms(big, P), 1 << (P - g))
 
 
 def test_stirling_units_bracket_the_exact_tail():
     # the kept terms and the radius against the exact rational partial sums
     # of the tail, and the remainder rule against a 300-digit reference
     P, g = 200, 90
-    coeff = stirling_tail().coeff
+    coeff = stirling_coeff
     for big in (Fraction(12), Fraction(37, 3), Fraction(401, 7)):
-        units, radius, j = divergent._stirling_units(big, P, g)
+        units, radius, j = _stirling_units(big, P, g)
         kept = sum(coeff(i) * big ** (1 - 2 * i) for i in range(1, j))
         omitted = coeff(j) * big ** (1 - 2 * j)
         assert abs(kept * 2**P - units) < j - 1
@@ -216,4 +218,4 @@ def test_stirling_units_bracket_the_exact_tail():
             )
             assert abs(mpf_to_fraction(ref) * 2**P - units) <= radius
     # at 12 the smallest term, about e^(-24 pi), is above 2^-150
-    assert divergent._stirling_units(Fraction(12), 200, 150) is None
+    assert _stirling_units(Fraction(12), 200, 150) is None

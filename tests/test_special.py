@@ -217,13 +217,19 @@ def test_f_infty_refined_runs_few_euler_maclaurin_sums(monkeypatch):
 
 # -- zeta derivatives ----------------------------------------------------------
 
+def _zeta_prime_contains_mpmath(digits):
+    # s = 30 takes the direct sum at 20 digits, and the other s
+    # Euler-Maclaurin; the reference runs at 3x working digits
+    ctx = make_context(digits)
+    with mp.workdps(3 * ctx.working_digits):
+        for s in (2, 3, 4, 5, 6, 7, 30):
+            ours = zeta_prime_int(s, ctx)
+            assert ours.contains(mp.zeta(s, derivative=1)), s
+            assert ours.abs_err < mpf(10) ** -(ctx.working_digits + 1), s
+
+
 def test_zeta_prime_int_against_mpmath():
-    with mp.workdps(45):
-        for s in (2, 3, 5, 7):
-            ours = zeta_prime_int(s, CTX)
-            ref = mp.zeta(s, derivative=1)
-            assert abs(ours.value - ref) <= ours.abs_err + mpf(10) ** (-40)
-            assert float(ours.abs_err) < 1e-25
+    _zeta_prime_contains_mpmath(20)
 
 
 def _c_coeff_by_sum(s, m):
@@ -244,12 +250,32 @@ def test_log_power_coeffs_match_the_binomial_sum():
 
 
 def test_zeta_prime_int_contains_mpmath_at_300_digits():
-    ctx = make_context(300)
-    with mp.workdps(900):
-        for s in (2, 3):
-            ours = zeta_prime_int(s, ctx)
-            assert ours.contains(mp.zeta(s, derivative=1)), s
-            assert ours.abs_err < mpf(10) ** -305
+    _zeta_prime_contains_mpmath(300)
+
+
+def test_zeta_prime_int_routes_at_20_digits(monkeypatch):
+    # s = 30 sums directly to V; s = 7 runs Euler-Maclaurin in the engine
+    goals = []
+    engine = special._sum_units
+
+    def counted(terms, goal):
+        goals.append(goal)
+        return engine(terms, goal)
+
+    monkeypatch.setattr(special, "_sum_units", counted)
+    ctx = make_context(20)
+    zeta_prime_int(30, ctx)
+    assert goals == []
+    zeta_prime_int(7, ctx)
+    assert len(goals) == 1
+
+
+def test_zeta_prime_int_contains_mpmath_at_1000_digits():
+    ctx = make_context(1000)
+    ours = zeta_prime_int(2, ctx)
+    with mp.workdps(ctx.working_digits + 50):
+        assert ours.contains(mp.zeta(2, derivative=1))
+    assert ours.abs_err < mpf(10) ** -(ctx.working_digits + 1)
 
 
 def test_zeta_prime_int_rejects_small_s():
