@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
+from mpmath.libmp import mpf_sub, round_ceiling
 
 from bernfac.asymptotic import n_coeff, s_r_weighted
 from bernfac.divergent import smallest_term_sum
@@ -388,9 +389,10 @@ def f_infty_weak(ctx: PrecisionContext) -> ConstantReport:
         lo = lo_log.exp()
         hi = hi_log.exp()
         mid = (lo + hi) * Fraction(1, 2)
+        prec, centre = ctx.prec, mid.value._mpf_
         err = max(
-            mpmath.fsub(hi.upper(), mid.value, rounding="u"),
-            mpmath.fsub(mid.value, lo.lower(), rounding="u"),
+            mp.make_mpf(mpf_sub(hi.upper()._mpf_, centre, prec, round_ceiling)),
+            mp.make_mpf(mpf_sub(centre, lo.lower()._mpf_, prec, round_ceiling)),
         )
         value = BoundedReal(mid.value, err)
         lower_str = _decimal(lo.lower(), 6)[0]

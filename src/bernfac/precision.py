@@ -7,29 +7,32 @@ the inputs' intervals contained theirs. Exact data (integers, rationals) is
 kept in fractions.Fraction and enters BoundedReal arithmetic only at the
 last moment.
 
+Precision: PrecisionContext is the one source of working precision. Its
+workprec() sets a context variable to ctx.prec bits for the block, and
+every BoundedReal operation reads that variable; outside any workprec()
+block it is 53 bits, mpmath's default. mpmath's global precision is neither
+read nor written, so each thread and each asyncio task has its own working
+precision.
+
 Rounding: each operation rounds its midpoint to nearest at the working
 precision and adds |v| * 2^(4 - prec) to the radius for that rounding.
 Radii are summed, multiplied and divided at RADIUS_PREC = 64 bits, always
 rounded upward. upper() and lower() give the interval ends at working
 precision, rounded with ceiling and floor.
-
-Thread model: the working precision is process-global mpmath state
-(mp.prec, set by PrecisionContext.workprec), and every operation reads it.
-Calls at different precisions from several threads at once are
-unsupported: one thread's workprec changes the precision of another
-thread's arithmetic. The locks in special and constants guard only their
-caches.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
+    dps_to_prec,
     from_float,
     from_int,
     from_man_exp,
@@ -73,9 +76,23 @@ class PrecisionContext:
     def working_digits(self) -> int:
         return self.target_digits + self.guard_digits
 
+    @property
+    def prec(self) -> int:
+        """Working precision in bits: working_digits decimal digits."""
+        return dps_to_prec(self.working_digits)
+
+    @contextlib.contextmanager
     def workprec(self):
-        """Context manager installing the working precision in mpmath."""
-        return mp.workdps(self.working_digits)
+        """Run the block's BoundedReal operations at self.prec bits.
+
+        Sets the precision of the calling thread or task only, and restores
+        the enclosing one on exit; mpmath's global precision is untouched.
+        """
+        token = _prec.set(self.prec)
+        try:
+            yield
+        finally:
+            _prec.reset(token)
 
 
 def make_context(target_digits: int) -> PrecisionContext:
@@ -86,12 +103,18 @@ def make_context(target_digits: int) -> PrecisionContext:
 
 
 # Raw-tuple arithmetic. Values and radii are mpmath.libmp raw tuples
-# (sign, man, exp, bc). Each operation reads mp.prec once and passes the
-# precision and rounding mode to libmp explicitly: the midpoint is rounded
-# to nearest at working precision, while radii are summed, multiplied and
-# divided at RADIUS_PREC bits, always rounded upward (Arb's mag_t scheme).
+# (sign, man, exp, bc). Each operation reads the working precision once and
+# passes the precision and rounding mode to libmp explicitly: the midpoint
+# is rounded to nearest at working precision, while radii are summed,
+# multiplied and divided at RADIUS_PREC bits, always rounded upward (Arb's
+# mag_t scheme).
 
 RADIUS_PREC = 64
+
+# The working precision in bits, set by PrecisionContext.workprec; 53 bits,
+# mpmath's default, outside any workprec() block.
+_prec: ContextVar = ContextVar("bernfac_working_prec", default=53)
+_get_prec = _prec.get
 
 _make_mpf = mp.make_mpf
 
@@ -123,13 +146,28 @@ def _mul_up(x, y) -> mpf:
     return _make_mpf(mpf_mul(x._mpf_, y._mpf_, RADIUS_PREC, round_ceiling))
 
 
-def mpf_to_fraction(v) -> Fraction:
-    """Exact rational value of a finite mpf (mpfs are dyadic rationals).
+def _upward(x) -> tuple:
+    """Raw tuple of the number x: exact for mpf and float, else rounded up
+    to RADIUS_PREC bits."""
+    if isinstance(x, mpf):
+        return x._mpf_
+    if isinstance(x, float):
+        return from_float(x)
+    x = Fraction(x)
+    return from_rational(x.numerator, x.denominator, RADIUS_PREC, round_ceiling)
 
-    Never reconstructs an existing mpf: mpf(x) rounds to the *ambient*
-    precision, which would silently truncate values produced under a
-    higher working precision.
+
+def mpf_to_fraction(v) -> Fraction:
+    """Exact rational value of a finite mpf or float (both are dyadic).
+
+    Never reconstructs an existing mpf: mpf(x) rounds to mpmath's global
+    precision, which would silently truncate values produced at a higher
+    working precision.
     """
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"cannot convert {v} to a fraction")
+        return Fraction(v)
     if not isinstance(v, mpf):
         v = mpf(v)
     if not mpmath.isfinite(v):
@@ -151,14 +189,16 @@ class BoundedReal:
     __slots__ = ("_v", "_e")
 
     def __new__(cls, value, abs_err) -> "BoundedReal":
-        # mpf(x) would re-round an existing mpf to the ambient precision,
-        # so only non-mpf inputs are converted; a converted radius is
-        # rounded upward so that it still covers the one given
-        if not isinstance(value, mpf):
-            value = mpf(value)
-        if not isinstance(abs_err, mpf):
-            abs_err = mpf(abs_err, rounding=round_ceiling)
-        return _raw(value._mpf_, abs_err._mpf_)
+        # an mpf value keeps every bit. Any other value goes through
+        # exact(), and the radius of its rounding joins abs_err; a non-mpf
+        # radius is rounded upward so that it still covers the one given
+        err = _upward(abs_err)
+        if isinstance(value, mpf):
+            return _raw(value._mpf_, err)
+        x = BoundedReal.exact(value)
+        if x._e[1] and not err[0]:  # _raw refuses a negative err
+            err = mpf_add(err, x._e, RADIUS_PREC, round_ceiling)
+        return _raw(x._v, err)
 
     def __setattr__(self, name, value):
         raise AttributeError("BoundedReal is immutable")
@@ -197,7 +237,7 @@ class BoundedReal:
             p, q = x.numerator, x.denominator
             if q & (q - 1) == 0:  # dyadic: exact unless p is too long
                 return _rounded(from_man_exp(p, 1 - q.bit_length()))
-            prec = mp.prec
+            prec = _get_prec()
             v = from_rational(p, q, prec, round_nearest)
             return _raw(v, _ulp_slop(v, prec))
         if isinstance(x, mpf):
@@ -209,18 +249,18 @@ class BoundedReal:
     # -- interval views ----------------------------------------------------
 
     def upper(self) -> mpf:
-        return _make_mpf(mpf_add(self._v, self._e, mp.prec, round_ceiling))
+        return _make_mpf(mpf_add(self._v, self._e, _get_prec(), round_ceiling))
 
     def lower(self) -> mpf:
-        return _make_mpf(mpf_sub(self._v, self._e, mp.prec, round_floor))
+        return _make_mpf(mpf_sub(self._v, self._e, _get_prec(), round_floor))
 
     def abs_upper(self) -> mpf:
-        return _make_mpf(mpf_add(mpf_abs(self._v), self._e, mp.prec, round_ceiling))
+        return _make_mpf(mpf_add(mpf_abs(self._v), self._e, _get_prec(), round_ceiling))
 
-    def contains(self, x: Union[int, Fraction, mpf]) -> bool:
+    def contains(self, x: Union[int, Fraction, float, mpf]) -> bool:
         """Whether the exact number x lies in the certified interval."""
-        if isinstance(x, mpf) or isinstance(x, float):
-            x = mpf_to_fraction(mpf(x))
+        if isinstance(x, (mpf, float)):
+            x = mpf_to_fraction(x)
         gap = abs(mpf_to_fraction(self.value) - x)
         return gap <= mpf_to_fraction(self.abs_err)
 
@@ -256,7 +296,7 @@ class BoundedReal:
         if type(other) is not BoundedReal:
             other = BoundedReal.exact(other)
         a, b, ea, eb = self._v, other._v, self._e, other._e
-        prec = mp.prec
+        prec = _get_prec()
         v = mpf_mul(a, b, prec, round_nearest)
         err = _ulp_slop(v, prec)
         # |a| eb + |b| ea + ea eb, as |a| eb + (|b| + eb) ea
@@ -282,7 +322,7 @@ class BoundedReal:
         denom_low = mpf_sub(abs_b, eb, RADIUS_PREC, round_floor)
         if denom_low[0] or not denom_low[1]:
             raise PrecisionError("division by an interval containing zero")
-        prec = mp.prec
+        prec = _get_prec()
         v = mpf_div(a, b, prec, round_nearest)
         err = _ulp_slop(v, prec)
         if ea[1] or eb[1]:
@@ -308,7 +348,7 @@ class BoundedReal:
 
     def exp(self) -> "BoundedReal":
         d = self._e
-        prec = mp.prec
+        prec = _get_prec()
         v = mpf_exp(self._v, prec, round_nearest)
         err = _ulp_slop(v, prec)
         if d[1]:
@@ -330,7 +370,7 @@ class BoundedReal:
         low = mpf_sub(x, d, RADIUS_PREC, round_floor)
         if low[0] or not low[1]:
             raise PrecisionError("log of an interval touching zero")
-        prec = mp.prec
+        prec = _get_prec()
         v = mpf_log(x, prec, round_nearest)
         err = _ulp_slop(v, prec)
         if d[1]:
@@ -387,7 +427,7 @@ def _raw(v: tuple, e: tuple) -> BoundedReal:
 
 def _rounded(t: tuple) -> BoundedReal:
     """The exact raw value t, rounded to working precision if it is longer."""
-    prec = mp.prec
+    prec = _get_prec()
     if t[3] <= prec:
         return _raw(t, fzero)
     v = normalize(t[0], t[1], t[2], t[3], prec, round_nearest)
@@ -396,7 +436,7 @@ def _rounded(t: tuple) -> BoundedReal:
 
 def _sum(x: BoundedReal, y: BoundedReal, op) -> BoundedReal:
     """x + y or x - y, as op is mpf_add or mpf_sub."""
-    prec = mp.prec
+    prec = _get_prec()
     v = op(x._v, y._v, prec, round_nearest)
     err = _ulp_slop(v, prec)
     if x._e[1]:
@@ -417,13 +457,63 @@ def _ratio(man: int, exp: int, q: int) -> tuple:
     return num, den * 10 ** -q
 
 
+def _pow10(k: int, w: int) -> tuple:
+    """(lo, hi, s): integers with lo 2^s <= 10^k <= hi 2^s, for k >= 0.
+
+    Exact (lo = hi = 10^k, s = 0) while 10^k has at most w bits; above
+    that, by squaring, each product cut to w bits with lo rounded down and
+    hi rounded up.
+    """
+    if k <= w * _LOG10_2:
+        p = 10 ** k
+        return p, p, 0
+    lo, hi, s = _pow10(k // 2, w)
+    lo, hi, s = lo * lo, hi * hi, 2 * s
+    if k & 1:
+        lo, hi = 10 * lo, 10 * hi
+    cut = hi.bit_length() - w
+    return lo >> cut, -(-hi >> cut), s + cut
+
+
+def _enclose(man: int, exp: int, q: int, digits: int) -> tuple:
+    """((a, b), (c, d)): a/b <= man 2^exp 10^q <= c/d, for man >= 0.
+
+    The ends come from _pow10 bounds some 64 bits longer than a value
+    below 10^(digits+1) needs, so huge |q| costs no huge integers. Callers
+    take this path only for |q| > digits + 19: a shorter 10^|q| has fewer
+    bits than the bounds, and the exact ratio costs no more.
+    """
+    k = abs(q)
+    lo, hi, s = _pow10(k, int(digits / _LOG10_2) + 64 + k.bit_length())
+    if q >= 0:
+        return _ratio(man * lo, exp + s, 0), _ratio(man * hi, exp + s, 0)
+    num, den = _ratio(man, exp - s, 0)
+    return (num, den * hi), (num, den * lo)
+
+
+def _floor_scaled(man: int, exp: int, q: int, digits: int) -> tuple:
+    """(m, r) for x = man 2^exp 10^q: m = floor(x), and r != 0 iff x > m.
+
+    Read from _enclose's ends when both have the same floor and the same
+    ceiling; the exact ratio is built only when they do not, or when
+    10^|q| is short.
+    """
+    if abs(q) > digits + 19:
+        (a, b), (c, d) = _enclose(man, exp, q, digits)
+        m = a // b
+        if m == c // d and -(-a // b) == -(-c // d):
+            return m, a % b
+    return divmod(*_ratio(man, exp, q))
+
+
 def _decimal(v: mpf, digits: int, up: bool = False) -> tuple:
     """(text, last_place): v written with d digit characters.
 
     The layout is round_to_digits'. The magnitude is rounded toward zero,
     or away from zero if up is set (floor and ceiling for positive v), and
     10^last_place is the unit of the last printed digit. Every digit comes
-    from v's exact mantissa and exponent in integer arithmetic.
+    from v's exact mantissa and exponent in integer arithmetic
+    (_floor_scaled).
     """
     sign, man, exp, bc = v._mpf_
     if not man:
@@ -433,7 +523,7 @@ def _decimal(v: mpf, digits: int, up: bool = False) -> tuple:
     e = math.floor(math.log10(man >> shift) + (exp + shift) * _LOG10_2)
     while True:
         q = digits - 1 if -digits < e < 0 else digits - 1 - e
-        m, rest = divmod(*_ratio(man, exp, q))
+        m, rest = _floor_scaled(man, exp, q, digits)
         low = 10 ** (e + q)  # m lies in [low, 10 low) iff 10^e <= |v| < 10^(e+1)
         if m < low:
             e -= 1
@@ -474,9 +564,18 @@ def round_to_digits(x: BoundedReal, digits: int) -> str:
     if digits < 1:
         raise ValueError("digits must be at least 1")
     text, last_place = _decimal(x.value, digits)
+    # certified iff 2 abs_err / 10^last_place < 1: read from _enclose's
+    # ends for a long 10^|q|, exactly if they straddle 1
     _, man, exp, _ = x._e
-    num, den = _ratio(man, exp + 1, -last_place)  # 2 abs_err / 10^last_place
-    return text if num < den else text + "~"
+    q = -last_place
+    if abs(q) > digits + 19:
+        (a, b), (c, d) = _enclose(man, exp + 1, q, digits)
+        if c < d:
+            return text
+        if a >= b:
+            return text + "~"
+    a, b = _ratio(man, exp + 1, q)
+    return text if a < b else text + "~"
 
 
 def is_certified(x: BoundedReal, digits: int) -> bool:
@@ -486,7 +585,7 @@ def is_certified(x: BoundedReal, digits: int) -> bool:
 
 def format_bound(x, sig: int = 4) -> str:
     """Scientific-notation display of an error bound, rounded to sig digits."""
-    v = mpf(x)
+    v = _make_mpf(_upward(x))
     if v == 0:
         return "0"
     return mpmath.nstr(v, sig, min_fixed=1, max_fixed=0, strip_zeros=False)

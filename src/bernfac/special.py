@@ -25,15 +25,19 @@ import threading
 from fractions import Fraction
 from typing import Union
 
-import mpmath
-from mpmath import mp, mpf
+from mpmath import mpf
 from mpmath.libmp import (
+    fone,
     from_int,
     from_man_exp,
+    mpf_euler,
     mpf_log,
+    mpf_pi,
     mpf_shift,
+    mpf_sub,
     round_ceiling,
     round_floor,
+    round_nearest,
     to_int,
 )
 
@@ -43,6 +47,8 @@ from bernfac.precision import (
     PrecisionError,
     _add_up,
     _mul_up,
+    _raw,
+    _ulp_slop,
 )
 
 _lock = threading.Lock()
@@ -114,27 +120,25 @@ def harmonic(n: int) -> Fraction:
 
 # -- engine-rounded constants -----------------------------------------------
 
-def _const(getter) -> BoundedReal:
-    v = +getter  # rounds the constant generator at current precision
-    slop = _mul_up(abs(v), mpf(2) ** (4 - mp.prec))
-    return BoundedReal(v, slop)
+def _const(mpf_const, ctx: PrecisionContext) -> BoundedReal:
+    """A libmp constant rounded to nearest at ctx.prec, with its ulp slop."""
+    prec = ctx.prec
+    v = mpf_const(prec, round_nearest)
+    return _raw(v, _ulp_slop(v, prec))
 
 
 def pi_const(ctx: PrecisionContext) -> BoundedReal:
-    with ctx.workprec():
-        return _const(mp.pi)
+    return _const(mpf_pi, ctx)
 
 
 def euler_gamma(ctx: PrecisionContext) -> BoundedReal:
     """Euler's constant, certified to working precision."""
-    with ctx.workprec():
-        return _const(mp.euler)
+    return _const(mpf_euler, ctx)
 
 
 def log_two_pi(ctx: PrecisionContext) -> BoundedReal:
     with ctx.workprec():
-        two_pi = _const(mp.pi) * 2
-        return two_pi.log()
+        return (pi_const(ctx) * 2).log()
 
 
 # -- Riemann zeta at integers -----------------------------------------------
@@ -230,8 +234,7 @@ def _power_sums(upto: dict, P: int) -> dict:
 
 def _from_units(units: int, err: int, P: int) -> BoundedReal:
     """units * 2^-P with radius err * 2^-P, both exact."""
-    return BoundedReal(mp.make_mpf(from_man_exp(units, -P)),
-                       mp.make_mpf(from_man_exp(err, -P)))
+    return _raw(from_man_exp(units, -P), from_man_exp(err, -P))
 
 
 def _to_units(x: BoundedReal, P: int) -> tuple:
@@ -558,12 +561,13 @@ def dedekind_eta_imag(t: Union[BoundedReal, Fraction, int], ctx: PrecisionContex
         pi_t = pi_const(ctx) * tb
         prefactor = (-pi_t / 12).exp()
         q = (-pi_t * 2).exp()
-        gap = 1 - q.upper()
-        if gap <= 0:
+        gap = mpf_sub(fone, q.upper()._mpf_, ctx.prec, round_floor)
+        if gap[0] or not gap[1]:
             raise PrecisionError("e^(-2 pi t) is not enclosed below 1")
         # the chains run about V ~ 1/(1-q) steps, each off by up to
-        # 1/(1-q)^2 units relative: 3 log2(1/(1-q)) more bits cover that
-        P += 3 * max(0, -mpmath.mag(gap))
+        # 1/(1-q)^2 units relative: 3 log2(1/(1-q)) more bits cover that;
+        # gap[2] + gap[3] is the binary magnitude of 1 - q
+        P += 3 * max(0, -(gap[2] + gap[3]))
         qlo = max(0, to_int(mpf_shift(q.lower()._mpf_, P), round_floor))
         qhi = to_int(mpf_shift(q.upper()._mpf_, P), round_ceiling)
         low, high, scale, _ = _eta_q_product(qlo, qhi, P, g)

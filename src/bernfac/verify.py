@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .asymptotic import milnor_f_log, milnor_g_log, p_rk_log, q_r_log, s_r
 from .constants import (
@@ -230,7 +230,7 @@ def log_exact_int(n: int, ctx: PrecisionContext) -> BoundedReal:
     if n < 1:
         raise ValueError("need n >= 1")
     with ctx.workprec():
-        keep = mp.prec + 64
+        keep = ctx.prec + 64
         shift = n.bit_length() - keep
         if shift <= 0:
             return BoundedReal.exact(n).log()

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from bernfac.cli import CONSTANT_SELECTORS, TABLE_NAMES, VERIFY_TARGETS, run
@@ -102,6 +103,30 @@ def test_constant_looks_routes_up_when_called(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "constant", "A_r", "--r", "2", "--digits", "21")
     assert code == 0 and out == "1.03091675219739211419\n"
     assert asked == [2]
+
+
+def test_constant_a_r_30_prints_within_seconds():
+    # A_30 is about 2.87e+65315813: printing it must not build 10^q for
+    # q near -6.5e7, so the request ends well within 5 s
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "bernfac", "constant", "A_r", "--r", "30",
+         "--digits", "40"],
+        env=env, capture_output=True, text=True, timeout=5,
+    )
+    assert done.returncode == 0, done.stderr
+    mantissa, exponent = done.stdout.strip().rstrip("~").split("e+")
+    with mpmath.workdps(60):
+        ref = mpmath.exp(-mpmath.zeta(-30) * mpmath.harmonic(30)
+                         - mpmath.zeta(-30, derivative=1))
+        e = int(mpmath.floor(mpmath.log10(ref)))
+        first = int(mpmath.floor(ref / mpmath.mpf(10) ** (e - 9)))
+    assert int(exponent) == e
+    assert mantissa.replace(".", "")[:10] == str(first)
 
 
 def test_constant_rejects_unknown_name(capsys):

@@ -1,0 +1,87 @@
+"""Determinism across threads: each thread works at its own precision.
+
+Four threads evaluate routes at mixed precisions at once. Every result must
+equal the one the same call gives on its own, since the working precision
+is per-thread state of PrecisionContext.workprec, not mpmath's global one.
+"""
+
+import random
+import threading
+import time
+from fractions import Fraction
+
+import mpmath
+
+from bernfac import constants, special
+from bernfac.precision import PrecisionContext, mpf_to_fraction
+
+ROUTES = {
+    "A_1": lambda ctx: constants.glaisher_a(1, ctx),
+    "C2": lambda ctx: constants.c_constant(2, ctx),
+    "F_3": lambda ctx: constants.f_k_closed(3, ctx),
+    "log_two_pi": special.log_two_pi,
+    "zeta_5": lambda ctx: special.zeta_int(5, ctx),
+    "log_gamma_1/3": lambda ctx: special.log_gamma_rational(Fraction(1, 3), ctx),
+}
+
+
+def _jobs() -> list:
+    """(route, context) pairs in which no context appears twice.
+
+    A_1, C2 and F_3 run at 20 and 300 digits, each call with guard digits
+    of its own, so no memo entry is shared between calls. Cheaper routes at
+    other targets fill out the count.
+    """
+    jobs = []
+    for i, route in enumerate(("A_1", "C2", "F_3")):
+        jobs += [(route, PrecisionContext(20, g)) for g in range(10 + 20 * i, 30 + 20 * i)]
+        jobs += [(route, PrecisionContext(300, g)) for g in range(30 + 6 * i, 36 + 6 * i)]
+    jobs += [("log_two_pi", PrecisionContext(d, 10)) for d in range(21, 721)]
+    jobs += [("zeta_5", PrecisionContext(d, 11)) for d in range(21, 141)]
+    jobs += [("log_gamma_1/3", PrecisionContext(d, 12)) for d in range(21, 141)]
+    random.Random(12).shuffle(jobs)
+    return jobs
+
+
+def test_results_across_threads_equal_the_single_threaded_ones():
+    start = time.perf_counter()
+    jobs = _jobs()
+    assert len(jobs) >= 1000
+    assert len({ctx for _, ctx in jobs}) == len(jobs)
+    prec_before = mpmath.mp.prec
+    threaded, errors = {}, []
+
+    def work(indices):
+        try:
+            for i in indices:
+                route, ctx = jobs[i]
+                threaded[i] = ROUTES[route](ctx)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    # the default switch interval is kept: a shorter one makes a thread far
+    # more likely to read mpmath's constant cache between its two stores
+    # (see README), a defect this test does not cover
+    threads = [threading.Thread(target=work, args=(range(t, len(jobs), 4),))
+               for t in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert not errors
+    prec_after = mpmath.mp.prec
+
+    constants.clear_cache()
+    differ = [(route, ctx) for i, (route, ctx) in enumerate(jobs)
+              if ROUTES[route](ctx) != threaded[i]]
+    assert not differ, f"{len(differ)} of {len(jobs)} differ, e.g. {differ[:3]}"
+    assert prec_after == prec_before
+
+    top = max(ctx.working_digits for route, ctx in jobs if route == "A_1")
+    with mpmath.workdps(top + 20):
+        glaisher = mpf_to_fraction(+mpmath.glaisher)
+    assert all(threaded[i].value.contains(glaisher)
+               for i, (route, _) in enumerate(jobs) if route == "A_1")
+    assert mpmath.mp.prec == prec_before
+    assert time.perf_counter() - start < 5

@@ -150,14 +150,15 @@ def test_zeta_product_cutoff_builds_no_fraction_powers(monkeypatch):
 
 
 def test_zeta_product_cutoff_raises_precision_when_undecided(monkeypatch):
-    # a context that installs one bit per digit: 13 bits cannot separate
+    # a context with one bit per digit: 13 bits cannot separate
     # N' = 675 from 674 at 200 digits, so the enclosure must be refined
     tried = []
 
     class Coarse(PrecisionContext):
-        def workprec(self):
+        @property
+        def prec(self):
             tried.append(self.target_digits)
-            return mpmath.workprec(self.target_digits)
+            return self.target_digits
 
     monkeypatch.setattr(constants, "PrecisionContext", Coarse)
     assert constants._zeta_product_cutoff(make_context(200)) == 675

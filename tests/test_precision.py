@@ -23,6 +23,7 @@ from bernfac.precision import (
     mpf_to_fraction,
     round_to_digits,
 )
+from bernfac.special import pi_const
 
 
 # -- contexts -----------------------------------------------------------------
@@ -45,12 +46,22 @@ def test_context_validation():
         make_context(0)
 
 
-def test_workprec_scopes_mpmath_dps():
-    ctx = make_context(40)
-    before = mp.dps
+def test_workprec_sets_and_restores_the_precision():
+    def third_at(prec):
+        return mpmath.libmp.from_rational(1, 3, prec, mpmath.libmp.round_nearest)
+
+    ctx, inner = make_context(40), make_context(100)
+    assert ctx.prec == mpmath.libmp.dps_to_prec(50) == 169
+    before = mp.prec
+    assert BoundedReal.exact(Fraction(1, 3)).value._mpf_ == third_at(53)
     with ctx.workprec():
-        assert mp.dps == 50
-    assert mp.dps == before
+        assert BoundedReal.exact(Fraction(1, 3)).value._mpf_ == third_at(169)
+        with inner.workprec():
+            assert BoundedReal.exact(Fraction(1, 3)).value._mpf_ == third_at(inner.prec)
+        assert BoundedReal.exact(Fraction(1, 3)).value._mpf_ == third_at(169)
+        assert mp.prec == before
+    assert BoundedReal.exact(Fraction(1, 3)).value._mpf_ == third_at(53)
+    assert mp.prec == before
 
 
 # -- mpf <-> Fraction ---------------------------------------------------------
@@ -106,6 +117,28 @@ def test_exact_passthrough_and_float():
 def test_exact_rejects_strings():
     with pytest.raises(TypeError):
         BoundedReal.exact("1.5")
+
+
+def test_constructor_counts_the_rounding_of_a_non_mpf_value():
+    n = 2**100 + 1
+    assert BoundedReal(n, 0).contains(n)
+    third = BoundedReal(Fraction(1, 3), Fraction(1, 10**30))
+    assert third.contains(Fraction(1, 3) + Fraction(1, 10**30))
+    assert mpf_to_fraction(third.abs_err) > Fraction(1, 10**30)
+    # an mpf keeps every bit, with the radius given
+    with mp.workdps(50):
+        long_third = mpf(1) / 3
+    x = BoundedReal(long_third, 0)
+    assert x.value == long_third and x.abs_err == 0
+
+
+def test_contains_reads_mpf_and_float_exactly():
+    # mpf(x) would re-round x to mpmath's global precision
+    with mp.workdps(900):
+        pi = +mp.pi
+    assert pi_const(make_context(300)).contains(pi)
+    with mp.workprec(24):
+        assert BoundedReal.exact(0.1).contains(0.1)
 
 
 def test_negative_error_rejected():
@@ -165,9 +198,10 @@ radius_parts_st = st.tuples(
 @pytest.mark.parametrize("dps", [20, 300])
 @given(mpf_parts_st, radius_parts_st, mpf_parts_st, radius_parts_st)
 def test_ops_on_wide_intervals_contain_all_four_corners(dps, a, ea, b, eb):
-    with mp.workdps(dps):
-        x = BoundedReal(mpf(a), mpf(ea))
-        y = BoundedReal(mpf(b), mpf(eb))
+    ctx = PrecisionContext(dps - 10, 10)
+    with ctx.workprec():
+        x = BoundedReal(mpf(a, prec=ctx.prec), mpf(ea, prec=ctx.prec))
+        y = BoundedReal(mpf(b, prec=ctx.prec), mpf(eb, prec=ctx.prec))
         A, EA, B, EB = (
             mpf_to_fraction(t) for t in (x.value, x.abs_err, y.value, y.abs_err)
         )
@@ -200,9 +234,10 @@ def test_ops_on_wide_intervals_contain_all_four_corners(dps, a, ea, b, eb):
 def test_division_radius_rounds_its_denominator_down(a, ea, b, eb):
     # (|b| ea + |a| eb) / (|b| (|b| - eb)) is a bound only if the product in
     # the denominator is rounded down
-    with mp.workdps(30):
-        x = BoundedReal(mpf(a), mpf(ea))
-        y = BoundedReal(mpf(b), mpf(eb))
+    ctx = PrecisionContext(20, 10)
+    with ctx.workprec():
+        x = BoundedReal(mpf(a, prec=ctx.prec), mpf(ea, prec=ctx.prec))
+        y = BoundedReal(mpf(b, prec=ctx.prec), mpf(eb, prec=ctx.prec))
         A, EA, B, EB = (
             mpf_to_fraction(t) for t in (x.value, x.abs_err, y.value, y.abs_err)
         )
@@ -211,7 +246,7 @@ def test_division_radius_rounds_its_denominator_down(a, ea, b, eb):
 
 @pytest.mark.parametrize("mid", [-1, 1])
 def test_upper_and_lower_bound_the_interval_for_either_sign(mid):
-    with mp.workdps(30):
+    with PrecisionContext(20, 10).workprec():
         x = BoundedReal(mpf(mid), mpf(2) ** -200)
         assert mpf_to_fraction(x.upper()) >= mid + Fraction(1, 2**200)
         assert mpf_to_fraction(x.lower()) <= mid - Fraction(1, 2**200)
@@ -230,7 +265,7 @@ def test_bounded_real_is_an_immutable_value():
 def test_exact_keeps_every_bit_of_a_longer_mpf():
     with mp.workdps(50):
         third = mpf(1) / 3
-    with mp.workdps(20):
+    with PrecisionContext(10, 10).workprec():
         x = BoundedReal.exact(third)
         assert x.abs_err == 0
         assert mpf_to_fraction(x.value) == mpf_to_fraction(third)
@@ -330,7 +365,7 @@ def test_round_to_digits_scientific_branches():
     assert round_to_digits(edge, 3) == "0.01"
     # 10^20 - 1 in 67 bits: its top 53 bits put log10 at 20.0 in floats,
     # so the exponent must be corrected down exactly
-    with mp.workprec(200):
+    with PrecisionContext(50, 10).workprec():  # 203 bits
         below = BoundedReal.exact(10**20 - 1)
     assert round_to_digits(below, 3) == "9.99e+19"
     assert round_to_digits(below, 20) == "99999999999999999999"

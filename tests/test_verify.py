@@ -182,8 +182,7 @@ def _contains_mpmath_log(enclosure, numerator, denominator, ctx):
 def test_log_exact_int_top_bits_path(digits):
     # keep = prec + 64 bits is where log_exact_int switches to the top bits
     ctx = make_context(digits)
-    with ctx.workprec():
-        keep = mpmath.mp.prec + 64
+    keep = ctx.prec + 64
     for k in (keep, keep + 1, 10**6):
         m = math.ceil((k - 1) / math.log2(3))
         for n in (2**k - 1, 2**k, 3**m):
