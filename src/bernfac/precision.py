@@ -19,11 +19,17 @@ precision and adds |v| * 2^(4 - prec) to the radius for that rounding.
 Radii are summed, multiplied and divided at RADIUS_PREC = 64 bits, always
 rounded upward. upper() and lower() give the interval ends at working
 precision, rounded with ceiling and floor.
+
+Printing: round_to_digits, is_certified and _decimal read the raw
+midpoint and radius. One integer scaling of the mantissa by 10^q (from a
+cache) gives the digits, and the same q decides the '~' certificate;
+for a long 10^|q|, a directed enclosure of the scaled value does both.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -449,23 +455,23 @@ def _sum(x: BoundedReal, y: BoundedReal, op) -> BoundedReal:
 _LOG10_2 = math.log10(2)
 
 
-def _ratio(man: int, exp: int, q: int) -> tuple:
-    """(num, den), two integers with num / den = man * 2^exp * 10^q."""
-    num, den = man << max(exp, 0), 1 << max(-exp, 0)
-    if q >= 0:
-        return num * 10 ** q, den
-    return num, den * 10 ** -q
+@functools.lru_cache(maxsize=256)
+def _ten(k: int) -> int:
+    """10^k. Printing asks for the same few powers on every call."""
+    return 10 ** k
+
+
+def _floor_div(n: int, t: int, den: int) -> int:
+    """floor(n 2^t / den), for den > 0."""
+    return (n << t) // den if t >= 0 else n // (den << -t)
 
 
 def _pow10(k: int, w: int) -> tuple:
     """(lo, hi, s): integers with lo 2^s <= 10^k <= hi 2^s, for k >= 0.
-
-    Exact (lo = hi = 10^k, s = 0) while 10^k has at most w bits; above
-    that, by squaring, each product cut to w bits with lo rounded down and
-    hi rounded up.
-    """
+    Exact while 10^k has at most w bits; above that, by squaring, each
+    product cut to w bits, lo rounded down and hi rounded up."""
     if k <= w * _LOG10_2:
-        p = 10 ** k
+        p = _ten(k)
         return p, p, 0
     lo, hi, s = _pow10(k // 2, w)
     lo, hi, s = lo * lo, hi * hi, 2 * s
@@ -475,68 +481,63 @@ def _pow10(k: int, w: int) -> tuple:
     return lo >> cut, -(-hi >> cut), s + cut
 
 
-def _enclose(man: int, exp: int, q: int, digits: int) -> tuple:
-    """((a, b), (c, d)): a/b <= man 2^exp 10^q <= c/d, for man >= 0.
+def _floor_scaled(n: int, exp: int, q: int, digits: int) -> int:
+    """floor(n 2^exp 10^q) for an integer n, by a shift or one division.
 
-    The ends come from _pow10 bounds some 64 bits longer than a value
-    below 10^(digits+1) needs, so huge |q| costs no huge integers. Callers
-    take this path only for |q| > digits + 19: a shorter 10^|q| has fewer
-    bits than the bounds, and the exact ratio costs no more.
-    """
+    For |q| > digits + 19 it is read from the ends of an enclosure made of
+    _pow10 bounds 64 bits longer than d digits need, unless their floors
+    differ: so a huge |q| costs no huge integers."""
     k = abs(q)
-    lo, hi, s = _pow10(k, int(digits / _LOG10_2) + 64 + k.bit_length())
-    if q >= 0:
-        return _ratio(man * lo, exp + s, 0), _ratio(man * hi, exp + s, 0)
-    num, den = _ratio(man, exp - s, 0)
-    return (num, den * hi), (num, den * lo)
-
-
-def _floor_scaled(man: int, exp: int, q: int, digits: int) -> tuple:
-    """(m, r) for x = man 2^exp 10^q: m = floor(x), and r != 0 iff x > m.
-
-    Read from _enclose's ends when both have the same floor and the same
-    ceiling; the exact ratio is built only when they do not, or when
-    10^|q| is short.
-    """
-    if abs(q) > digits + 19:
-        (a, b), (c, d) = _enclose(man, exp, q, digits)
-        m = a // b
-        if m == c // d and -(-a // b) == -(-c // d):
-            return m, a % b
-    return divmod(*_ratio(man, exp, q))
-
-
-def _decimal(v: mpf, digits: int, up: bool = False) -> tuple:
-    """(text, last_place): v written with d digit characters.
-
-    The layout is round_to_digits'. The magnitude is rounded toward zero,
-    or away from zero if up is set (floor and ceiling for positive v), and
-    10^last_place is the unit of the last printed digit. Every digit comes
-    from v's exact mantissa and exponent in integer arithmetic
-    (_floor_scaled).
-    """
-    sign, man, exp, bc = v._mpf_
-    if not man:
-        return ("0" if digits == 1 else "0." + "0" * (digits - 1)), 1 - digits
-    # e = floor(log10 |v|) from the top 53 bits, corrected exactly below
-    shift = max(bc - 53, 0)
-    e = math.floor(math.log10(man >> shift) + (exp + shift) * _LOG10_2)
-    while True:
-        q = digits - 1 if -digits < e < 0 else digits - 1 - e
-        m, rest = _floor_scaled(man, exp, q, digits)
-        low = 10 ** (e + q)  # m lies in [low, 10 low) iff 10^e <= |v| < 10^(e+1)
-        if m < low:
-            e -= 1
-        elif m >= 10 * low:
-            e += 1
+    if k > digits + 19:
+        lo, hi, s = _pow10(k, int(digits / _LOG10_2) + 64 + k.bit_length())
+        if q >= 0:
+            m, other = _floor_div(n * lo, exp + s, 1), _floor_div(n * hi, exp + s, 1)
         else:
-            break
-    if up and rest:
-        m += 1
-        if m == 10 * low:  # carried to 10^(e+1)
-            e += 1
+            m, other = _floor_div(n, exp - s, hi), _floor_div(n, exp - s, lo)
+        if m == other:
+            return m
+    if q < 0:
+        return _floor_div(n, exp, _ten(k))
+    n *= _ten(q)
+    return n << exp if exp >= 0 else n >> -exp
+
+
+def _scale(v: tuple, err: tuple, digits: int, up: bool = False) -> tuple:
+    """(m, e, q, certified) for printing the raw value v with d digits.
+
+    The digits are m = floor(|v| 10^q), or the ceiling if up is set, and
+    10^-q is the unit of the last one. 10^e <= |v| < 10^(e+1), unless a
+    ceiling carries to 10^(e+1). The raw radius err certifies m iff
+    2 err 10^q < 1."""
+    if digits < 1:
+        raise ValueError("digits must be at least 1")
+    _, man, exp, bc = v
+    if not man:  # 0.00...0, or 0 for one digit
+        m, e, q = 0, -1 if digits > 1 else 0, digits - 1
+    else:
+        # 2^(exp+bc-1) <= |v|: e from the bit length, corrected below
+        e = math.floor((exp + bc - 1) * _LOG10_2)
+        while True:
             q = digits - 1 if -digits < e < 0 else digits - 1 - e
-            m = 10 ** (e + q)
+            m = _floor_scaled(man, exp, q, digits)
+            if m < _ten(e + q):
+                e -= 1
+            elif m >= _ten(e + q + 1):
+                e += 1
+            else:
+                break
+        if up:  # ceil(x) = -floor(-x)
+            m = -_floor_scaled(-man, exp, q, digits)
+            if m == _ten(e + q + 1):  # carried to 10^(e+1)
+                e += 1
+                q = digits - 1 if -digits < e < 0 else digits - 1 - e
+                m = _ten(e + q)
+    _, eman, eexp, _ = err
+    return m, e, q, not eman or not _floor_scaled(eman, eexp + 1, q, digits)
+
+
+def _layout(sign: int, m: int, e: int, digits: int) -> str:
+    """The text of _scale's m: round_to_digits' layout."""
     s = str(m)
     if 0 <= e < digits:
         text = s[: e + 1] + ("." + s[e + 1 :] if e + 1 < digits else "")
@@ -545,7 +546,16 @@ def _decimal(v: mpf, digits: int, up: bool = False) -> tuple:
     else:
         suffix = f"e+{e}" if e > 0 else f"e-{-e}"
         text = s[0] + ("." + s[1:] if digits > 1 else "") + suffix
-    return ("-" + text if sign else text), -q
+    return "-" + text if sign else text
+
+
+def _decimal(v: mpf, digits: int, up: bool = False) -> tuple:
+    """(text, last_place): v in round_to_digits' layout, rounded toward
+    zero, or away from it if up is set; 10^last_place is the unit of the
+    last printed digit.
+    """
+    m, e, q, _ = _scale(v._mpf_, fzero, digits, up)
+    return _layout(v._mpf_[0], m, e, digits), -q
 
 
 def round_to_digits(x: BoundedReal, digits: int) -> str:
@@ -561,26 +571,15 @@ def round_to_digits(x: BoundedReal, digits: int) -> str:
     the last printed place), a trailing '~' marks the value as not
     certified at this length.
     """
-    if digits < 1:
-        raise ValueError("digits must be at least 1")
-    text, last_place = _decimal(x.value, digits)
-    # certified iff 2 abs_err / 10^last_place < 1: read from _enclose's
-    # ends for a long 10^|q|, exactly if they straddle 1
-    _, man, exp, _ = x._e
-    q = -last_place
-    if abs(q) > digits + 19:
-        (a, b), (c, d) = _enclose(man, exp + 1, q, digits)
-        if c < d:
-            return text
-        if a >= b:
-            return text + "~"
-    a, b = _ratio(man, exp + 1, q)
-    return text if a < b else text + "~"
+    v = x._v
+    m, e, _, certified = _scale(v, x._e, digits)
+    text = _layout(v[0], m, e, digits)
+    return text if certified else text + "~"
 
 
 def is_certified(x: BoundedReal, digits: int) -> bool:
     """Whether x's bound pins down a truncated d-digit display."""
-    return not round_to_digits(x, digits).endswith("~")
+    return _scale(x._v, x._e, digits)[3]
 
 
 def format_bound(x, sig: int = 4) -> str:

@@ -16,7 +16,6 @@ factorization.
 
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
@@ -526,11 +525,12 @@ def _factorial_progression_gap(k, ctx) -> Callable[[int], float]:
 def _bernoulli_product_gap(which: str, ctx) -> Callable[[int], float]:
     """Gap for the two Bernoulli-product asymptotics (abs and over-2nu)."""
     family = {report.name: report for report in b_family(ctx)}
-    log_b1 = family["B1"].value.log()
-    log_b2 = family["B2"].value.log()
     log_2pi = log_two_pi(ctx)
-    log_2 = BoundedReal.exact(2).log()
-    log_pi = log_2pi - log_2
+    with ctx.workprec():
+        log_b1 = family["B1"].value.log()
+        log_b2 = family["B2"].value.log()
+        log_2 = BoundedReal.exact(2).log()
+        log_pi = log_2pi - log_2
 
     def gap(n: int) -> float:
         with ctx.workprec():
@@ -556,10 +556,11 @@ def _bernoulli_product_gap(which: str, ctx) -> Callable[[int], float]:
 def _lattice_mass_gap(ctx) -> Callable[[int], float]:
     """Gap for the even-unimodular mass formula asymptotic (needs 4 | n)."""
     family = {report.name: report for report in b_family(ctx)}
-    log_b3 = family["B3"].value.log()
     log_2pi = log_two_pi(ctx)
-    log_2 = BoundedReal.exact(2).log()
-    log_pi = log_2pi - log_2
+    with ctx.workprec():
+        log_b3 = family["B3"].value.log()
+        log_2 = BoundedReal.exact(2).log()
+        log_pi = log_2pi - log_2
 
     def gap(n: int) -> float:
         if n % 4:
@@ -595,7 +596,8 @@ def _power_tower_gap(r, ctx) -> Callable[[int], float]:
 
 def _weighted_progression_gap(r, k, ctx) -> Callable[[int], float]:
     """Gap for prod (kv)!^(v^r) against its series-constant asymptotic."""
-    log_frk = f_rk_series(r, k, ctx).value.log()
+    with ctx.workprec():
+        log_frk = f_rk_series(r, k, ctx).value.log()
     log_ar = log_glaisher_a(r, ctx)
     log_ar1 = log_glaisher_a(r + 1, ctx)
     logs = {}
@@ -616,8 +618,9 @@ def _weighted_progression_gap(r, k, ctx) -> Callable[[int], float]:
 def _gamma_ratio_product_gap(ctx) -> Callable[[int], float]:
     """Gap for prod Gamma(v/n)^v against its closed-constant asymptotic."""
     first, second = gamma_product_constants(ctx)
-    log_g1 = first.log()
-    log_g2 = second.log()
+    with ctx.workprec():
+        log_g1 = first.log()
+        log_g2 = second.log()
 
     def gap(n: int) -> float:
         with ctx.workprec():
@@ -749,38 +752,35 @@ def eta_identity_check(prime_bound: int, ctx: PrecisionContext) -> IdentityRepor
 def _abelian_count_sums(limit: int) -> dict:
     """Running sums of a(n) at each power-of-ten checkpoint up to limit.
 
-    a(n) is multiplicative with a(p^e) = partition count of e; the sum runs
-    over a smallest-prime-factor sieve so each n factors in O(log n).
+    a(n) is multiplicative with a(p^e) = p(e), the partition count of e.
+    So a = 1 * h, a Dirichlet convolution with h multiplicative and
+    h(p^e) = p(e) - p(e-1). As h(p) = 0, h lives on powerful numbers, and
+    sum_{n <= x} a(n) = sum of h(m) floor(x/m) over powerful m <= x: about
+    2.2 sqrt(x) terms.
     """
-    spf = array("l", [0]) * (limit + 1)
-    for i in range(2, limit + 1):
-        if spf[i] == 0:
-            for j in range(i, limit + 1, i):
-                if spf[j] == 0:
-                    spf[j] = i
     # no exponent exceeds log2(limit): one lookup table of p(e)
     parts = [partition_count(e) for e in range(limit.bit_length() + 1)]
-    checkpoints = {}
-    total = 1  # a(1) = 1
-    if limit >= 1 and limit == 1:
-        checkpoints[1] = 1
-    next_mark = 10
-    for n in range(2, limit + 1):
-        m = n
-        a_n = 1
-        while m > 1:
-            p = spf[m]
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            a_n *= parts[e]
-        total += a_n
-        if n == next_mark:
-            checkpoints[n] = total
-            next_mark *= 10
-    checkpoints[limit] = total
-    return checkpoints
+    primes = primes_up_to(math.isqrt(limit))
+    terms = []  # (m, h(m)) for every powerful m <= limit
+    stack = [(1, 1, 0)]  # m, h(m), index of the least prime m may gain
+    while stack:
+        m, h, i = stack.pop()
+        terms.append((m, h))
+        for j in range(i, len(primes)):
+            p = primes[j]
+            power, e = m * p * p, 2
+            if power > limit:
+                break
+            while power <= limit:
+                stack.append((power, h * (parts[e] - parts[e - 1]), j + 1))
+                power, e = power * p, e + 1
+    marks, mark = [], 10
+    while mark < limit:
+        marks.append(mark)
+        mark *= 10
+    return {
+        x: sum(h * (x // m) for m, h in terms if m <= x) for x in marks + [limit]
+    }
 
 
 def abelian_average_check(N: int, ctx: PrecisionContext) -> IdentityReport:

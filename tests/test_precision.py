@@ -9,11 +9,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from bernfac.precision import (
     BoundedReal,
+    _decimal,
     PrecisionContext,
     PrecisionError,
     certified_eval,
@@ -400,6 +401,84 @@ def test_round_to_digits_prefix_consistency(a, d):
     s_short = round_to_digits(x, d).rstrip("~")
     if "e" not in s_long and "e" not in s_short:
         assert s_long.startswith(s_short.rstrip("."))
+
+
+def _reference_decimal(v: Fraction, digits: int, up: bool) -> tuple:
+    """(text, last_place) in round_to_digits' layout, from Fraction alone."""
+    if v == 0:
+        return ("0" if digits == 1 else "0." + "0" * (digits - 1)), 1 - digits
+    a = abs(v)
+    e = len(str(a.numerator)) - len(str(a.denominator))
+    while Fraction(10) ** e > a:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= a:
+        e += 1
+    q = digits - 1 if -digits < e < 0 else digits - 1 - e
+    scaled = a * Fraction(10) ** q
+    m = -(-scaled.numerator // scaled.denominator) if up else int(scaled)
+    if m == 10 ** (e + q + 1):  # a ceiling that carried to 10^(e+1)
+        e += 1
+        q = digits - 1 if -digits < e < 0 else digits - 1 - e
+        m = 10 ** (e + q)
+    s = str(m)
+    if 0 <= e < digits:  # e + 1 integer digits, the rest after the point
+        text = s[: e + 1] + ("." + s[e + 1 :] if e + 1 < digits else "")
+    elif -digits < e < 0:  # a leading "0." and digits - 1 fractional digits
+        text = "0." + s.zfill(digits - 1)
+    else:  # digits significant digits and an exponent
+        text = s[0] + ("." + s[1:] if digits > 1 else "") + f"e{e:+d}"
+    return ("-" + text if v < 0 else text), -q
+
+
+def _mantissa_and_exponent():
+    """(man, exp) with man of 1-700 bits and exp to +-400, or a power of
+    ten and its neighbours at some working precision."""
+    plain = st.tuples(
+        st.integers(1, 700).flatmap(lambda b: st.integers(2 ** (b - 1), 2**b - 1)),
+        st.integers(-400, 400),
+    )
+
+    def ten(k, bits, step):
+        p = Fraction(10) ** k
+        _, man, exp, _ = mpmath.libmp.from_rational(
+            p.numerator, p.denominator, bits, mpmath.libmp.round_nearest
+        )
+        return int(man) + step, exp
+
+    near_ten = st.builds(
+        ten, st.integers(-120, 120), st.integers(2, 500), st.sampled_from([-1, 0, 1])
+    )
+    return st.one_of(plain, near_ten)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.booleans(), _mantissa_and_exponent(), st.integers(1, 60), st.data())
+def test_printing_matches_an_exact_fraction_reference(negative, man_exp, digits, data):
+    man, exp = man_exp
+    v = mp.make_mpf(mpmath.libmp.from_man_exp(-man if negative else man, exp))
+    exact = mpf_to_fraction(v)
+    text, last_place = _reference_decimal(exact, digits, up=False)
+    # radii at and next to half a unit in the last place, at 64 bits
+    half = Fraction(10) ** last_place / 2
+    rounding = data.draw(st.sampled_from(["f", "c"]))
+    _, eman, eexp, _ = mpmath.libmp.from_rational(
+        half.numerator, half.denominator, 64, rounding
+    )
+    step = data.draw(st.sampled_from([-1, 0, 1]))
+    radius = mp.make_mpf(data.draw(st.one_of(
+        st.just(mpmath.libmp.from_man_exp(int(eman) + step, eexp)),
+        st.just(mpmath.libmp.fzero),
+        st.builds(mpmath.libmp.from_man_exp,
+                  st.integers(1, 2**64), st.integers(-1500, 100)),
+    )))
+    x = BoundedReal(v, radius)
+    certified = 2 * mpf_to_fraction(radius) < Fraction(10) ** last_place
+    assert round_to_digits(x, digits) == (text if certified else text + "~")
+    assert is_certified(x, digits) == certified
+    assert _decimal(v, digits) == (text, last_place)
+    assert _decimal(v, digits, up=True) == _reference_decimal(
+        exact, digits, up=True
+    )
 
 
 def test_format_bound():

@@ -11,7 +11,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bernfac import verify
+from bernfac import precision, verify
 from bernfac.precision import BoundedReal, make_context, mpf_to_fraction
 from bernfac.special import dedekind_eta_imag, partition_count, pi_const
 from bernfac.verify import (
@@ -325,6 +325,20 @@ def test_ratio_suite_single_target_small_grid():
         assert gap == pytest.approx(1 / (720 * n**2), rel=0.05)
 
 
+def test_ratio_suite_takes_every_log_at_working_precision(monkeypatch):
+    precs = []
+    log = BoundedReal.log
+
+    def spied(self):
+        precs.append(precision._get_prec())
+        return log(self)
+
+    monkeypatch.setattr(BoundedReal, "log", spied)
+    ratio_suite(ctx=make_context(20))
+    assert precs
+    assert 53 not in precs  # the default outside any workprec() block
+
+
 def test_ratio_suite_lattice_grid_is_adjusted():
     reports = ratio_suite(targets=["lattice-mass"], n_grid=(10, 20))
     assert [n for n, _ in reports[0].gaps] == [8, 20]
@@ -430,18 +444,35 @@ def test_abelian_count_sums_against_direct_counts():
 
 
 def test_abelian_count_sums_look_up_partitions_once(monkeypatch):
-    asked = []
-    count = verify.partition_count
+    # each p(e) is asked for once, and the only sieve runs to sqrt(limit)
+    asked, sieved = [], []
+    count, primes = verify.partition_count, verify.primes_up_to
 
     def counted(e):
         asked.append(e)
         return count(e)
 
+    def sieve(limit):
+        sieved.append(limit)
+        return primes(limit)
+
     monkeypatch.setattr(verify, "partition_count", counted)
+    monkeypatch.setattr(verify, "primes_up_to", sieve)
     assert _abelian_count_sums(4096)[4096] == sum(
         abelian_group_count(n) for n in range(1, 4097)
     )
     assert sorted(asked) == list(range(14))
+    assert sieved == [64]
+
+
+def test_abelian_count_sums_match_a_sieve_over_every_n():
+    # sums from a smallest-prime-factor sieve that factors every n <= limit
+    sums = {10: 14, 100: 185, 1000: 2091, 10000: 22184, 100000: 226610}
+    assert _abelian_count_sums(10**5) == sums
+    assert _abelian_count_sums(10**6) == {**sums, 10**6: 2284717}
+    assert _abelian_count_sums(100749) == {**sums, 100749: 228315}
+    assert _abelian_count_sums(1) == {1: 1}
+    assert _abelian_count_sums(7) == {7: 8}
 
 
 def test_abelian_average_check_small():
