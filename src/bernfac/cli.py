@@ -14,6 +14,7 @@ error. Output is deterministic: the same request prints identical bytes.
 
 import argparse
 import json
+import os
 import sys
 
 from . import constants
@@ -49,6 +50,10 @@ CONSTANT_SELECTORS = tuple(_ROUTES)
 def _report(name: str, ctx, options: dict) -> ConstantReport:
     """The report of selector name; options overrides parameter defaults."""
     route, *params = _ROUTES[name]
+    taken = [param[0] for param in params if isinstance(param, tuple)]
+    for option in ("k", "r", "n", "m"):
+        if options.get(option) is not None and option not in taken:
+            raise ValueError(f"{name} takes no --{option}")
     args = []
     for param in params:
         if isinstance(param, tuple):
@@ -110,32 +115,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_options(p, *options):
         p.add_argument("--digits", type=int, default=20,
                        help="printed digit characters (default 20)")
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--r", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--prime-bound", type=int, default=None)
         p.add_argument("--json", action="store_true", dest="as_json")
+        for option in options:
+            p.add_argument(f"--{option}", type=int, default=None)
 
     p_const = sub.add_parser("constant", help="print one constant")
     p_const.add_argument("name", choices=CONSTANT_SELECTORS)
-    add_common(p_const)
+    add_options(p_const, "k", "r", "n", "m")
 
     p_table = sub.add_parser("table", help="print a constants table")
     p_table.add_argument("name", choices=TABLE_NAMES)
-    add_common(p_table)
+    add_options(p_table)
 
     p_verify = sub.add_parser("verify", help="run exact verification checks")
     p_verify.add_argument("what", nargs="?", default="all",
                           choices=VERIFY_TARGETS)
-    add_common(p_verify)
+    add_options(p_verify, "n", "prime-bound")
 
     p_ratio = sub.add_parser("ratio", help="run log-gap decrease checks")
     p_ratio.add_argument("targets", nargs="*", default=None)
-    add_common(p_ratio)
+    add_options(p_ratio)
 
     return parser
 
@@ -260,7 +262,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: exit 1 with no traceback, and point
+        # stdout at devnull so the interpreter's flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

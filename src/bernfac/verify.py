@@ -6,6 +6,13 @@ never through floating point. Ratio checks compute the log of an exact finite
 product, subtract the log of the matching asymptotic formula with its
 constant, and require the absolute gap to shrink along an increasing n-grid.
 
+The ratio targets are one table, _RATIO_TARGETS, from each name to a builder
+and its arguments. A builder computes its target's constants and returns
+diff(n), the exact log minus the formula, as a BoundedReal at the caller's
+precision. ratio_suite (and milnor_equivalence_check for its own difference)
+enters ctx.workprec() once around building and evaluating diff, and one gap
+loop, _gap_pairs, turns the differences into float gaps and the verdict.
+
 The suites are deliberately independent of the series machinery they test:
 product logs come from exact integers (bit length plus mantissa, wrapped with
 an ulp bound), not from Stirling-type expansions. The factorial products
@@ -18,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from mpmath import mpf
 
@@ -482,189 +489,128 @@ def identity_suite() -> List[IdentityReport]:
 
 # -- ratio suite --------------------------------------------------------------
 
-def _gap_pairs(grid, gap_fn) -> Tuple[tuple, bool, tuple]:
-    gaps = tuple((n, gap_fn(n)) for n in grid)
-    offending = ()
-    monotone = True
+def _checked_grid(grid) -> tuple:
+    """grid as a tuple, refused unless strictly increasing with two points."""
+    grid = tuple(grid)
+    if list(grid) != sorted(set(grid)):
+        raise ValueError("n_grid must be strictly increasing")
+    if len(grid) < 2:
+        raise ValueError(f"a gap trend needs two grid points, got {grid}")
+    return grid
+
+
+def _gap_pairs(grid, diff) -> Tuple[tuple, bool, tuple]:
+    """(gaps, monotone, offending) of the gaps |diff(n)| along grid."""
+    gaps = tuple((n, abs(float(diff(n).value))) for n in grid)
     for (n1, g1), (n2, g2) in zip(gaps, gaps[1:]):
         if not g2 < g1:
-            monotone = False
-            offending = (n1, n2)
-            break
-    return gaps, monotone, offending
+            return gaps, False, (n1, n2)
+    return gaps, True, ()
 
 
-def _factorial_progression_gap(k, ctx) -> Callable[[int], float]:
-    """Gap for prod (kv)! against its closed-constant asymptotic formula."""
-    log_fk = f_k_log_closed(k, ctx)
-    log_a1 = log_glaisher_a(1, ctx)
-    log_2pi = log_two_pi(ctx)
-    log_k = log_exact_int(k, ctx)
+def _progression_diff(r, k, ctx):
+    """prod (kv)!^(v^r) against its asymptotic formula.
+
+    The constant is F_(r,k) from its series, except at r = 0, where
+    F_(0,k) = F_k has a closed form (and 1/2 log A_0 = 1/4 log 2 pi).
+    """
+    if r == 0:
+        log_f = f_k_log_closed(k, ctx)
+    else:
+        log_f = f_rk_series(r, k, ctx).value.log()
+    log_c = log_f + Fraction(1, 2) * log_glaisher_a(r, ctx)
+    log_c = log_c + k * log_glaisher_a(r + 1, ctx)
     logs = {}
 
-    def gap(n: int) -> float:
-        with ctx.workprec():
-            exponents = _factorial_product_exponents(k, n, 0)
-            lhs = _exponents_log(exponents, logs, ctx)
-            log_n = log_exact_int(n, ctx)
-            rhs = log_fk + k * log_a1 + Fraction(1, 4) * log_2pi
-            rhs = rhs + (Fraction(k, 2) * n * (n + 1)) * (
-                log_k + log_n - Fraction(3, 2)
-            )
-            rhs = rhs + Fraction(n, 2) * (
-                log_2pi + log_k + Fraction(k, 2) - 1 + log_n
-            )
-            rhs = rhs + (
-                Fraction(1, 4) + Fraction(k, 12) + Fraction(1, 12 * k)
-            ) * log_n
-            return abs(float((lhs - rhs).value))
+    def diff(n: int) -> BoundedReal:
+        lhs = _exponents_log(_factorial_product_exponents(k, n, r), logs, ctx)
+        rhs = log_c + p_rk_log(r, k, n, ctx)
+        rhs = rhs + Fraction(1, 2) * q_r_log(r, n, ctx)
+        rhs = rhs + k * q_r_log(r + 1, n, ctx)
+        return lhs - rhs
 
-    return gap
+    return diff
 
 
-def _bernoulli_product_gap(which: str, ctx) -> Callable[[int], float]:
-    """Gap for the two Bernoulli-product asymptotics (abs and over-2nu)."""
-    family = {report.name: report for report in b_family(ctx)}
-    log_2pi = log_two_pi(ctx)
-    with ctx.workprec():
-        log_b1 = family["B1"].value.log()
-        log_b2 = family["B2"].value.log()
-        log_2 = BoundedReal.exact(2).log()
-        log_pi = log_2pi - log_2
+def _bernoulli_diff(which: str, ctx):
+    """prod |B_2v| ("abs"), prod |B_2v|/(2v) ("over-2nu") or the mass of the
+    even unimodular lattices of dimension n, 4 | n ("lattice"), against
+    their asymptotic formulas."""
+    family = {report.name: report.value for report in b_family(ctx)}
+    log_b = family[{"abs": "B1", "over-2nu": "B2", "lattice": "B3"}[which]].log()
+    log_2 = BoundedReal.exact(2).log()
+    log_pi = log_two_pi(ctx) - log_2
 
-    def gap(n: int) -> float:
-        with ctx.workprec():
-            log_n = log_exact_int(n, ctx)
-            core = log_n - log_pi - Fraction(3, 2)
-            if which == "abs":
-                lhs = log_exact_fraction(exact_bernoulli_product(n, "plain"), ctx)
-                rhs = log_b1 + (n * (n + 1)) * core
-                rhs = rhs + Fraction(n, 2) * (4 * log_2 + log_pi + log_n)
-                rhs = rhs + Fraction(11, 24) * log_n
+    def diff(n: int) -> BoundedReal:
+        log_n = log_exact_int(n, ctx)
+        core = log_n - log_pi - Fraction(3, 2)
+        if which == "abs":
+            lhs = exact_bernoulli_product(n, "plain")
+            rhs = log_b + (n * (n + 1)) * core
+            rhs = rhs + Fraction(n, 2) * (4 * log_2 + log_pi + log_n)
+            rhs = rhs + Fraction(11, 24) * log_n
+        else:
+            if which == "over-2nu":
+                lhs, sign = exact_bernoulli_product(n, "over_2nu"), 1
+            elif n % 4:
+                raise ValueError("lattice mass needs 4 | n")
             else:
-                lhs = log_exact_fraction(
-                    exact_bernoulli_product(n, "over_2nu"), ctx
-                )
-                rhs = log_b2 + (n * n) * core
-                rhs = rhs + Fraction(n, 2) * (2 * log_2 + log_n - log_pi - 1)
-                rhs = rhs - Fraction(1, 24) * log_n
-            return abs(float((lhs - rhs).value))
-
-    return gap
-
-
-def _lattice_mass_gap(ctx) -> Callable[[int], float]:
-    """Gap for the even-unimodular mass formula asymptotic (needs 4 | n)."""
-    family = {report.name: report for report in b_family(ctx)}
-    log_2pi = log_two_pi(ctx)
-    with ctx.workprec():
-        log_b3 = family["B3"].value.log()
-        log_2 = BoundedReal.exact(2).log()
-        log_pi = log_2pi - log_2
-
-    def gap(n: int) -> float:
-        if n % 4:
-            raise ValueError("lattice mass needs 4 | n")
-        with ctx.workprec():
-            mass = abs(bernoulli(n)) / (2 * n) * exact_bernoulli_product(
-                n - 1, "over_4nu"
-            )
-            lhs = log_exact_fraction(mass, ctx)
-            log_n = log_exact_int(n, ctx)
-            rhs = log_b3 + (n * n) * (log_n - log_pi - Fraction(3, 2))
-            rhs = rhs - Fraction(n, 2) * (2 * log_2 + log_n - log_pi - 1)
+                mass = exact_bernoulli_product(n - 1, "over_4nu")
+                lhs, sign = abs(bernoulli(n)) / (2 * n) * mass, -1
+            rhs = log_b + (n * n) * core
+            rhs = rhs + Fraction(sign * n, 2) * (2 * log_2 + log_n - log_pi - 1)
             rhs = rhs - Fraction(1, 24) * log_n
-            return abs(float((lhs - rhs).value))
+        return log_exact_fraction(lhs, ctx) - rhs
 
-    return gap
+    return diff
 
 
-def _power_tower_gap(r, ctx) -> Callable[[int], float]:
-    """Gap for prod v^(v^r) against the generalized Glaisher asymptotic."""
+def _power_tower_diff(r, ctx):
+    """prod v^(v^r) against the generalized Glaisher asymptotic."""
     log_ar = log_glaisher_a(r, ctx)
 
-    def gap(n: int) -> float:
-        with ctx.workprec():
-            lhs = BoundedReal.exact(0)
-            for v in range(2, n + 1):
-                lhs = lhs + v ** r * log_exact_int(v, ctx)
-            rhs = log_ar + q_r_log(r, n, ctx)
-            return abs(float((lhs - rhs).value))
+    def diff(n: int) -> BoundedReal:
+        lhs = BoundedReal.exact(0)
+        for v in range(2, n + 1):
+            lhs = lhs + v ** r * log_exact_int(v, ctx)
+        return lhs - (log_ar + q_r_log(r, n, ctx))
 
-    return gap
+    return diff
 
 
-def _weighted_progression_gap(r, k, ctx) -> Callable[[int], float]:
-    """Gap for prod (kv)!^(v^r) against its series-constant asymptotic."""
-    with ctx.workprec():
-        log_frk = f_rk_series(r, k, ctx).value.log()
-    log_ar = log_glaisher_a(r, ctx)
-    log_ar1 = log_glaisher_a(r + 1, ctx)
-    logs = {}
+def _gamma_ratio_diff(ctx):
+    """prod Gamma(v/n)^v against its closed-constant asymptotic."""
+    log_g1, log_g2 = (value.log() for value in gamma_product_constants(ctx))
 
-    def gap(n: int) -> float:
-        with ctx.workprec():
-            exponents = _factorial_product_exponents(k, n, r)
-            lhs = _exponents_log(exponents, logs, ctx)
-            rhs = log_frk + Fraction(1, 2) * log_ar + k * log_ar1
-            rhs = rhs + p_rk_log(r, k, n, ctx)
-            rhs = rhs + Fraction(1, 2) * q_r_log(r, n, ctx)
-            rhs = rhs + k * q_r_log(r + 1, n, ctx)
-            return abs(float((lhs - rhs).value))
+    def diff(n: int) -> BoundedReal:
+        lhs = BoundedReal.exact(0)
+        for v in range(1, n):
+            lhs = lhs + v * log_gamma_rational(Fraction(v, n), ctx)
+        log_n = log_exact_int(n, ctx)
+        return lhs - (log_g1 + (n * n) * log_g2 - Fraction(1, 12) * log_n)
 
-    return gap
+    return diff
 
 
-def _gamma_ratio_product_gap(ctx) -> Callable[[int], float]:
-    """Gap for prod Gamma(v/n)^v against its closed-constant asymptotic."""
-    first, second = gamma_product_constants(ctx)
-    with ctx.workprec():
-        log_g1 = first.log()
-        log_g2 = second.log()
-
-    def gap(n: int) -> float:
-        with ctx.workprec():
-            lhs = BoundedReal.exact(0)
-            for v in range(1, n):
-                lhs = lhs + v * log_gamma_rational(Fraction(v, n), ctx)
-            log_n = log_exact_int(n, ctx)
-            rhs = log_g1 + (n * n) * log_g2 - Fraction(1, 12) * log_n
-            return abs(float((lhs - rhs).value))
-
-    return gap
+# name -> (builder, its arguments before ctx)
+_RATIO_TARGETS = {
+    "factorial-progression-k1": (_progression_diff, 0, 1),
+    "factorial-progression-k2": (_progression_diff, 0, 2),
+    "factorial-progression-k3": (_progression_diff, 0, 3),
+    "bernoulli-product-abs": (_bernoulli_diff, "abs"),
+    "bernoulli-product-over-2nu": (_bernoulli_diff, "over-2nu"),
+    "lattice-mass": (_bernoulli_diff, "lattice"),
+    "power-tower-r1": (_power_tower_diff, 1),
+    "power-tower-r2": (_power_tower_diff, 2),
+    "power-tower-r3": (_power_tower_diff, 3),
+    "weighted-progression-r1-k2": (_progression_diff, 1, 2),
+    "gamma-ratio-product": (_gamma_ratio_diff,),
+}
 
 
 def _multiple_of_four_grid(grid) -> tuple:
-    adjusted = []
-    for n in grid:
-        m = n - (n % 4)
-        if m >= 4 and m not in adjusted:
-            adjusted.append(m)
-    return tuple(adjusted)
-
-
-def _ratio_targets(ctx) -> dict:
-    return {
-        "factorial-progression-k1": lambda grid: (
-            grid, _factorial_progression_gap(1, ctx)),
-        "factorial-progression-k2": lambda grid: (
-            grid, _factorial_progression_gap(2, ctx)),
-        "factorial-progression-k3": lambda grid: (
-            grid, _factorial_progression_gap(3, ctx)),
-        "bernoulli-product-abs": lambda grid: (
-            grid, _bernoulli_product_gap("abs", ctx)),
-        "bernoulli-product-over-2nu": lambda grid: (
-            grid, _bernoulli_product_gap("over_2nu", ctx)),
-        "lattice-mass": lambda grid: (
-            _multiple_of_four_grid(grid), _lattice_mass_gap(ctx)),
-        "power-tower-r1": lambda grid: (grid, _power_tower_gap(1, ctx)),
-        "power-tower-r2": lambda grid: (grid, _power_tower_gap(2, ctx)),
-        "power-tower-r3": lambda grid: (grid, _power_tower_gap(3, ctx)),
-        "weighted-progression-r1-k2": lambda grid: (
-            grid, _weighted_progression_gap(1, 2, ctx)),
-        "gamma-ratio-product": lambda grid: (
-            grid, _gamma_ratio_product_gap(ctx)),
-    }
+    """grid rounded down to multiples of 4, without repeats or values below 4."""
+    return tuple(dict.fromkeys(n - n % 4 for n in grid if n >= 4))
 
 
 def ratio_suite(
@@ -674,19 +620,18 @@ def ratio_suite(
 ) -> List[RatioReport]:
     """Log-gap decrease checks for every asymptotic product formula."""
     ctx = ctx or make_context(20)
-    grid = tuple(n_grid or DEFAULT_RATIO_GRID)
-    if list(grid) != sorted(set(grid)):
-        raise ValueError("n_grid must be strictly increasing")
-    table = _ratio_targets(ctx)
-    if targets is None:
-        targets = list(table)
+    grid = _checked_grid(n_grid or DEFAULT_RATIO_GRID)
     reports = []
-    for name in targets:
-        if name not in table:
+    for name in _RATIO_TARGETS if targets is None else targets:
+        if name not in _RATIO_TARGETS:
             raise ValueError(f"unknown ratio target {name!r}")
-        used_grid, gap_fn = table[name](grid)
-        gaps, monotone, offending = _gap_pairs(used_grid, gap_fn)
-        reports.append(RatioReport(name, gaps, monotone, offending))
+        build, *args = _RATIO_TARGETS[name]
+        used = grid
+        if name == "lattice-mass":
+            used = _checked_grid(_multiple_of_four_grid(grid))
+        with ctx.workprec():
+            gaps = _gap_pairs(used, build(*args, ctx))
+        reports.append(RatioReport(name, *gaps))
     return reports
 
 
@@ -817,17 +762,16 @@ def milnor_equivalence_check(
 ) -> RatioReport:
     """Check 2 B' F(2n+1) / (B2 G(n)) -> 1 along the grid."""
     ctx = ctx or make_context(20)
-    grid = tuple(n_grid or DEFAULT_MILNOR_GRID)
-    family = {report.name: report for report in b_family(ctx)}
+    grid = _checked_grid(n_grid or DEFAULT_MILNOR_GRID)
     with ctx.workprec():
-        log_b2 = family["B2"].value.log()
-        log_bp = family["Bprime"].value.log()
+        family = {report.name: report.value for report in b_family(ctx)}
+        log_b2 = family["B2"].log()
+        log_bp = family["Bprime"].log()
         log_2 = BoundedReal.exact(2).log()
 
-        def gap(n: int) -> float:
+        def diff(n: int) -> BoundedReal:
             lhs = log_2 + log_bp + milnor_f_log(2 * n + 1, ctx)
-            rhs = log_b2 + milnor_g_log(n, ctx)
-            return abs(float((lhs - rhs).value))
+            return lhs - (log_b2 + milnor_g_log(n, ctx))
 
-        gaps, monotone, offending = _gap_pairs(grid, gap)
-    return RatioReport("milnor-equivalence", gaps, monotone, offending)
+        gaps = _gap_pairs(grid, diff)
+    return RatioReport("milnor-equivalence", *gaps)

@@ -5,6 +5,7 @@ are both pinned. Output must be deterministic: repeated invocations with
 identical arguments produce identical bytes.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -139,6 +140,52 @@ def test_constant_rejects_bad_digits(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run(["constant", "C1", "--digits", "0"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("C1", "--k", "3"), "--k"),
+    (("F_k", "--r", "2"), "--r"),
+    (("A_r", "--r", "2", "--m", "4"), "--m"),
+    (("B2", "--n", "5"), "--n"),
+])
+def test_constant_refuses_an_option_its_selector_does_not_read(capsys, argv,
+                                                               option):
+    code, out, err = invoke(capsys, "constant", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {argv[0]} takes no {option}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("constant", "C1", "--prime-bound", "3"),
+    ("table", "b-constants", "--r", "9"),
+    ("table", "f-constants", "--k", "2"),
+    ("ratio", "power-tower-r1", "--m", "4"),
+    ("verify", "milnor", "--k", "2"),
+])
+def test_subcommands_refuse_options_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        run(list(argv))
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    from bernfac.cli import build_parser
+
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    options = {
+        name: sorted(flag for action in parser._actions
+                     for flag in action.option_strings if flag != "-h"
+                     and flag != "--help")
+        for name, parser in sub.choices.items()
+    }
+    assert options == {
+        "constant": ["--digits", "--json", "--k", "--m", "--n", "--r"],
+        "table": ["--digits", "--json"],
+        "verify": ["--digits", "--json", "--n", "--prime-bound"],
+        "ratio": ["--digits", "--json"],
+    }
 
 
 def test_selector_listings_are_stable():
@@ -515,6 +562,94 @@ def test_ratio_single_target(capsys):
     assert lines[1] == "1 targets, all decreasing"
 
 
+# The gaps of `ratio --json` (default grid, 20 digits) and of `verify milnor
+# --json`, as printed before the ratio targets became one table of
+# differences: each float is pinned, where RATIO_GAP_CAPS bounds only the last.
+GOLDEN_GAPS = {
+    "factorial-progression-k1": (
+        (25, 0.0033264915069057053),
+        (50, 0.0016649779390024374),
+        (100, 0.0008329138988881886),
+    ),
+    "factorial-progression-k2": (
+        (25, 0.002499066787865265),
+        (50, 0.0012497791729357772),
+        (100, 0.0006249463545176007),
+    ),
+    "factorial-progression-k3": (
+        (25, 0.0022251744826576607),
+        (50, 0.0011118608524193615),
+        (100, 0.0005557444410959352),
+    ),
+    "bernoulli-product-abs": (
+        (25, 0.002499066787864969),
+        (50, 0.0012497791729357772),
+        (100, 0.0006249463545176007),
+    ),
+    "bernoulli-product-over-2nu": (
+        (25, 0.0008340888488631239),
+        (50, 0.0004168652740475885),
+        (100, 0.00020838420111731398),
+    ),
+    "lattice-mass": (
+        (24, 0.0008671231701107285),
+        (48, 0.0004337907401551297),
+        (100, 0.00020828003507067616),
+    ),
+    "power-tower-r1": (
+        (25, 2.2217146913759317e-06),
+        (50, 5.555238158703242e-07),
+        (100, 1.388869048611006e-07),
+    ),
+    "power-tower-r2": (
+        (25, 0.00011110264956122324),
+        (50, 5.555449748144302e-05),
+        (100, 2.7777645506613455e-05),
+    ),
+    "power-tower-r3": (
+        (25, 3.173841884477702e-07),
+        (50, 7.936031842190964e-08),
+        (100, 1.9840972237251854e-08),
+    ),
+    "weighted-progression-r1-k2": (
+        (25, 0.0002070875053812415),
+        (50, 0.00010356321342721619),
+        (100, 5.163831584553901e-05),
+    ),
+    "gamma-ratio-product": (
+        (25, 5.340370804246036e-06),
+        (50, 1.3354871463144389e-06),
+        (100, 3.3389646633687483e-07),
+    ),
+    "milnor-equivalence": (
+        (10, 0.004065685716699345),
+        (100, 0.00041562828693682643),
+        (1000, 4.165625329743968e-05),
+    ),
+}
+
+
+def _golden_records(names):
+    records = [
+        {"gaps": [list(pair) for pair in GOLDEN_GAPS[name]],
+         "monotone_tail": True, "name": name, "status": "decreasing"}
+        for name in names
+    ]
+    return json.dumps(records, sort_keys=True, indent=2) + "\n"
+
+
+def test_ratio_json_golden(capsys):
+    code, out, err = invoke(capsys, "ratio", "--json")
+    assert code == 0 and err == ""
+    assert out == _golden_records(list(GOLDEN_GAPS)[:-1])
+
+
+def test_verify_milnor_json_golden(capsys):
+    code, out, err = invoke(capsys, "verify", "milnor", "--json")
+    assert code == 0 and err == ""
+    assert out == _golden_records(["milnor-equivalence"])
+
+
 def test_ratio_unknown_target(capsys):
     code, out, err = invoke(capsys, "ratio", "no-such-target")
     assert code == 2
@@ -560,6 +695,28 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "verify", "eta")
     assert code == 1
     assert out.splitlines()[-1] == "1 checks, FAIL"
+
+
+# -- closed pipe ------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("constant", "C1"), ("table", "f-constants"), ("ratio", "power-tower-r1"),
+])
+def test_closed_stdout_exits_one_without_a_traceback(argv):
+    # the reader is gone before the first write, as in `bernfac ... | head -0`
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    proc = subprocess.Popen([sys.executable, "-m", "bernfac", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    code = proc.wait(timeout=60)  # a traceback fits in the stderr pipe
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert code == 1
+    assert err == b""
 
 
 # -- import cost ------------------------------------------------------------------

@@ -345,6 +345,21 @@ def test_ratio_suite_lattice_grid_is_adjusted():
     assert reports[0].monotone_tail
 
 
+def test_gap_trends_refuse_grids_of_fewer_than_two_points():
+    # one gap, or none after the lattice grid drops n < 4, decides nothing
+    with pytest.raises(ValueError, match="two grid points"):
+        ratio_suite(["lattice-mass"], n_grid=(2, 3))
+    with pytest.raises(ValueError, match="two grid points"):
+        ratio_suite(["lattice-mass"], n_grid=(3, 7))
+    with pytest.raises(ValueError, match="two grid points"):
+        ratio_suite(["power-tower-r1"], n_grid=(30,))
+    with pytest.raises(ValueError, match="two grid points"):
+        milnor_equivalence_check(n_grid=(10,))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        milnor_equivalence_check(n_grid=(10, 10, 100))
+    assert ratio_suite([], n_grid=(30, 40)) == []
+
+
 # -- eta product -------------------------------------------------------------------
 
 def test_primes_up_to():
