@@ -116,6 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_options(p, *options):
+        # run reports an option p does not read against p's own usage
+        p.set_defaults(subparser=p)
         p.add_argument("--digits", type=int, default=20,
                        help="printed digit characters (default 20)")
         p.add_argument("--json", action="store_true", dest="as_json")
@@ -242,7 +244,9 @@ def _cmd_ratio(args) -> int:
 
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = parser.parse_known_args(argv)
+    if unread:
+        args.subparser.error(f"unrecognized arguments: {' '.join(unread)}")
     if args.digits < 1:
         parser.error("--digits must be >= 1")
     handlers = {

@@ -34,7 +34,7 @@ import math
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Union
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
@@ -589,22 +589,3 @@ def format_bound(x, sig: int = 4) -> str:
         return "0"
     return mpmath.nstr(v, sig, min_fixed=1, max_fixed=0, strip_zeros=False)
 
-
-def certified_eval(
-    fn: Callable[[PrecisionContext], BoundedReal], ctx: PrecisionContext
-) -> BoundedReal:
-    """Evaluate fn, retrying once with doubled guard if not certified.
-
-    Raises PrecisionError if even the retry cannot certify target_digits.
-    """
-    result = fn(ctx)
-    if is_certified(result, ctx.target_digits):
-        return result
-    retry = PrecisionContext(ctx.target_digits, 2 * ctx.guard_digits)
-    result = fn(retry)
-    if not is_certified(result, ctx.target_digits):
-        raise PrecisionError(
-            f"could not certify {ctx.target_digits} digits even with "
-            f"{retry.guard_digits} guard digits"
-        )
-    return result

@@ -18,10 +18,10 @@ product logs come from exact integers (bit length plus mantissa, wrapped with
 an ulp bound), not from Stirling-type expansions. The factorial products
 prod (kv)!^(v^r) are not built at all: their log is sum_p e_p log p, with
 the prime exponents e_p from Legendre's formula, exact by unique
-factorization.
+factorization. The weighted factorial split is decided the same way, by the
+prime-exponent vectors of its two sides alone.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,9 +52,6 @@ from .special import (
 
 # exact_factorial_product refuses products projected to exceed this many bits
 ORACLE_BIT_CAP = 1 << 26
-# the weighted-split identity builds its big integers only below this size;
-# above it the prime-exponent vectors alone decide
-WEIGHTED_SPLIT_INT_BITS = 1 << 20
 
 DEFAULT_RATIO_GRID = (25, 50, 100)
 DEFAULT_MILNOR_GRID = (10, 100, 1000)
@@ -381,41 +378,18 @@ def _weighted_split_exponents(r: int, n: int, primes: Sequence[int]):
     return lhs, rhs
 
 
-def _weighted_split_ints(r: int, n: int):
-    """Both sides of the weighted split at (r, n) as big integers."""
-    s = list(itertools.accumulate((v ** r for v in range(1, n + 1)), initial=0))
-    lhs = math.factorial(n) ** s[n]
-    for v in range(1, n + 1):
-        lhs *= v ** (v ** r)
-    rhs = 1
-    for v in range(1, n + 1):
-        rhs *= math.factorial(v) ** (v ** r) * v ** s[v]
-    return lhs, rhs
-
-
 def _weighted_factorial_split(reports, max_r, max_n):
     """n!^(S_r(n)) * prod v^(v^r) == prod v!^(v^r) * prod v^(S_r(v)).
 
     Both sides are compared as prime-exponent vectors, which is exact by
-    unique factorization and never builds the products. Where a side stays
-    below WEIGHTED_SPLIT_INT_BITS bits the big integers are built and
-    compared as well, as a cross-check of the vector code. Each report's
-    sides are (exponent vector, integer or None).
+    unique factorization and never builds the products. Each report's
+    sides are the two exponent vectors over the primes p <= n.
     """
     for r in range(0, max_r + 1):
         for n in range(1, max_n + 1):
-            primes = primes_up_to(n)
-            lhs_e, rhs_e = _weighted_split_exponents(r, n, primes)
-            bits = sum(e * math.log2(p) for p, e in zip(primes, lhs_e))
-            lhs_int = rhs_int = None
-            if bits < WEIGHTED_SPLIT_INT_BITS:
-                lhs_int, rhs_int = _weighted_split_ints(r, n)
+            lhs, rhs = _weighted_split_exponents(r, n, primes_up_to(n))
             _expect_equal(
-                reports,
-                "weighted-factorial-split",
-                {"r": r, "n": n},
-                (lhs_e, lhs_int),
-                (rhs_e, rhs_int),
+                reports, "weighted-factorial-split", {"r": r, "n": n}, lhs, rhs
             )
 
 

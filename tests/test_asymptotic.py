@@ -1,7 +1,8 @@
-"""Tests for the algebra of asymptotic main terms and the product forms.
+"""Tests for the power sums and the asymptotic main terms.
 
-Power sums are checked against brute sums; the main-term forms are checked
-against hand-expanded closed expressions at concrete arguments.
+Power sums are checked against brute sums; the main terms are checked
+against hand-expanded closed expressions and against their defining sums
+in mpmath at concrete arguments.
 """
 
 import math
@@ -13,9 +14,6 @@ from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
 from bernfac.asymptotic import (
-    AsymptoticForm,
-    evaluate,
-    form_of_degree,
     milnor_f_log,
     milnor_g_log,
     n_coeff,
@@ -29,28 +27,6 @@ from bernfac.precision import BoundedReal, make_context
 from bernfac.special import log_two_pi
 
 CTX = make_context(21)
-
-
-# -- form algebra ---------------------------------------------------------------
-
-def test_form_validation_and_degree():
-    f = form_of_degree(3)
-    assert f.degree == 3
-    with pytest.raises(ValueError):
-        AsymptoticForm((Fraction(1),), ())
-
-
-def test_evaluate_polynomial_with_log():
-    # f(x) = x^2 + 3 x log x at x = 7
-    f = AsymptoticForm(
-        (Fraction(0), Fraction(0), Fraction(1)),
-        (Fraction(0), Fraction(3), Fraction(0)),
-    )
-    with CTX.workprec():
-        got = evaluate(f, 7, CTX)
-        want = BoundedReal.exact(49) + 3 * 7 * BoundedReal.exact(7).log()
-        assert got.agrees_with(want)
-        assert abs(float((got - want).value)) < 1e-25
 
 
 # -- power sums -------------------------------------------------------------------
@@ -138,6 +114,51 @@ def test_p_rk_form_r0_k1_is_stirling_sum():
             )
             got = p_rk_log(0, 1, n, CTX)
             assert abs(float((got - want).value)) < 1e-24
+
+
+def _power_sum(r, n):
+    return sum(mpf(v) ** r for v in range(1, n + 1))
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_q_r_log_matches_defining_sums(r):
+    # log Q_r(n) = (S_r(n) - zeta(-r)) log n + S_r(n; H_r - H_diamond), with
+    # S_r(n; f) = sum_j C(r,j) (-1)^(r-j) B_(r-j) n^(j+1) f(j+1)/(j+1)
+    def harmonic(m):
+        return sum(mpf(1) / i for i in range(1, m + 1))
+
+    with mp.workdps(45):
+        for n in (5, 50):
+            got = q_r_log(r, n, CTX)
+            rest = sum(
+                math.comb(r, j) * (-1) ** (r - j) * mpmath.bernoulli(r - j)
+                * mpf(n) ** (j + 1) * (harmonic(r) - harmonic(j + 1)) / (j + 1)
+                for j in range(r + 1)
+            )
+            ref = (_power_sum(r, n) - mpmath.zeta(-r)) * mpmath.log(n) + rest
+            assert abs(got.value - ref) <= got.abs_err + mpf(10) ** (-30)
+            assert got.abs_err < mpf(10) ** (-25) * abs(ref)
+
+
+@pytest.mark.parametrize("r, k", [(r, k) for r in (1, 2, 3) for k in (2, 3)])
+def test_p_rk_log_matches_defining_sums(r, k):
+    # log P_{r,k}(n) = (1/2) S_r(n) log(2 pi k) + k S_{r+1}(n) log(k/e)
+    #                  + N_{r+2,k} log n + sum_j N_{2j,k} S_{r+1-2j}(n)
+    def n_ref(m):
+        return mpmath.bernoulli(m) / (m * (m - 1) * mpf(k) ** (m - 1))
+
+    with mp.workdps(45):
+        for n in (5, 40):
+            got = p_rk_log(r, k, n, CTX)
+            ref = (
+                _power_sum(r, n) * mpmath.log(2 * mp.pi * k) / 2
+                + k * _power_sum(r + 1, n) * (mpmath.log(k) - 1)
+                + n_ref(r + 2) * mpmath.log(n)
+                + sum(n_ref(2 * j) * _power_sum(r + 1 - 2 * j, n)
+                      for j in range(1, (r + 1) // 2 + 1))
+            )
+            assert abs(got.value - ref) <= got.abs_err + mpf(10) ** (-30)
+            assert got.abs_err < mpf(10) ** (-25) * abs(ref)
 
 
 def test_p_rk_form_rejects_bad_arguments():

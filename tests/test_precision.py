@@ -17,7 +17,6 @@ from bernfac.precision import (
     _decimal,
     PrecisionContext,
     PrecisionError,
-    certified_eval,
     format_bound,
     is_certified,
     make_context,
@@ -486,27 +485,3 @@ def test_format_bound():
     assert format_bound(mpf("6.002e-4")) == "6.002e-4"
     assert format_bound(mpf("1.948e-12")) == "1.948e-12"
     assert format_bound(mpf("0.123"), sig=2) == "1.2e-1"
-
-
-# -- certified evaluation -----------------------------------------------------
-
-def test_certified_eval_retries_with_wider_guard():
-    calls = []
-
-    def fn(ctx):
-        calls.append(ctx.guard_digits)
-        if ctx.guard_digits < 20:
-            return BoundedReal(mpf(1), mpf(1))
-        return BoundedReal(mpf(1), mpf("1e-30"))
-
-    result = certified_eval(fn, make_context(10))
-    assert calls == [10, 20]
-    assert is_certified(result, 10)
-
-
-def test_certified_eval_gives_up():
-    def fn(ctx):
-        return BoundedReal(mpf(1), mpf(1))
-
-    with pytest.raises(PrecisionError):
-        certified_eval(fn, make_context(10))

@@ -4,6 +4,7 @@ The oracles themselves are validated against tiny brute-force products
 before the suites that rely on them are exercised.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from bernfac.special import dedekind_eta_imag, partition_count, pi_const
 from bernfac.verify import (
     IdentityReport,
     RatioReport,
-    WEIGHTED_SPLIT_INT_BITS,
     VerificationFailure,
     _abelian_count_sums,
     _multiple_of_four_grid,
@@ -241,6 +241,18 @@ def test_report_helpers():
 
 # -- identity suite ----------------------------------------------------------------
 
+def _weighted_split_ints(r, n):
+    """Both sides of the weighted split at (r, n) as big integers."""
+    s = list(itertools.accumulate((v ** r for v in range(1, n + 1)), initial=0))
+    lhs = math.factorial(n) ** s[n]
+    for v in range(1, n + 1):
+        lhs *= v ** (v ** r)
+    rhs = 1
+    for v in range(1, n + 1):
+        rhs *= math.factorial(v) ** (v ** r) * v ** s[v]
+    return lhs, rhs
+
+
 def test_identity_suite_passes_and_covers_expected_families():
     reports = identity_suite()
     assert len(reports) == 755
@@ -255,22 +267,22 @@ def test_identity_suite_passes_and_covers_expected_families():
     assert len(by_name["weighted-factorial-split"]) == 75
     assert len(by_name["rising-product-gamma"]) == 300
     assert len(by_name["telescope-matrix-inverse"]) == 49
-    # every weighted split compares prime-exponent vectors; the 70 whose
-    # sides stay below the cap also compare the big integers, which the
-    # vectors must factor exactly
+    # every weighted split compares prime-exponent vectors; for the 70 whose
+    # sides stay below 2^20 bits, the big integers are the reference that
+    # the vectors must factor exactly
     built = []
     for rep in by_name["weighted-factorial-split"]:
-        (lhs_e, lhs_int), (rhs_e, rhs_int) = rep.lhs, rep.rhs
-        assert lhs_e == rhs_e
-        if lhs_int is None:
+        r, n = rep.params["r"], rep.params["n"]
+        assert rep.lhs == rep.rhs
+        if r == 4 and n > 10:
             continue
-        built.append((rep.params["r"], rep.params["n"]))
+        built.append((r, n))
+        lhs_int, rhs_int = _weighted_split_ints(r, n)
         assert lhs_int == rhs_int
-        assert lhs_int.bit_length() <= WEIGHTED_SPLIT_INT_BITS
-        primes = primes_up_to(rep.params["n"])
-        assert math.prod(p**e for p, e in zip(primes, lhs_e)) == lhs_int
+        assert lhs_int.bit_length() <= 1 << 20
+        primes = primes_up_to(n)
+        assert math.prod(p**e for p, e in zip(primes, rep.lhs)) == lhs_int
     assert len(built) == 70
-    assert {(4, n) for n in range(11, 16)}.isdisjoint(built)
     mass = by_name["even-lattice-mass-at-8"]
     assert len(mass) == 1
     assert mass[0].status == "exact-equal"
@@ -280,8 +292,8 @@ def test_identity_suite_passes_and_covers_expected_families():
 
 @pytest.mark.parametrize("case", [(2, 7), (4, 15)])
 def test_weighted_split_rejects_perturbed_exponent(monkeypatch, case):
-    # (2, 7) also builds its big integers; (4, 15) is above the cap, so
-    # only the vector comparison can catch the perturbation there
+    # one case whose big integers the identity-suite test builds, and one
+    # too large for them
     exponents = verify._weighted_split_exponents
 
     def perturbed(r, n, primes):
