@@ -20,7 +20,6 @@ from bernfac.constants import (
     f_infty_refined,
     f_infty_weak,
     f_k_closed,
-    f_k_series,
     f_k_via_linear_system,
     f_r1,
     f_rk_series,
@@ -37,7 +36,6 @@ _VERIFY_NAMES = (
     "abelian_average_check",
     "eta_identity_check",
     "exact_bernoulli_product",
-    "exact_factorial_product",
     "identity_suite",
     "milnor_equivalence_check",
     "ratio_suite",
@@ -64,7 +62,6 @@ __all__ = [
     "f_infty_refined",
     "f_infty_weak",
     "f_k_closed",
-    "f_k_series",
     "f_k_via_linear_system",
     "f_r1",
     "f_rk_series",
@@ -76,7 +73,6 @@ __all__ = [
     "abelian_average_check",
     "eta_identity_check",
     "exact_bernoulli_product",
-    "exact_factorial_product",
     "identity_suite",
     "milnor_equivalence_check",
     "ratio_suite",

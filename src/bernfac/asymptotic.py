@@ -18,16 +18,11 @@ from bernfac.precision import BoundedReal, PrecisionContext
 from bernfac.special import bernoulli, harmonic, log_two_pi, pi_const, zeta_neg_int
 
 Coeff = Union[Fraction, BoundedReal]
-Exactish = Union[int, Fraction]
 
 
 def _signed_bernoulli(m: int) -> Fraction:
     # (-1)^m B_m: flips B_1 to +1/2, leaves every other index unchanged
     return Fraction((-1) ** m) * bernoulli(m)
-
-
-def _is_zero(c: Coeff) -> bool:
-    return isinstance(c, Fraction) and c == 0
 
 
 # -- power sums ---------------------------------------------------------------
@@ -42,36 +37,21 @@ def s_r_coeffs(r: int) -> list:
     ]
 
 
-def s_r(r: int, n: Union[Exactish, BoundedReal]):
-    """S_r(n) via the Bernoulli closed form; exact for exact n."""
+def s_r(r: int, n: int) -> Fraction:
+    """S_r(n) via the Bernoulli closed form, exact."""
     return s_r_weighted(r, n, lambda i: Fraction(1))
 
 
-def s_r_weighted(
-    r: int,
-    n: Union[Exactish, BoundedReal],
-    weight: Callable[[int], Coeff],
-):
+def s_r_weighted(r: int, n: int, weight: Callable[[int], Coeff]):
     """S_r(n; f) = sum_j C(r,j) (-1)^(r-j) B_(r-j) n^(j+1) f(j+1)/(j+1).
 
-    weight receives the index j+1 (the diamond slot). Exact inputs with
-    exact weights give a Fraction; BoundedReal anywhere gives BoundedReal.
+    weight receives the index j+1 (the diamond slot). Exact weights give a
+    Fraction; BoundedReal weights give a BoundedReal.
     """
-    coeffs = s_r_coeffs(r)
-    if isinstance(n, int):
-        n = Fraction(n)
     total: Coeff = Fraction(0)
-    for j in range(r + 1):
-        if coeffs[j] == 0:
-            continue
-        w = weight(j + 1)
-        if _is_zero(w):
-            continue
-        if isinstance(n, Fraction):
-            npow: Coeff = n ** (j + 1)
-        else:
-            npow = n.pow_int(j + 1)
-        total = total + coeffs[j] * w * npow
+    for j, c in enumerate(s_r_coeffs(r)):
+        if c != 0:
+            total = total + c * weight(j + 1) * Fraction(n) ** (j + 1)
     return total
 
 

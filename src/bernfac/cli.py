@@ -33,7 +33,7 @@ _ROUTES = {
     "C3": ("c_constant", 3),
     "A_r": ("glaisher_a", ("r", 1)),
     "F_k": ("f_k_closed", ("k", 1)),
-    "F_k_series": ("f_k_series", ("k", 1)),
+    "F_k_series": ("f_rk_series", 0, ("k", 1)),
     "F_inf": ("f_infty_refined", ("n", 7), ("m", 17)),
     "F_inf_weak": ("f_infty_weak",),
     "F_r1": ("f_r1", ("r", 0)),
@@ -116,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_options(p, *options):
-        # run reports an option p does not read against p's own usage
+        # run reports an option p does not read, or a bad --digits, against
+        # p's own usage
         p.set_defaults(subparser=p)
         p.add_argument("--digits", type=int, default=20,
                        help="printed digit characters (default 20)")
@@ -248,7 +249,7 @@ def run(argv=None) -> int:
     if unread:
         args.subparser.error(f"unrecognized arguments: {' '.join(unread)}")
     if args.digits < 1:
-        parser.error("--digits must be >= 1")
+        args.subparser.error("--digits must be >= 1")
     handlers = {
         "constant": _cmd_constant,
         "table": _cmd_table,

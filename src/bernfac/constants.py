@@ -41,7 +41,6 @@ from bernfac.special import (
     harmonic,
     log_gamma_rational,
     log_two_pi,
-    pi_const,
     zeta_family,
     zeta_int,
     zeta_neg_int,
@@ -277,15 +276,6 @@ def f_rk_series(r: int, k: int, ctx: PrecisionContext) -> ConstantReport:
             "bound": format_bound(bound),
             "bound_float": float(bound),
         },
-    )
-
-
-def f_k_series(k: int, ctx: PrecisionContext) -> ConstantReport:
-    """F_k by its divergent series (the r=0 case of f_rk_series)."""
-    rep = f_rk_series(0, k, ctx)
-    params = {key: rep.params[key] for key in ("k", "m", "bound", "bound_float")}
-    return ConstantReport(
-        name=f"F_{k}", value=rep.value, method="divergent_series", params=params
     )
 
 
@@ -579,29 +569,6 @@ def f_r1(r: int, ctx: PrecisionContext) -> ConstantReport:
         method="closed_form",
         params={"r": r, "alpha": alphas},
     )
-
-
-def f_r1_log_zeta_form(r: int, ctx: PrecisionContext) -> BoundedReal:
-    """log F_{r,1} for odd r as a real zeta series.
-
-    (-1)^((r-1)/2) (r!/2) [ |B_{r+1}|/(r (r+1)!)
-      + sum_{j=1..(r-1)/2} |B_{r+1-2j}| zeta(2j+1)/((r+1-2j)! (2pi)^(2j))
-      - (r+2) zeta(r+2)/(2pi)^(r+1) ].
-    """
-    if r < 1 or r % 2 == 0:
-        raise ValueError("the zeta form applies to odd r >= 1")
-    with ctx.workprec():
-        two_pi = pi_const(ctx) * 2
-        acc = BoundedReal.exact(
-            Fraction(abs(bernoulli(r + 1)), r * math.factorial(r + 1))
-        )
-        for j in range(1, (r - 1) // 2 + 1):
-            acc = acc + zeta_int(2 * j + 1, ctx) * Fraction(
-                abs(bernoulli(r + 1 - 2 * j)), math.factorial(r + 1 - 2 * j)
-            ) / two_pi.pow_int(2 * j)
-        acc = acc - zeta_int(r + 2, ctx) * Fraction(r + 2) / two_pi.pow_int(r + 1)
-        sign = (-1) ** ((r - 1) // 2)
-        return acc * Fraction(sign * math.factorial(r), 2)
 
 
 # -- Bernoulli-product constants -----------------------------------------------

@@ -13,8 +13,8 @@ its tail bound, even s below that range exactly from |B_2j| (2 pi)^(2j) /
 (2 (2j)!), and odd s by Euler-Maclaurin, whose remainder is below the first
 omitted correction since x^-s is completely monotone. zeta'(s) takes the
 same split, with log v built from the logs of primes and the integral form
-of the Euler-Maclaurin remainder. The q-product of eta(i t) runs in the
-same units, as two integer chains that bound it from above and below.
+of the Euler-Maclaurin remainder. eta(i t) is Euler's pentagonal series
+on the same engine, after a modular step that keeps q below 2^-9.
 """
 
 from __future__ import annotations
@@ -25,16 +25,13 @@ import threading
 from fractions import Fraction
 from typing import Union
 
-from mpmath import mpf
 from mpmath.libmp import (
-    fone,
     from_int,
     from_man_exp,
     mpf_euler,
     mpf_log,
     mpf_pi,
     mpf_shift,
-    mpf_sub,
     round_ceiling,
     round_floor,
     round_nearest,
@@ -45,8 +42,6 @@ from bernfac.precision import (
     BoundedReal,
     PrecisionContext,
     PrecisionError,
-    _add_up,
-    _mul_up,
     _raw,
     _ulp_slop,
 )
@@ -512,69 +507,40 @@ def log_gamma_rational(x: Fraction, ctx: PrecisionContext) -> BoundedReal:
 
 # -- Dedekind eta on the imaginary axis --------------------------------------
 
-def _eta_q_product(qlo: int, qhi: int, P: int, g: int) -> tuple:
-    """(low, high, scale, V) for q in [qlo, qhi] units of 2^-P, qhi < 2^P.
-
-    V is the least index with q^(V+1)/(1-q)^2 < 2^-g at q = qhi 2^-P, an
-    integer test, and prod_{v<=V} (1 - q^v) lies in [low, high] units of
-    2^-scale. The product falls as q rises, so high comes from qlo and low
-    from qhi, each chain with every floor taken in its own direction. Both
-    are shifted up together whenever high drops below 2^(P-1), so that a
-    small product keeps P significant bits.
-    """
-    one = 1 << P
-    low = high = one
-    scale = P
-    qlo_pow = qhi_pow = one  # qlo^V rounded down, qhi^V rounded up
-    V = 0
-    while (qhi_pow * qhi) << g >= (one - qhi) ** 2:
-        qlo_pow = qlo_pow * qlo >> P
-        ceil_pow = -(-qhi_pow * qhi >> P)
-        if ceil_pow == qhi_pow:  # stuck: q is too close to 1
-            raise PrecisionError("eta product did not converge")
-        qhi_pow = ceil_pow
-        high = -(-high * (one - qlo_pow) >> P)
-        low = low * (one - qhi_pow) >> P
-        shift = P - high.bit_length()
-        if shift > 0:
-            high <<= shift
-            low <<= shift
-            scale += shift
-        V += 1
-    return low, high, scale, V
-
-
 def dedekind_eta_imag(t: Union[BoundedReal, Fraction, int], ctx: PrecisionContext) -> BoundedReal:
-    """eta(i t) = e^(-pi t/12) prod_{v>=1} (1 - e^(-2 pi v t)) for t > 0.
+    """eta(i t) for t > 0, by Euler's pentagonal number theorem.
 
-    q = e^(-2 pi t) is enclosed by integers qlo <= qhi in units of 2^-P
-    (_fixed_point_plan, plus 3 log2(1/(1-q)) bits when q is near 1), and
-    _eta_q_product bounds the product up to the first V with
-    q^(V+1)/(1-q)^2 < 2^-g. That bounds the log of the omitted factors,
-    and 2 * 2^-g * |result| joins the radius.
+    eta(i t) = e^(-pi t/12) sum_k (-1)^k q^(k(3k-1)/2) over all integers k,
+    q = e^(-2 pi t). A t below 1 (on the midpoint) first takes the modular
+    step eta(i t) = eta(i/t) / sqrt(t), so q <= e^(-2 pi) < 2^-9. The series
+    is one _sum_units source in units of 2^-P (_fixed_point_plan): with q
+    in [qlo, qhi] units, q^e lies between floor(qlo^e) and ceil(qhi^e), and
+    as q < 1/2 the terms from q^e on sum to less than q^e/(1-q) < 2 q^e.
     """
     g, P = _fixed_point_plan(ctx)
+    one = 1 << P
     with ctx.workprec():
         tb = t if isinstance(t, BoundedReal) else BoundedReal.exact(t)
         if tb.lower() <= 0:
             raise ValueError("dedekind_eta_imag needs t > 0")
+        if tb.value < 1:
+            return dedekind_eta_imag(1 / tb, ctx) / tb.sqrt()
         pi_t = pi_const(ctx) * tb
-        prefactor = (-pi_t / 12).exp()
-        q = (-pi_t * 2).exp()
-        gap = mpf_sub(fone, q.upper()._mpf_, ctx.prec, round_floor)
-        if gap[0] or not gap[1]:
-            raise PrecisionError("e^(-2 pi t) is not enclosed below 1")
-        # the chains run about V ~ 1/(1-q) steps, each off by up to
-        # 1/(1-q)^2 units relative: 3 log2(1/(1-q)) more bits cover that;
-        # gap[2] + gap[3] is the binary magnitude of 1 - q
-        P += 3 * max(0, -(gap[2] + gap[3]))
-        qlo = max(0, to_int(mpf_shift(q.lower()._mpf_, P), round_floor))
-        qhi = to_int(mpf_shift(q.upper()._mpf_, P), round_ceiling)
-        low, high, scale, _ = _eta_q_product(qlo, qhi, P, g)
-        result = prefactor * _from_units(low + high, high - low, scale + 1)
-        # true = result * exp(-theta * tail), theta in (0,1), tail < 2^-g
-        tail_err = _mul_up(result.abs_upper(), mpf(2) ** (1 - g))
-        return BoundedReal(result.value, _add_up(result.abs_err, tail_err))
+        mid, rad = _to_units((-pi_t * 2).exp(), P)
+        qlo, qhi = max(0, mid - rad), mid + rad
+        if 2 * qhi >= one:
+            raise PrecisionError("e^(-2 pi t) is not enclosed below 1/2")
+
+        def pentagonal():
+            # the terms after the leading 1, k >= 1 with both signs of k
+            for k in itertools.count(1):
+                for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                    low = (qlo ** e << P) >> P * e
+                    high = -(-(qhi ** e << P) >> P * e)
+                    yield e, (-1) ** k * low, high - low, 2 * high
+
+        units, err, _ = _sum_units(pentagonal(), 1 << (P - g))
+        return (-pi_t / 12).exp() * _from_units(one + units, err, P)
 
 
 # -- abelian group counting ---------------------------------------------------

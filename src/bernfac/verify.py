@@ -50,7 +50,7 @@ from .special import (
     pi_const,
 )
 
-# exact_factorial_product refuses products projected to exceed this many bits
+# _check_oracle_cap refuses factorial products projected above this many bits
 ORACLE_BIT_CAP = 1 << 26
 
 DEFAULT_RATIO_GRID = (25, 50, 100)
@@ -149,7 +149,7 @@ def report_records(reports: Iterable) -> List[dict]:
 
 def _check_oracle_cap(k: int, n: int, r: int) -> None:
     """Refuse (OverflowError) a product prod_{v<=n} (kv)!^(v^r) projected
-    to exceed ORACLE_BIT_CAP bits, whether it is built or only logged."""
+    to exceed ORACLE_BIT_CAP bits, although it is only ever logged."""
     if k < 1 or n < 0 or r < 0:
         raise ValueError("need k >= 1, n >= 0, r >= 0")
     projected = sum(
@@ -161,31 +161,12 @@ def _check_oracle_cap(k: int, n: int, r: int) -> None:
         )
 
 
-def exact_factorial_product(k: int, n: int, r: int) -> int:
-    """Exact prod_{v=1..n} (k v)!^(v^r) as a big integer.
-
-    The exact reference for the ratio targets' prime-exponent logs.
-    Refuses (OverflowError) when the projected bit size exceeds
-    ORACLE_BIT_CAP.
-    """
-    _check_oracle_cap(k, n, r)
-    product = 1
-    fact = 1
-    arg = 0
-    for v in range(1, n + 1):
-        for i in range(arg + 1, k * v + 1):
-            fact *= i
-        arg = k * v
-        product *= pow(fact, v ** r)
-    return product
-
-
 def _factorial_product_exponents(k: int, n: int, r: int) -> List[tuple]:
     """[(p, e_p)] over the primes p <= kn with prod_{v<=n} (kv)!^(v^r) =
     prod p^(e_p): e_p = sum_v v^r nu_p((kv)!), by Legendre's formula.
 
     Exact by unique factorization, and never builds the product. Refuses
-    the same inputs as exact_factorial_product.
+    (OverflowError) a product projected to exceed ORACLE_BIT_CAP bits.
     """
     _check_oracle_cap(k, n, r)
     weights = [v ** r for v in range(1, n + 1)]

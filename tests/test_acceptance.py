@@ -20,11 +20,10 @@ from bernfac.constants import (
     f_infty_weak,
     f_k_closed,
     f_k_log_closed,
-    f_k_series,
     f_k_via_linear_system,
     f_r1,
     f_r1_log,
-    f_r1_log_zeta_form,
+    f_rk_series,
     gamma_product_constants,
     log_glaisher_a,
 )
@@ -42,6 +41,7 @@ from bernfac.verify import (
     milnor_equivalence_check,
     ratio_suite,
 )
+from references import f_r1_log_zeta_form
 
 CTX21 = make_context(21)
 
@@ -115,7 +115,7 @@ def test_criterion_02_f_k_results_table():
         assert closed.digits(21) == digits
         gap = _truncation_gap(closed, digits)
         assert 0 <= gap < Fraction(1, 10**20)
-        series = f_k_series(k, ctx40)
+        series = f_rk_series(0, k, ctx40)
         assert series.params["m"] == m
         if k == 1:
             # the certified k = 1 series bound is 6.002e-4; the expected

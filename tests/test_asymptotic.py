@@ -58,12 +58,6 @@ def test_s_r_weighted_picks_out_slots():
     assert got == coeffs[1] * Fraction(n) ** 2
 
 
-def test_s_r_weighted_bounded_real_input():
-    nb = BoundedReal.exact(10)
-    got = s_r_weighted(2, nb, lambda i: Fraction(1))
-    assert got.contains(385)
-
-
 # -- product main terms --------------------------------------------------------------
 
 def test_n_coeff_values():

@@ -140,6 +140,7 @@ def test_constant_rejects_bad_digits(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run(["constant", "C1", "--digits", "0"])
     assert excinfo.value.code == 2
+    assert "usage: bernfac constant" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -337,7 +338,8 @@ GOLDEN_JSON = {
             "bound": "6.002e-4",
             "bound_float": "0.0006002079032035255",
             "k": "1",
-            "m": "4"
+            "m": "4",
+            "r": "0"
         },
         "value": "1.0466401923416621295~"
     },
@@ -350,7 +352,8 @@ GOLDEN_JSON = {
             "bound": "1.198e-9",
             "bound_float": "1.1980392652583435e-09",
             "k": "3",
-            "m": "10"
+            "m": "10",
+            "r": "0"
         },
         "value": "1.0160405376835301611~"
     },

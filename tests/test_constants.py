@@ -21,12 +21,10 @@ from bernfac.constants import (
     f_infty_weak,
     f_k_closed,
     f_k_log_closed,
-    f_k_series,
     f_k_via_linear_system,
     f_r1,
     f_r1_alpha,
     f_r1_log,
-    f_r1_log_zeta_form,
     f_rk_series,
     gamma_product_constants,
     glaisher_a,
@@ -48,6 +46,7 @@ from bernfac.special import (
     zeta_int,
     zeta_prime_int,
 )
+from references import f_r1_log_zeta_form
 
 CTX = make_context(21)
 
@@ -214,7 +213,7 @@ def test_f_k_closed_cross_check_flag():
 
 def test_f_k_series_truncation_indices_and_bounds():
     for k, (m, bound) in F_K_SERIES_PARAMS.items():
-        rep = f_k_series(k, CTX)
+        rep = f_rk_series(0, k, CTX)
         assert rep.params["m"] == m
         assert rep.params["bound"] == bound
         assert rep.method == "divergent_series"
@@ -222,7 +221,7 @@ def test_f_k_series_truncation_indices_and_bounds():
 
 def test_f_k_series_agrees_with_closed_form():
     for k in range(1, 7):
-        series = f_k_series(k, CTX)
+        series = f_rk_series(0, k, CTX)
         closed = f_k_closed(k, CTX)
         assert series.value.agrees_with(closed.value)
         assert series.value.contains(mpf_to_fraction(closed.value.value))

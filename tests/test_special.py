@@ -6,7 +6,6 @@ sums or mpmath's own implementations for the transcendental ones.
 """
 
 import math
-import random
 from fractions import Fraction
 
 import mpmath
@@ -15,7 +14,12 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from bernfac import special
-from bernfac.precision import BoundedReal, make_context, mpf_to_fraction
+from bernfac.precision import (
+    BoundedReal,
+    PrecisionError,
+    make_context,
+    mpf_to_fraction,
+)
 from bernfac.special import (
     bernoulli,
     dedekind_eta_imag,
@@ -219,9 +223,9 @@ def test_f_infty_refined_runs_few_euler_maclaurin_sums(monkeypatch):
 
 def _zeta_prime_contains_mpmath(digits):
     # s = 30 takes the direct sum at 20 digits, and the other s
-    # Euler-Maclaurin; the reference runs at 3x working digits
+    # Euler-Maclaurin; the reference runs at working digits + 40
     ctx = make_context(digits)
-    with mp.workdps(3 * ctx.working_digits):
+    with mp.workdps(ctx.working_digits + 40):
         for s in (2, 3, 4, 5, 6, 7, 30):
             ours = zeta_prime_int(s, ctx)
             assert ours.contains(mp.zeta(s, derivative=1)), s
@@ -366,8 +370,8 @@ def test_eta_functional_equation():
 @pytest.mark.parametrize("t", [1000, 10**5])
 def test_eta_keeps_relative_precision_near_q_1(t):
     # eta(i/t) = sqrt(t) eta(i t) is about 6e-113 at t = 1000 and 5e-11368
-    # at t = 10^5; the q-product, with q near 1, must converge and keep the
-    # target digits relative to the value
+    # at t = 10^5; q = e^(-2 pi/t) is near 1, so eta(i/t) takes the modular
+    # step to eta(i t), and must keep the target digits relative to the value
     rel = mpf(10) ** -CTX.target_digits
     with CTX.workprec():
         small = dedekind_eta_imag(Fraction(1, t), CTX)
@@ -390,37 +394,15 @@ def test_eta_matches_truncated_q_product():
         assert abs(float((e - brute).value)) < 1e-25
 
 
-def test_eta_q_product_brackets_the_exact_product():
-    # dyadic q at a coarse unit 2^-48, where every floor shows
-    P, g = 48, 40
-    one = 1 << P
-    goal = Fraction(1, 2**g)
-    rng = random.Random(5)
-
-    def product(q, V):
-        return math.prod((1 - Fraction(q, one) ** v for v in range(1, V + 1)),
-                         start=Fraction(1))
-
-    def tail(q, V):
-        return Fraction(q, one) ** (V + 1) / (1 - Fraction(q, one)) ** 2
-
-    for _ in range(40):
-        qlo = rng.randrange(1, one // 2)
-        qhi = qlo + rng.randrange(3)
-        low, high, scale, V = special._eta_q_product(qlo, qhi, P, g)
-        assert Fraction(low, 2**scale) <= product(qhi, V)
-        assert product(qlo, V) <= Fraction(high, 2**scale)
-        assert tail(qhi, V) < goal <= tail(qhi, V - 1)
-        assert high.bit_length() == P  # P significant bits
-
-
 @pytest.mark.parametrize("digits", [20, 100])
 def test_eta_contains_mpmath_eta(digits):
-    # exact t, and t = log p / pi as an enclosure (the eta identity's inputs)
+    # exact t, and t = log p / pi as an enclosure (the eta identity's inputs);
+    # t = 999/1000, 1, 1001/1000 and p = 23, 29 sit at the modular switch t = 1
     ctx = make_context(digits)
     cases = [(t, lambda t=t: mpf(t.numerator) / t.denominator) for t in
-             (Fraction(1, 5), Fraction(1, 2), Fraction(1), Fraction(2))]
-    for p in (3, 9973):
+             (Fraction(1, 5), Fraction(1, 2), Fraction(999, 1000), Fraction(1),
+              Fraction(1001, 1000), Fraction(2))]
+    for p in (3, 23, 29, 9973):
         with ctx.workprec():
             t = BoundedReal.exact(p).log() / pi_const(ctx)
         cases.append((t, lambda p=p: mp.log(p) / mp.pi))
@@ -436,6 +418,13 @@ def test_eta_contains_mpmath_eta(digits):
 def test_eta_rejects_nonpositive_argument():
     with pytest.raises(ValueError):
         dedekind_eta_imag(0, CTX)
+
+
+def test_eta_refuses_a_t_too_wide_to_bound_q():
+    # midpoint 1 takes no modular step, yet q reaches e^(-pi/10) > 1/2,
+    # where 2 q^e no longer bounds the rest of the series
+    with pytest.raises(PrecisionError):
+        dedekind_eta_imag(BoundedReal(mpf(1), mpf("0.95")), CTX)
 
 
 # -- partitions and abelian group counts ----------------------------------------
