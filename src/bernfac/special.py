@@ -132,14 +132,21 @@ def euler_gamma(ctx: PrecisionContext) -> BoundedReal:
 
 
 def log_two_pi(ctx: PrecisionContext) -> BoundedReal:
-    with ctx.workprec():
-        return (pi_const(ctx) * 2).log()
+    """log(2 pi) at ctx, once per context (clear_zeta_cache drops it)."""
+    key = ("log_two_pi", ctx.target_digits, ctx.guard_digits)
+    value = _zeta_cache.get(key)
+    if value is None:
+        with ctx.workprec():
+            value = (pi_const(ctx) * 2).log()
+        with _lock:
+            value = _zeta_cache.setdefault(key, value)
+    return value
 
 
 # -- Riemann zeta at integers -----------------------------------------------
 
-# zeta_int values, write-once per (s, target_digits, guard_digits), filled by
-# zeta_family. Racing fills compute identical values; setdefault keeps one.
+# Write-once: zeta_int per (s, target, guard), filled by zeta_family, and
+# log_two_pi. Racing fills compute identical values; setdefault keeps one.
 _zeta_cache: dict = {}
 
 
@@ -512,10 +519,11 @@ def dedekind_eta_imag(t: Union[BoundedReal, Fraction, int], ctx: PrecisionContex
 
     eta(i t) = e^(-pi t/12) sum_k (-1)^k q^(k(3k-1)/2) over all integers k,
     q = e^(-2 pi t). A t below 1 (on the midpoint) first takes the modular
-    step eta(i t) = eta(i/t) / sqrt(t), so q <= e^(-2 pi) < 2^-9. The series
-    is one _sum_units source in units of 2^-P (_fixed_point_plan): with q
-    in [qlo, qhi] units, q^e lies between floor(qlo^e) and ceil(qhi^e), and
-    as q < 1/2 the terms from q^e on sum to less than q^e/(1-q) < 2 q^e.
+    step eta(i t) = eta(i/t) / sqrt(t), so q <= e^(-2 pi) < 2^-9. One exp
+    gives w = e^(-pi t/12) in [wlo, whi] units of 2^-P (_fixed_point_plan),
+    so q = w^24 in [floor(wlo^24 / 2^(23 P)), ceil(whi^24 / 2^(23 P))]. In
+    the series, one _sum_units source, q^e lies between floor(qlo^e) and
+    ceil(qhi^e), and the terms from q^e on sum to less than 2 q^e (q < 1/2).
     """
     g, P = _fixed_point_plan(ctx)
     one = 1 << P
@@ -525,9 +533,10 @@ def dedekind_eta_imag(t: Union[BoundedReal, Fraction, int], ctx: PrecisionContex
             raise ValueError("dedekind_eta_imag needs t > 0")
         if tb.value < 1:
             return dedekind_eta_imag(1 / tb, ctx) / tb.sqrt()
-        pi_t = pi_const(ctx) * tb
-        mid, rad = _to_units((-pi_t * 2).exp(), P)
-        qlo, qhi = max(0, mid - rad), mid + rad
+        w = (-(pi_const(ctx) * tb) / 12).exp()
+        mid, rad = _to_units(w, P)
+        qlo = max(0, mid - rad) ** 24 >> 23 * P
+        qhi = -(-(mid + rad) ** 24 >> 23 * P)
         if 2 * qhi >= one:
             raise PrecisionError("e^(-2 pi t) is not enclosed below 1/2")
 
@@ -540,7 +549,7 @@ def dedekind_eta_imag(t: Union[BoundedReal, Fraction, int], ctx: PrecisionContex
                     yield e, (-1) ** k * low, high - low, 2 * high
 
         units, err, _ = _sum_units(pentagonal(), 1 << (P - g))
-        return (-pi_t / 12).exp() * _from_units(one + units, err, P)
+        return w * _from_units(one + units, err, P)
 
 
 # -- abelian group counting ---------------------------------------------------

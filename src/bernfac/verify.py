@@ -52,6 +52,7 @@ from .special import (
 
 # _check_oracle_cap refuses factorial products projected above this many bits
 ORACLE_BIT_CAP = 1 << 26
+ETA_PRIME_BOUND_CAP = 10 ** 6  # eta_identity_check's largest P, about 11 s
 
 DEFAULT_RATIO_GRID = (25, 50, 100)
 DEFAULT_MILNOR_GRID = (10, 100, 1000)
@@ -407,10 +408,11 @@ def _telescope_matrix_inverse(reports, max_k):
         mt = m_tilde_matrix(k)
         product = []
         for row in m:  # bidiagonal plus one full row: O(k^2) in all
-            nonzero = [(t, x) for t, x in enumerate(row) if x]
-            product.append(
-                [sum(x * mt[t][j] for t, x in nonzero) for j in range(k)]
-            )
+            acc = [0] * k
+            for t, x in enumerate(row):
+                if x:
+                    acc = [a + x * b for a, b in zip(acc, mt[t])]
+            product.append(acc)
         expected = [[k if i == j else 0 for j in range(k)] for i in range(k)]
         _expect_equal(
             reports, "telescope-matrix-inverse", {"k": k}, product, expected
@@ -611,19 +613,23 @@ def eta_identity_check(prime_bound: int, ctx: PrecisionContext) -> IdentityRepor
     exceeds the limit. The omitted log-mass over primes p > P (all odd) is
     majorized by the sum over odd integers m > P of m^(-2) + 2 m^(-4), which
     is below 1/(2(P-1)) + (4/3)(P-1)^(-3); this is folded into the tolerance.
+    One exp gives prod p^(1/12); a P above ETA_PRIME_BOUND_CAP is refused.
     """
     if prime_bound < 3:
         raise ValueError("need prime_bound >= 3")
+    if prime_bound > ETA_PRIME_BOUND_CAP:
+        raise ValueError(f"need prime_bound <= {ETA_PRIME_BOUND_CAP}")
     primes = primes_up_to(prime_bound)
-    with ctx.workprec():
+    # 12 more digits keep the rounding of the sums of log p (up to ~P) small
+    with PrecisionContext(ctx.target_digits, ctx.guard_digits + 12).workprec():
         pi = pi_const(ctx)
-        acc = BoundedReal.exact(1)
+        acc, log_sum = BoundedReal.exact(1), BoundedReal.exact(0)
         for p in primes:
             log_p = log_exact_int(p, ctx)
-            factor = (Fraction(1, 12) * log_p).exp() * dedekind_eta_imag(
-                log_p / pi, ctx
-            )
-            acc = acc * factor
+            log_sum = log_sum + log_p
+            acc = acc * dedekind_eta_imag(log_p / pi, ctx)
+    with ctx.workprec():
+        acc = acc * (log_sum / 12).exp()
         target = BoundedReal.exact(1) / c_constant(2, ctx).value
         diff = acc - target
         gap = abs(float(diff.value))

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import pytest
 
-from bernfac.asymptotic import milnor_f_log, milnor_g_log
 from bernfac.constants import (
     b_family,
     c_constant,
@@ -19,7 +18,6 @@ from bernfac.constants import (
     f_infty_refined,
     f_infty_weak,
     f_k_closed,
-    f_k_log_closed,
     f_k_via_linear_system,
     f_r1,
     f_r1_log,

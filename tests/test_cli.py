@@ -106,14 +106,20 @@ def test_constant_looks_routes_up_when_called(capsys, monkeypatch):
     assert asked == [2]
 
 
-def test_constant_a_r_30_prints_within_seconds():
-    # A_30 is about 2.87e+65315813: printing it must not build 10^q for
-    # q near -6.5e7, so the request ends well within 5 s
+def _subprocess_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")])
     )
+    return env
+
+
+def test_constant_a_r_30_prints_within_seconds():
+    # A_30 is about 2.87e+65315813: printing it must not build 10^q for
+    # q near -6.5e7, so the request ends well within 5 s
+    env = _subprocess_env()
     done = subprocess.run(
         [sys.executable, "-m", "bernfac", "constant", "A_r", "--r", "30",
          "--digits", "40"],
@@ -702,6 +708,18 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert out.splitlines()[-1] == "1 checks, FAIL"
 
 
+def test_verify_eta_refuses_a_prime_bound_past_its_limit():
+    # 10^6 takes about 11 s; one past it is refused before any work
+    done = subprocess.run(
+        [sys.executable, "-m", "bernfac", "verify", "eta",
+         "--prime-bound", "1000001"],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: need prime_bound <= 1000000\n"
+
+
 # -- closed pipe ------------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [
@@ -709,11 +727,7 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 ])
 def test_closed_stdout_exits_one_without_a_traceback(argv):
     # the reader is gone before the first write, as in `bernfac ... | head -0`
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")])
-    )
+    env = _subprocess_env()
     proc = subprocess.Popen([sys.executable, "-m", "bernfac", *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()
@@ -727,11 +741,7 @@ def test_closed_stdout_exits_one_without_a_traceback(argv):
 # -- import cost ------------------------------------------------------------------
 
 def test_cli_import_leaves_verify_unloaded():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")])
-    )
+    env = _subprocess_env()
     probe = (
         "import sys, bernfac.cli\n"
         "assert 'bernfac.verify' not in sys.modules\n"

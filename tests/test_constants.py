@@ -43,7 +43,6 @@ from bernfac.special import (
     euler_gamma,
     log_two_pi,
     pi_const,
-    zeta_int,
     zeta_prime_int,
 )
 from references import f_r1_log_zeta_form

@@ -10,12 +10,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
-from bernfac import special
+from bernfac import constants, special
 from bernfac.precision import (
     BoundedReal,
+    PrecisionContext,
     PrecisionError,
     make_context,
     mpf_to_fraction,
@@ -127,6 +128,20 @@ def test_engine_constants_are_certified():
         assert float(pi.abs_err) < 1e-25
         l2p = log_two_pi(CTX)
         assert abs(float(l2p.value) - math.log(2 * math.pi)) < 1e-12
+
+
+def test_log_two_pi_is_kept_per_context_until_the_cache_is_cleared():
+    ctx = PrecisionContext(37, 13)
+    constants.clear_cache()
+    first = log_two_pi(ctx)
+    assert log_two_pi(ctx) is first
+    with ctx.workprec():
+        fresh = (pi_const(ctx) * 2).log()
+    assert (first._v, first._e) == (fresh._v, fresh._e)
+    constants.clear_cache()
+    assert not [key for key in special._zeta_cache if key[0] == "log_two_pi"]
+    again = log_two_pi(ctx)
+    assert again is not first and again == first
 
 
 # -- zeta at positive integers ------------------------------------------------
@@ -425,6 +440,17 @@ def test_eta_refuses_a_t_too_wide_to_bound_q():
     # where 2 q^e no longer bounds the rest of the series
     with pytest.raises(PrecisionError):
         dedekind_eta_imag(BoundedReal(mpf(1), mpf("0.95")), CTX)
+
+
+def test_eta_takes_one_exp(monkeypatch):
+    # w = e^(-pi t/12) is the only exp; q = w^24 comes from w's units
+    with CTX.workprec():
+        t = BoundedReal.exact(9973).log() / pi_const(CTX)
+    calls = []
+    exp = BoundedReal.exp
+    monkeypatch.setattr(BoundedReal, "exp", lambda x: calls.append(x) or exp(x))
+    dedekind_eta_imag(t, CTX)
+    assert len(calls) == 1
 
 
 # -- partitions and abelian group counts ----------------------------------------

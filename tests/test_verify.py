@@ -10,9 +10,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from bernfac import precision, verify
+from bernfac.constants import c_constant, m_tilde_matrix
 from bernfac.precision import BoundedReal, make_context, mpf_to_fraction
 from bernfac.special import dedekind_eta_imag, partition_count, pi_const
 from bernfac.verify import (
@@ -276,6 +277,19 @@ def test_identity_suite_passes_and_covers_expected_families():
     assert all(math.isfinite(rep.gap) for rep in reports)
 
 
+def test_telescope_check_catches_one_entry_off_by_one(monkeypatch):
+    def mutant(k):
+        rows = m_tilde_matrix(k)
+        if k == 17:
+            rows[-1][5] += 1
+        return rows
+
+    monkeypatch.setattr(verify, "m_tilde_matrix", mutant)
+    with pytest.raises(VerificationFailure) as info:
+        verify._telescope_matrix_inverse([], 50)
+    assert info.value.report.params == {"k": 17}
+
+
 @pytest.mark.parametrize("case", [(2, 7), (4, 15)])
 def test_weighted_split_rejects_perturbed_exponent(monkeypatch, case):
     # one case whose big integers the identity-suite test builds, and one
@@ -392,6 +406,23 @@ def test_eta_identity_check_small_bound():
 def test_eta_identity_check_validation():
     with pytest.raises(ValueError):
         eta_identity_check(2, CTX)
+
+
+def test_eta_identity_check_refuses_a_prime_bound_above_its_cap():
+    # refused before any prime is sieved
+    with pytest.raises(ValueError, match="prime_bound <= 1000000"):
+        eta_identity_check(verify.ETA_PRIME_BOUND_CAP + 1, CTX)
+
+
+def test_eta_identity_check_takes_few_exps(monkeypatch):
+    # one exp per eta, one more per sqrt of the modular step (p < e^pi,
+    # 9 primes) and one for prod p^(1/12): 35 for the 25 primes to 100
+    c_constant(2, CTX)
+    calls = []
+    exp = BoundedReal.exp
+    monkeypatch.setattr(BoundedReal, "exp", lambda x: calls.append(x) or exp(x))
+    assert eta_identity_check(100, CTX).status == "within-bounds"
+    assert len(calls) <= 40
 
 
 # -- abelian averages -----------------------------------------------------------------
