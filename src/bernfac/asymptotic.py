@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable
 
 from bernfac.precision import BoundedReal, PrecisionContext
 from bernfac.special import bernoulli, harmonic, log_two_pi, pi_const, zeta_neg_int
-
-Coeff = Union[Fraction, BoundedReal]
 
 
 def _signed_bernoulli(m: int) -> Fraction:
@@ -42,13 +40,12 @@ def s_r(r: int, n: int) -> Fraction:
     return s_r_weighted(r, n, lambda i: Fraction(1))
 
 
-def s_r_weighted(r: int, n: int, weight: Callable[[int], Coeff]):
+def s_r_weighted(r: int, n: int, weight: Callable[[int], Fraction]):
     """S_r(n; f) = sum_j C(r,j) (-1)^(r-j) B_(r-j) n^(j+1) f(j+1)/(j+1).
 
-    weight receives the index j+1 (the diamond slot). Exact weights give a
-    Fraction; BoundedReal weights give a BoundedReal.
+    weight receives the index j+1 (the diamond slot).
     """
-    total: Coeff = Fraction(0)
+    total = Fraction(0)
     for j, c in enumerate(s_r_coeffs(r)):
         if c != 0:
             total = total + c * weight(j + 1) * Fraction(n) ** (j + 1)

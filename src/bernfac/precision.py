@@ -18,7 +18,8 @@ Rounding: each operation rounds its midpoint to nearest at the working
 precision and adds |v| * 2^(4 - prec) to the radius for that rounding.
 Radii are summed, multiplied and divided at RADIUS_PREC = 64 bits, always
 rounded upward. upper() and lower() give the interval ends at working
-precision, rounded with ceiling and floor.
+precision, rounded with ceiling and floor. Every directed sum of a midpoint
+and a radius goes through _directed, which avoids a wrong-side rounding.
 
 Printing: round_to_digits, is_certified and _decimal read the raw
 midpoint and radius. One integer scaling of the mantissa by 10^q (from a
@@ -139,6 +140,23 @@ def _ulp_slop(t: tuple, prec: int) -> tuple:
     return normalize(0, man, exp + 4 - prec, bc, RADIUS_PREC, round_ceiling)
 
 
+def _directed(op, v: tuple, e: tuple, prec: int, rnd) -> tuple:
+    """v + e or v - e (op mpf_add or mpf_sub) for a radius e, rounded to
+    prec bits in direction rnd.
+
+    mpf_add counts an operand whose exponent is over 100 bits below the
+    other's as lying below all of the other's bits, which rounds the wrong
+    way if the larger is longer than prec and the smaller reaches into it.
+    That needs an operand over 100 bits long and one over prec bits. A
+    radius of at most min(prec, 64) bits, as BoundedReal operations make,
+    rules it out; a longer one is rounded up, and v outward, to prec bits.
+    """
+    if e[3] > min(prec, RADIUS_PREC):
+        v = normalize(*v, prec, rnd) if v[3] > prec else v
+        e = normalize(*e, prec, round_ceiling) if e[3] > prec else e
+    return op(v, e, prec, rnd)
+
+
 def _add_up(*xs) -> mpf:
     """Upper bound for the sum of nonnegative mpf radii, at RADIUS_PREC bits."""
     acc = fzero
@@ -255,13 +273,14 @@ class BoundedReal:
     # -- interval views ----------------------------------------------------
 
     def upper(self) -> mpf:
-        return _make_mpf(mpf_add(self._v, self._e, _get_prec(), round_ceiling))
+        return _make_mpf(_directed(mpf_add, self._v, self._e, _get_prec(), round_ceiling))
 
     def lower(self) -> mpf:
-        return _make_mpf(mpf_sub(self._v, self._e, _get_prec(), round_floor))
+        return _make_mpf(_directed(mpf_sub, self._v, self._e, _get_prec(), round_floor))
 
     def abs_upper(self) -> mpf:
-        return _make_mpf(mpf_add(mpf_abs(self._v), self._e, _get_prec(), round_ceiling))
+        v = mpf_abs(self._v)
+        return _make_mpf(_directed(mpf_add, v, self._e, _get_prec(), round_ceiling))
 
     def contains(self, x: Union[int, Fraction, float, mpf]) -> bool:
         """Whether the exact number x lies in the certified interval."""
@@ -310,7 +329,7 @@ class BoundedReal:
             err = mpf_add(err, mpf_mul(mpf_abs(a), eb, RADIUS_PREC, round_ceiling),
                           RADIUS_PREC, round_ceiling)
             if ea[1]:
-                scale = mpf_add(mpf_abs(b), eb, RADIUS_PREC, round_ceiling)
+                scale = _directed(mpf_add, mpf_abs(b), eb, RADIUS_PREC, round_ceiling)
                 err = mpf_add(err, mpf_mul(scale, ea, RADIUS_PREC, round_ceiling),
                               RADIUS_PREC, round_ceiling)
         elif ea[1]:
@@ -325,7 +344,7 @@ class BoundedReal:
             other = BoundedReal.exact(other)
         a, b, ea, eb = self._v, other._v, self._e, other._e
         abs_b = mpf_abs(b)
-        denom_low = mpf_sub(abs_b, eb, RADIUS_PREC, round_floor)
+        denom_low = _directed(mpf_sub, abs_b, eb, RADIUS_PREC, round_floor)
         if denom_low[0] or not denom_low[1]:
             raise PrecisionError("division by an interval containing zero")
         prec = _get_prec()
@@ -373,7 +392,7 @@ class BoundedReal:
 
     def log(self) -> "BoundedReal":
         x, d = self._v, self._e
-        low = mpf_sub(x, d, RADIUS_PREC, round_floor)
+        low = _directed(mpf_sub, x, d, RADIUS_PREC, round_floor)
         if low[0] or not low[1]:
             raise PrecisionError("log of an interval touching zero")
         prec = _get_prec()

@@ -3,13 +3,29 @@
 Not collected by pytest (no test_ prefix): the test modules import it.
 exact_factorial_product builds the product the factorial-product targets
 only ever log, and f_r1_log_zeta_form is a second route to log F_{r,1}.
+References is the benchmark's set of mpmath-only formulas (its zeta,
+loggamma and glaisher, never bernfac code), read from perfbench/ in place.
 """
 
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from bernfac.precision import BoundedReal, PrecisionContext
+from bernfac.precision import BoundedReal, PrecisionContext, mpf_to_fraction
 from bernfac.special import bernoulli, pi_const, zeta_int
+
+# the repository root makes perfbench/ importable as a namespace package
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.reference import References, exact_fraction, reference_dps  # noqa: E402
+
+
+def contains_reference(x: BoundedReal, ref, digits: int) -> bool:
+    """Whether x's enclosure holds an mpmath reference worked at
+    reference_dps(digits) digits, less 5 digits for the reference's own error."""
+    ref = exact_fraction(ref)
+    slack = Fraction(1, 10 ** (reference_dps(digits) - 5)) * max(1, abs(ref))
+    return abs(mpf_to_fraction(x.value) - ref) <= mpf_to_fraction(x.abs_err) + slack
 
 
 def exact_factorial_product(k: int, n: int, r: int) -> int:

@@ -319,7 +319,6 @@ GOLDEN_JSON = {
         "method": "closed_form",
         "name": "F_1",
         "params": {
-            "cross_checked": "False",
             "k": "1"
         },
         "value": "1.0463350667705031809"
@@ -330,7 +329,6 @@ GOLDEN_JSON = {
         "method": "closed_form",
         "name": "F_3",
         "params": {
-            "cross_checked": "True",
             "k": "3"
         },
         "value": "1.0160405370646209912"

@@ -1,8 +1,11 @@
-"""Golden-value and route-agreement tests for the asymptotic constants.
+"""Golden-value, route-agreement and reference tests for the constants.
 
 The decimal strings below are frozen expected outputs: truncated displays
 of certified values. Every constant with more than one mathematical route
-is additionally checked for route agreement within certified bounds.
+is additionally checked for route agreement within certified bounds, and
+the closed-form routes for containment of an mpmath-only reference. The
+routes evaluate each constant once; these tests hold the relations among
+their forms.
 """
 
 import types
@@ -13,6 +16,7 @@ import pytest
 from mpmath import mpf
 
 from bernfac import constants
+from bernfac.asymptotic import n_coeff, s_r_coeffs
 from bernfac.constants import (
     b_family,
     c_constant,
@@ -45,7 +49,12 @@ from bernfac.special import (
     pi_const,
     zeta_prime_int,
 )
-from references import f_r1_log_zeta_form
+from references import (
+    References,
+    contains_reference,
+    f_r1_log_zeta_form,
+    reference_dps,
+)
 
 CTX = make_context(21)
 
@@ -203,9 +212,9 @@ def test_f_k_closed_golden_digits():
         assert f_k_closed(k, CTX).digits(21) == digits
 
 
-def test_f_k_closed_cross_check_flag():
-    assert f_k_closed(2, CTX).params["cross_checked"] is False
-    assert f_k_closed(5, CTX).params["cross_checked"] is True
+def test_f_k_closed_params_and_validation():
+    assert f_k_closed(2, CTX).params == {"k": 2}
+    assert f_k_closed(5, CTX).params == {"k": 5}
     with pytest.raises(ValueError):
         f_k_closed(0, CTX)
 
@@ -348,6 +357,21 @@ def test_f_r1_zeta_form_agreement_for_odd_r():
         f_r1_log_zeta_form(2, CTX)
 
 
+def test_f_r1_alpha_matches_the_weighted_power_sum_form():
+    # log F_(r,1) = (1/2) log A_r - log A_(r+1)
+    #   + sum_j c_j (N_(j+2,1) - log A_(j+1)), c_j = s_r_coeffs(r)[j]:
+    # the same exponent of each log A_j and the same constant term, exactly
+    for r in range(1, 61):
+        c = s_r_coeffs(r)
+        want = {j: -c[j - 1] for j in range(1, r + 2)}
+        want[r] += Fraction(1, 2)
+        want[r + 1] -= 1
+        for j in range(1, r + 2):
+            assert f_r1_alpha(r, j) == want[j], (r, j)
+        constant = sum(cj * n_coeff(j + 2, 1) for j, cj in enumerate(c))
+        assert f_r1_alpha(r, 0) == constant, r
+
+
 def test_f_r1_report_params():
     rep = f_r1(1, CTX)
     assert rep.name == "F(1,1)"
@@ -385,6 +409,26 @@ def test_b_family_prime_relation():
         assert abs(float((family["Bprime"] - want).value)) < 1e-25
 
 
+@pytest.mark.parametrize("digits", [21, 100])
+def test_b_family_matches_its_other_closed_forms(digits):
+    # B' = C2 e^(1/24) / (2^(5/4) A^(1/2)) and B1 = C2 F_2 A^2 (2pi)^(1/4)
+    ctx = make_context(digits)
+    family = {rep.name: rep.value for rep in b_family(ctx)}
+    with ctx.workprec():
+        c2 = c_constant(2, ctx).value
+        la = log_glaisher_a(1, ctx)
+        bprime = c2 * (
+            BoundedReal.exact(Fraction(1, 24))
+            - BoundedReal.exact(2).log() * Fraction(5, 4)
+            - la * Fraction(1, 2)
+        ).exp()
+        b1 = c2 * (
+            f_k_log_closed(2, ctx) + la * 2 + log_two_pi(ctx) * Fraction(1, 4)
+        ).exp()
+    assert family["Bprime"].agrees_with(bprime)
+    assert family["B1"].agrees_with(b1)
+
+
 # -- Gamma-power product constants ----------------------------------------------------
 
 def test_gamma_product_constants_golden_digits():
@@ -401,6 +445,35 @@ def test_gamma_product_second_constant_relation():
         _, second = gamma_product_constants(CTX)
         want = glaisher_a(0, CTX).value.sqrt() / glaisher_a(1, CTX).value
         assert second.agrees_with(want)
+
+
+# -- independent references ----------------------------------------------------------
+
+REFS = References()
+
+# each sweep: (route value, mpmath reference) pairs at a context and dps
+REFERENCE_SWEEPS = {
+    "F_k": lambda ctx, dps: [
+        (f_k_closed(k, ctx).value, REFS.f_k(k, dps)) for k in (*range(1, 13), 40)
+    ],
+    "F_r1": lambda ctx, dps: [
+        (f_r1(r, ctx).value, REFS.f_r1(r, dps)) for r in range(9)
+    ],
+    "B": lambda ctx, dps: [
+        (rep.value, REFS.b_family(dps)[rep.name]) for rep in b_family(ctx)
+    ],
+    "gamma_product": lambda ctx, dps: list(
+        zip(gamma_product_constants(ctx), REFS.gamma_product(dps))
+    ),
+}
+
+
+@pytest.mark.parametrize("digits", [20, 100])
+@pytest.mark.parametrize("sweep", REFERENCE_SWEEPS)
+def test_route_contains_mpmath_reference(sweep, digits):
+    pairs = REFERENCE_SWEEPS[sweep](make_context(digits), reference_dps(digits))
+    for i, (value, ref) in enumerate(pairs):
+        assert contains_reference(value, ref, digits), (sweep, i)
 
 
 # -- caching ---------------------------------------------------------------------

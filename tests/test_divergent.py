@@ -23,7 +23,12 @@ from bernfac.precision import (
     mpf_to_fraction,
 )
 from bernfac import divergent
-from bernfac.special import _sum_units, bernoulli, log_gamma_rational
+from bernfac.special import (
+    _sum_units,
+    bernoulli,
+    log_gamma_rational,
+    log_two_pi,
+)
 
 CTX = make_context(21)
 
@@ -177,6 +182,22 @@ def test_log_gamma_rational_contains_mpmath_loggamma(digits):
             ref = mpmath.loggamma(mpf(x.numerator) / x.denominator)
             assert lg.contains(mpf_to_fraction(ref)), x
         assert lg.abs_err < mpf(10) ** -digits
+
+
+@pytest.mark.parametrize("digits", [20, 100])
+def test_log_gamma_rational_obeys_gauss_multiplication(digits):
+    # sum_{v<k} log Gamma(v/k) = ((k-1)/2) log 2pi - (1/2) log k: the relation
+    # that a second closed route to log F_k (k >= 3), or B1 through F_2
+    # (k = 2), would only test again on every request
+    ctx = make_context(digits)
+    with ctx.workprec():
+        for k in range(2, 41):
+            total = BoundedReal.exact(0)
+            for nu in range(1, k):
+                total = total + log_gamma_rational(Fraction(nu, k), ctx)
+            want = (log_two_pi(ctx) * Fraction(k - 1, 2)
+                    - BoundedReal.exact(k).log() * Fraction(1, 2))
+            assert total.agrees_with(want), k
 
 
 def test_log_factorial_stops_at_goal(monkeypatch):

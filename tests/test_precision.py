@@ -252,6 +252,26 @@ def test_upper_and_lower_bound_the_interval_for_either_sign(mid):
         assert mpf_to_fraction(x.lower()) <= mid - Fraction(1, 2**200)
 
 
+@pytest.mark.parametrize("man", [2**101 - 1, 2**101 + 1], ids=["below", "above"])
+@pytest.mark.parametrize("sign", [0, 1], ids=["positive", "negative"])
+def test_directed_sums_with_a_long_radius_round_outward(sign, man):
+    # a midpoint near 2^31, longer than 70 or 64 bits, and a 121-bit radius
+    # near 2^-50 whose exponent is 101 bits below the midpoint's, so that it
+    # reaches 20 bits into it: mpf_add's shortcut for exponents over 100
+    # bits apart treats the radius as lying below every bit of the midpoint,
+    # which rounds these sums inward unless both are first rounded outward
+    mid = mp.make_mpf((sign, man, -70, man.bit_length()))
+    rad = mp.make_mpf((0, 2**121 - 1, -171, 121))
+    M, R = mpf_to_fraction(mid), mpf_to_fraction(rad)
+    with PrecisionContext(10, 10).workprec():  # 70 bits
+        x = BoundedReal(mid, rad)
+        assert mpf_to_fraction(x.upper()) >= M + R
+        assert mpf_to_fraction(x.lower()) <= M - R
+        assert mpf_to_fraction(x.abs_upper()) >= abs(M) + R
+        # [-1, 1] * x reaches |M| + R
+        assert (BoundedReal(mpf(0), mpf(1)) * x).contains(abs(M) + R)
+
+
 def test_bounded_real_is_an_immutable_value():
     x = BoundedReal(mpf(3), mpf("0.25"))
     assert isinstance(x.value, mpf) and isinstance(x.abs_err, mpf)
