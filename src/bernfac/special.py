@@ -123,7 +123,13 @@ def _const(mpf_const, ctx: PrecisionContext) -> BoundedReal:
 
 
 def pi_const(ctx: PrecisionContext) -> BoundedReal:
-    return _const(mpf_pi, ctx)
+    """pi at ctx, filled once per context under _lock (clear_zeta_cache drops it)."""
+    key = ("pi_const", ctx.target_digits, ctx.guard_digits)
+    value = _zeta_cache.get(key)
+    if value is None:
+        with _lock:
+            value = _zeta_cache.setdefault(key, _const(mpf_pi, ctx))
+    return value
 
 
 def euler_gamma(ctx: PrecisionContext) -> BoundedReal:
@@ -145,8 +151,8 @@ def log_two_pi(ctx: PrecisionContext) -> BoundedReal:
 
 # -- Riemann zeta at integers -----------------------------------------------
 
-# Write-once: zeta_int per (s, target, guard), filled by zeta_family, and
-# log_two_pi. Racing fills compute identical values; setdefault keeps one.
+# Write-once: zeta_int per (s, target, guard), filled by zeta_family, pi_const
+# and log_two_pi. Racing fills compute identical values; setdefault keeps one.
 _zeta_cache: dict = {}
 
 
@@ -514,42 +520,59 @@ def log_gamma_rational(x: Fraction, ctx: PrecisionContext) -> BoundedReal:
 
 # -- Dedekind eta on the imaginary axis --------------------------------------
 
+def _eta_units(t: tuple, pi: tuple, g: int, P: int) -> tuple:
+    """eta(i t) for t >= 1 as (units, err, E) of 2^-E, inside workprec().
+
+    t and pi are (mid, err) of 2^-P, and each floor adds a unit to a radius.
+    One exp gives w = e^(-pi t/12), then taken in units of 2^-E, E = P + k
+    for w < 2^-k, so a tiny eta keeps P bits relative to itself. q = w^24
+    lies between squarings of w's ends rounded outward, q^e between
+    floor(qlo^e) and ceil(qhi^e), and the terms from q^e on below 2 q^e.
+    """
+    (tm, te), (pm, pe), den = t, pi, 12 << P
+    x = pm * tm // den
+    w = _from_units(-x, -(-(pm * te + tm * pe + pe * te) // den) + 1, P).exp()
+    E = P + max(0, -(w._v[2] + w._v[3]))  # w < 2^(exp + bc) of its raw tuple
+    wm, we = _to_units(w, E)
+
+    def pow24(a, s):  # a^24 of 2^-P, each product floored (s = 1) or ceiled
+        for _ in range(3):
+            a = s * (s * a * a >> E)
+        return s * (s * a ** 3 >> 3 * E - P)
+
+    qlo, qhi = pow24(max(0, wm - we), 1), pow24(wm + we, -1)
+    if 2 * qhi >= 1 << P:
+        raise PrecisionError("e^(-2 pi t) is not enclosed below 1/2")
+
+    def pentagonal():
+        # the terms after the leading 1, k >= 1 with both signs of k
+        for k in itertools.count(1):
+            for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                low = (qlo ** e << P) >> P * e
+                high = -(-(qhi ** e << P) >> P * e)
+                yield e, (-1) ** k * low, high - low, 2 * high
+
+    s, se, _ = _sum_units(pentagonal(), 1 << (P - g))
+    s += 1 << P  # eta = w S: |w S - wm s| <= wm se + s we + we se, of 2^-(E+P)
+    return wm * s >> P, -(-(wm * se + s * we + we * se) >> P) + 1, E
+
+
 def dedekind_eta_imag(t: Union[BoundedReal, Fraction, int], ctx: PrecisionContext) -> BoundedReal:
     """eta(i t) for t > 0, by Euler's pentagonal number theorem.
 
     eta(i t) = e^(-pi t/12) sum_k (-1)^k q^(k(3k-1)/2) over all integers k,
     q = e^(-2 pi t). A t below 1 (on the midpoint) first takes the modular
-    step eta(i t) = eta(i/t) / sqrt(t), so q <= e^(-2 pi) < 2^-9. One exp
-    gives w = e^(-pi t/12) in [wlo, whi] units of 2^-P (_fixed_point_plan),
-    so q = w^24 in [floor(wlo^24 / 2^(23 P)), ceil(whi^24 / 2^(23 P))]. In
-    the series, one _sum_units source, q^e lies between floor(qlo^e) and
-    ceil(qhi^e), and the terms from q^e on sum to less than 2 q^e (q < 1/2).
+    step eta(i t) = eta(i/t) / sqrt(t), so q <= e^(-2 pi) < 2^-9, for _eta_units.
     """
     g, P = _fixed_point_plan(ctx)
-    one = 1 << P
     with ctx.workprec():
         tb = t if isinstance(t, BoundedReal) else BoundedReal.exact(t)
         if tb.lower() <= 0:
             raise ValueError("dedekind_eta_imag needs t > 0")
         if tb.value < 1:
             return dedekind_eta_imag(1 / tb, ctx) / tb.sqrt()
-        w = (-(pi_const(ctx) * tb) / 12).exp()
-        mid, rad = _to_units(w, P)
-        qlo = max(0, mid - rad) ** 24 >> 23 * P
-        qhi = -(-(mid + rad) ** 24 >> 23 * P)
-        if 2 * qhi >= one:
-            raise PrecisionError("e^(-2 pi t) is not enclosed below 1/2")
-
-        def pentagonal():
-            # the terms after the leading 1, k >= 1 with both signs of k
-            for k in itertools.count(1):
-                for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-                    low = (qlo ** e << P) >> P * e
-                    high = -(-(qhi ** e << P) >> P * e)
-                    yield e, (-1) ** k * low, high - low, 2 * high
-
-        units, err, _ = _sum_units(pentagonal(), 1 << (P - g))
-        return w * _from_units(one + units, err, P)
+        pi = _to_units(pi_const(ctx), P)
+        return _from_units(*_eta_units(_to_units(tb, P), pi, g, P))
 
 
 # -- abelian group counting ---------------------------------------------------

@@ -42,17 +42,13 @@ from .constants import (
 )
 from .precision import BoundedReal, PrecisionContext, _add_up, make_context
 from .special import (
-    bernoulli,
-    dedekind_eta_imag,
-    log_gamma_rational,
-    log_two_pi,
-    partition_count,
-    pi_const,
+    _eta_units, _fixed_point_plan, _from_units, _to_units, bernoulli,
+    dedekind_eta_imag, log_gamma_rational, log_two_pi, partition_count, pi_const,
 )
 
 # _check_oracle_cap refuses factorial products projected above this many bits
 ORACLE_BIT_CAP = 1 << 26
-ETA_PRIME_BOUND_CAP = 10 ** 6  # eta_identity_check's largest P, about 11 s
+ETA_PRIME_BOUND_CAP = 10 ** 6  # eta_identity_check's largest P, about 6 s
 
 DEFAULT_RATIO_GRID = (25, 50, 100)
 DEFAULT_MILNOR_GRID = (10, 100, 1000)
@@ -606,6 +602,35 @@ def primes_up_to(limit: int) -> List[int]:
     return [p for p in range(2, limit + 1) if sieve[p]]
 
 
+def _eta_prime_product(primes: Sequence[int], ctx: PrecisionContext) -> BoundedReal:
+    """prod_{p in primes} p^(1/12) eta(i log p / pi), enclosed in integers.
+
+    t = log p / pi of 2^-P has radius (e_L pi + L e_pi) / (pi (pi - e_pi))
+    plus a unit; p < 29 (t < 1) takes dedekind_eta_imag's modular step. The
+    product keeps P + 1 bits and a binary exponent; sum log p is exact.
+    """
+    g, P = _fixed_point_plan(ctx)
+    with ctx.workprec():
+        pi = pi_const(ctx)
+        pm, pe = pi_units = _to_units(pi, P)
+        acc, acc_err, acc_exp, log_sum, log_err = 1, 0, 0, 0, 0  # acc of 2^-acc_exp
+        for p in primes:
+            log_p = log_exact_int(p, ctx)
+            lm, le = _to_units(log_p, P)
+            log_sum, log_err = log_sum + lm, log_err + le
+            if p < 29:
+                m, e, E = *_to_units(dedekind_eta_imag(log_p / pi, ctx), P), P
+            else:
+                te = -(-((le * pm + lm * pe) << P) // (pm * (pm - pe))) + 1
+                m, e, E = _eta_units(((lm << P) // pm, te), pi_units, g, P)
+            acc, acc_err = acc * m, acc * e + m * acc_err + acc_err * e
+            shift = max(0, acc.bit_length() - P - 1)
+            acc, acc_err = acc >> shift, -(-acc_err >> shift) + 1
+            acc_exp += E - shift
+        log_sum = _from_units(log_sum, log_err, P)
+        return _from_units(acc, acc_err, acc_exp) * (log_sum / 12).exp()
+
+
 def eta_identity_check(prime_bound: int, ctx: PrecisionContext) -> IdentityReport:
     """Compare prod_{p<=P} p^(1/12) eta(i log p / pi) with 1/C2.
 
@@ -613,23 +638,15 @@ def eta_identity_check(prime_bound: int, ctx: PrecisionContext) -> IdentityRepor
     exceeds the limit. The omitted log-mass over primes p > P (all odd) is
     majorized by the sum over odd integers m > P of m^(-2) + 2 m^(-4), which
     is below 1/(2(P-1)) + (4/3)(P-1)^(-3); this is folded into the tolerance.
-    One exp gives prod p^(1/12); a P above ETA_PRIME_BOUND_CAP is refused.
+    _eta_prime_product builds the product; P is at most ETA_PRIME_BOUND_CAP.
     """
     if prime_bound < 3:
         raise ValueError("need prime_bound >= 3")
     if prime_bound > ETA_PRIME_BOUND_CAP:
         raise ValueError(f"need prime_bound <= {ETA_PRIME_BOUND_CAP}")
     primes = primes_up_to(prime_bound)
-    # 12 more digits keep the rounding of the sums of log p (up to ~P) small
-    with PrecisionContext(ctx.target_digits, ctx.guard_digits + 12).workprec():
-        pi = pi_const(ctx)
-        acc, log_sum = BoundedReal.exact(1), BoundedReal.exact(0)
-        for p in primes:
-            log_p = log_exact_int(p, ctx)
-            log_sum = log_sum + log_p
-            acc = acc * dedekind_eta_imag(log_p / pi, ctx)
+    acc = _eta_prime_product(primes, ctx)
     with ctx.workprec():
-        acc = acc * (log_sum / 12).exp()
         target = BoundedReal.exact(1) / c_constant(2, ctx).value
         diff = acc - target
         gap = abs(float(diff.value))

@@ -144,6 +144,21 @@ def test_log_two_pi_is_kept_per_context_until_the_cache_is_cleared():
     assert again is not first and again == first
 
 
+def test_pi_const_is_kept_per_context_until_the_cache_is_cleared():
+    ctx = PrecisionContext(37, 13)
+    constants.clear_cache()
+    first = pi_const(ctx)
+    assert pi_const(ctx) is first
+    fresh = special._const(special.mpf_pi, ctx)
+    assert (first._v, first._e) == (fresh._v, fresh._e)
+    for clear in (constants.clear_cache, special.clear_zeta_cache):
+        clear()
+        assert not [key for key in special._zeta_cache if key[0] == "pi_const"]
+        again = pi_const(ctx)
+        assert again is not first and again == first
+        first = again
+
+
 # -- zeta at positive integers ------------------------------------------------
 
 def test_zeta_int_even_values_against_pi_powers():
@@ -428,6 +443,16 @@ def test_eta_contains_mpmath_eta(digits):
             assert abs(ref.imag) < mpf(10) ** (-2 * ctx.working_digits)
             assert eta.contains(mpf_to_fraction(ref.real)), t
         assert eta.abs_err < mpf(10) ** -digits * abs(eta.value)
+
+
+def test_eta_encloses_both_ends_of_a_wide_t():
+    # t = 3/2 +- 2^-40: x = pi t/12 carries t's radius into w and eta
+    radius = mpf(2) ** -40
+    eta = dedekind_eta_imag(BoundedReal(mpf(3) / 2, radius), CTX)
+    with mp.workdps(3 * CTX.working_digits):
+        for end in (mpf(3) / 2 - radius, mpf(3) / 2 + radius):
+            assert eta.contains(mpf_to_fraction(mp.eta(1j * end).real)), end
+    assert eta.abs_err < radius
 
 
 def test_eta_rejects_nonpositive_argument():

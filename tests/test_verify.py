@@ -158,10 +158,20 @@ def test_log_exact_int_huge_matches_lgamma_scale():
     assert abs(got - math.lgamma(301)) < 1e-6 * got
 
 
+def _mpf_of_int(n):
+    # mpmath.mpf(n) at mpmath's precision, from the top prec + 2 bits of n
+    # and a sticky bit for the rest: the same round-to-nearest, without
+    # mpmath's trailing-zero strip of all of n (2.5 s for n = 2^1000000)
+    s = n.bit_length() - mpmath.mp.prec - 2
+    if s <= 0:
+        return mpmath.mpf(n)
+    return mpmath.mpf(((n >> s) | (n & ((1 << s) - 1) != 0), s))
+
+
 def _contains_mpmath_log(enclosure, numerator, denominator, ctx):
     # mpmath reference at three times the working precision
     with mpmath.workdps(3 * ctx.working_digits):
-        ref = mpmath.log(mpmath.mpf(numerator)) - mpmath.log(mpmath.mpf(denominator))
+        ref = mpmath.log(_mpf_of_int(numerator)) - mpmath.log(_mpf_of_int(denominator))
         return enclosure.contains(mpf_to_fraction(ref))
 
 
@@ -173,6 +183,9 @@ def test_log_exact_int_top_bits_path(digits):
     for k in (keep, keep + 1, 10**6):
         m = math.ceil((k - 1) / math.log2(3))
         for n in (2**k - 1, 2**k, 3**m):
+            if n % 2:  # mpmath.mpf(n) is quick without trailing zeros
+                with mpmath.workdps(3 * ctx.working_digits):
+                    assert _mpf_of_int(n)._mpf_ == mpmath.mpf(n)._mpf_
             log_n = log_exact_int(n, ctx)
             assert _contains_mpmath_log(log_n, n, 1, ctx), (k, n.bit_length())
             assert log_n.abs_err < 10 ** -(digits + 1) * max(1, log_n.value)
@@ -393,6 +406,31 @@ def test_eta_factor_is_eulerian_and_below_one():
             for v in range(1, 60):
                 brute = brute * (1 - BoundedReal.exact(Fraction(1, p ** (2 * v))))
             assert abs(float((factor - brute).value)) < 1e-15
+
+
+@pytest.mark.parametrize("digits", [20, 100])
+def test_eta_prime_product_contains_mpmath(digits):
+    # the check's own integer-unit product, not dedekind_eta_imag's values,
+    # against mpmath's eta at three times the working digits
+    ctx = make_context(digits)
+    primes = primes_up_to(200)
+    acc = verify._eta_prime_product(primes, ctx)
+    with mpmath.workdps(3 * ctx.working_digits):
+        ref = mpmath.mpf(1)
+        for p in primes:
+            tau = 1j * mpmath.log(p) / mpmath.pi
+            ref *= mpmath.root(p, 12) * mpmath.eta(tau).real
+        assert acc.contains(mpf_to_fraction(ref))
+    assert acc.abs_err < mpmath.mpf(10) ** -(digits + 5)
+
+
+@pytest.mark.parametrize("bound, radius", [(10**4, 7.3e-27), (10**5, 6.8e-26)])
+def test_eta_prime_product_radius(bound, radius):
+    # no wider than the BoundedReal product's at 20 digits (7.2e-27 and
+    # 6.7e-26), and a relative radius that shows no drift in the mantissa
+    acc = verify._eta_prime_product(primes_up_to(bound), CTX)
+    assert acc.abs_err <= radius
+    assert acc.abs_err < 1e-24 * acc.value
 
 
 def test_eta_identity_check_small_bound():
