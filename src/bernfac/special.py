@@ -520,18 +520,17 @@ def log_gamma_rational(x: Fraction, ctx: PrecisionContext) -> BoundedReal:
 
 # -- Dedekind eta on the imaginary axis --------------------------------------
 
-def _eta_units(t: tuple, pi: tuple, g: int, P: int) -> tuple:
-    """eta(i t) for t >= 1 as (units, err, E) of 2^-E, inside workprec().
+def _eta_units(x: tuple, g: int, P: int) -> tuple:
+    """eta(i t) as (units, err, E) of 2^-E from x = pi t/12, inside workprec().
 
-    t and pi are (mid, err) of 2^-P, and each floor adds a unit to a radius.
-    One exp gives w = e^(-pi t/12), then taken in units of 2^-E, E = P + k
-    for w < 2^-k, so a tiny eta keeps P bits relative to itself. q = w^24
-    lies between squarings of w's ends rounded outward, q^e between
-    floor(qlo^e) and ceil(qhi^e), and the terms from q^e on below 2 q^e.
+    x is (mid, err) of 2^-P, for any t with q = e^(-24 x) < 1/2, which the
+    guard checks; each floor adds a unit to a radius. One exp gives
+    w = e^(-x), then taken in units of 2^-E, E = P + k for w < 2^-k, so a
+    tiny eta keeps P bits relative to itself. q = w^24 lies between
+    squarings of w's ends rounded outward, q^e between floor(qlo^e) and
+    ceil(qhi^e), and the terms from q^e on below 2 q^e.
     """
-    (tm, te), (pm, pe), den = t, pi, 12 << P
-    x = pm * tm // den
-    w = _from_units(-x, -(-(pm * te + tm * pe + pe * te) // den) + 1, P).exp()
+    w = _from_units(-x[0], x[1], P).exp()
     E = P + max(0, -(w._v[2] + w._v[3]))  # w < 2^(exp + bc) of its raw tuple
     wm, we = _to_units(w, E)
 
@@ -571,8 +570,10 @@ def dedekind_eta_imag(t: Union[BoundedReal, Fraction, int], ctx: PrecisionContex
             raise ValueError("dedekind_eta_imag needs t > 0")
         if tb.value < 1:
             return dedekind_eta_imag(1 / tb, ctx) / tb.sqrt()
-        pi = _to_units(pi_const(ctx), P)
-        return _from_units(*_eta_units(_to_units(tb, P), pi, g, P))
+        (tm, te), (pm, pe) = _to_units(tb, P), _to_units(pi_const(ctx), P)
+        den = 12 << P
+        x = pm * tm // den, -(-(pm * te + tm * pe + pe * te) // den) + 1
+        return _from_units(*_eta_units(x, g, P))
 
 
 # -- abelian group counting ---------------------------------------------------

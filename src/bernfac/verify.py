@@ -43,7 +43,7 @@ from .constants import (
 from .precision import BoundedReal, PrecisionContext, _add_up, make_context
 from .special import (
     _eta_units, _fixed_point_plan, _from_units, _to_units, bernoulli,
-    dedekind_eta_imag, log_gamma_rational, log_two_pi, partition_count, pi_const,
+    log_gamma_rational, log_two_pi, partition_count,
 )
 
 # _check_oracle_cap refuses factorial products projected above this many bits
@@ -605,24 +605,17 @@ def primes_up_to(limit: int) -> List[int]:
 def _eta_prime_product(primes: Sequence[int], ctx: PrecisionContext) -> BoundedReal:
     """prod_{p in primes} p^(1/12) eta(i log p / pi), enclosed in integers.
 
-    t = log p / pi of 2^-P has radius (e_L pi + L e_pi) / (pi (pi - e_pi))
-    plus a unit; p < 29 (t < 1) takes dedekind_eta_imag's modular step. The
-    product keeps P + 1 bits and a binary exponent; sum log p is exact.
+    The kernel's x = pi t/12 = log p / 12 of 2^-P has radius ceil(e_L/12)
+    plus a unit, and q = p^-2 <= 1/4. The product keeps P + 1 bits and a
+    binary exponent; sum log p is exact.
     """
     g, P = _fixed_point_plan(ctx)
     with ctx.workprec():
-        pi = pi_const(ctx)
-        pm, pe = pi_units = _to_units(pi, P)
         acc, acc_err, acc_exp, log_sum, log_err = 1, 0, 0, 0, 0  # acc of 2^-acc_exp
         for p in primes:
-            log_p = log_exact_int(p, ctx)
-            lm, le = _to_units(log_p, P)
+            lm, le = _to_units(log_exact_int(p, ctx), P)
             log_sum, log_err = log_sum + lm, log_err + le
-            if p < 29:
-                m, e, E = *_to_units(dedekind_eta_imag(log_p / pi, ctx), P), P
-            else:
-                te = -(-((le * pm + lm * pe) << P) // (pm * (pm - pe))) + 1
-                m, e, E = _eta_units(((lm << P) // pm, te), pi_units, g, P)
+            m, e, E = _eta_units((lm // 12, -(-le // 12) + 1), g, P)
             acc, acc_err = acc * m, acc * e + m * acc_err + acc_err * e
             shift = max(0, acc.bit_length() - P - 1)
             acc, acc_err = acc >> shift, -(-acc_err >> shift) + 1

@@ -424,6 +424,18 @@ def test_eta_prime_product_contains_mpmath(digits):
     assert acc.abs_err < mpmath.mpf(10) ** -(digits + 5)
 
 
+def test_eta_prime_product_encloses_both_ends_of_a_wide_log_p(monkeypatch):
+    # log 2 +- 2^-40: x = log p / 12 carries log p's radius into w and q
+    radius = mpmath.mpf(2) ** -40
+    log_2 = BoundedReal(mpmath.log(2), radius)
+    monkeypatch.setattr(verify, "log_exact_int", lambda n, ctx: log_2)
+    acc = verify._eta_prime_product([2], CTX)
+    with mpmath.workdps(3 * CTX.working_digits):
+        for end in (log_2.value - radius, log_2.value + radius):
+            ref = mpmath.exp(end / 12) * mpmath.eta(1j * end / mpmath.pi).real
+            assert acc.contains(mpf_to_fraction(ref)), end
+
+
 @pytest.mark.parametrize("bound, radius", [(10**4, 7.3e-27), (10**5, 6.8e-26)])
 def test_eta_prime_product_radius(bound, radius):
     # no wider than the BoundedReal product's at 20 digits (7.2e-27 and
