@@ -13,8 +13,7 @@ its tail bound, even s below that range exactly from |B_2j| (2 pi)^(2j) /
 (2 (2j)!), and odd s by Euler-Maclaurin, whose remainder is below the first
 omitted correction since x^-s is completely monotone. zeta'(s) takes the
 same split, with log v built from the logs of primes and the integral form
-of the Euler-Maclaurin remainder. eta(i t) is Euler's pentagonal series
-on the same engine, after a modular step that keeps q below 2^-9.
+of the Euler-Maclaurin remainder.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import itertools
 import math
 import threading
 from fractions import Fraction
-from typing import Union
 
 from mpmath.libmp import (
     from_int,
@@ -516,64 +514,6 @@ def log_gamma_rational(x: Fraction, ctx: PrecisionContext) -> BoundedReal:
     with ctx.workprec():
         # Gamma(x) = (x-1)! formally: log Gamma(x) = log_factorial(x) - log x
         return log_factorial(x, ctx) - BoundedReal.exact(x).log()
-
-
-# -- Dedekind eta on the imaginary axis --------------------------------------
-
-def _eta_units(x: tuple, g: int, P: int) -> tuple:
-    """eta(i t) as (units, err, E) of 2^-E from x = pi t/12, inside workprec().
-
-    x is (mid, err) of 2^-P, for any t with q = e^(-24 x) < 1/2, which the
-    guard checks; each floor adds a unit to a radius. One exp gives
-    w = e^(-x), then taken in units of 2^-E, E = P + k for w < 2^-k, so a
-    tiny eta keeps P bits relative to itself. q = w^24 lies between
-    squarings of w's ends rounded outward, q^e between floor(qlo^e) and
-    ceil(qhi^e), and the terms from q^e on below 2 q^e.
-    """
-    w = _from_units(-x[0], x[1], P).exp()
-    E = P + max(0, -(w._v[2] + w._v[3]))  # w < 2^(exp + bc) of its raw tuple
-    wm, we = _to_units(w, E)
-
-    def pow24(a, s):  # a^24 of 2^-P, each product floored (s = 1) or ceiled
-        for _ in range(3):
-            a = s * (s * a * a >> E)
-        return s * (s * a ** 3 >> 3 * E - P)
-
-    qlo, qhi = pow24(max(0, wm - we), 1), pow24(wm + we, -1)
-    if 2 * qhi >= 1 << P:
-        raise PrecisionError("e^(-2 pi t) is not enclosed below 1/2")
-
-    def pentagonal():
-        # the terms after the leading 1, k >= 1 with both signs of k
-        for k in itertools.count(1):
-            for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-                low = (qlo ** e << P) >> P * e
-                high = -(-(qhi ** e << P) >> P * e)
-                yield e, (-1) ** k * low, high - low, 2 * high
-
-    s, se, _ = _sum_units(pentagonal(), 1 << (P - g))
-    s += 1 << P  # eta = w S: |w S - wm s| <= wm se + s we + we se, of 2^-(E+P)
-    return wm * s >> P, -(-(wm * se + s * we + we * se) >> P) + 1, E
-
-
-def dedekind_eta_imag(t: Union[BoundedReal, Fraction, int], ctx: PrecisionContext) -> BoundedReal:
-    """eta(i t) for t > 0, by Euler's pentagonal number theorem.
-
-    eta(i t) = e^(-pi t/12) sum_k (-1)^k q^(k(3k-1)/2) over all integers k,
-    q = e^(-2 pi t). A t below 1 (on the midpoint) first takes the modular
-    step eta(i t) = eta(i/t) / sqrt(t), so q <= e^(-2 pi) < 2^-9, for _eta_units.
-    """
-    g, P = _fixed_point_plan(ctx)
-    with ctx.workprec():
-        tb = t if isinstance(t, BoundedReal) else BoundedReal.exact(t)
-        if tb.lower() <= 0:
-            raise ValueError("dedekind_eta_imag needs t > 0")
-        if tb.value < 1:
-            return dedekind_eta_imag(1 / tb, ctx) / tb.sqrt()
-        (tm, te), (pm, pe) = _to_units(tb, P), _to_units(pi_const(ctx), P)
-        den = 12 << P
-        x = pm * tm // den, -(-(pm * te + tm * pe + pe * te) // den) + 1
-        return _from_units(*_eta_units(x, g, P))
 
 
 # -- abelian group counting ---------------------------------------------------

@@ -22,6 +22,7 @@ factorization. The weighted factorial split is decided the same way, by the
 prime-exponent vectors of its two sides alone.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,13 +43,13 @@ from .constants import (
 )
 from .precision import BoundedReal, PrecisionContext, _add_up, make_context
 from .special import (
-    _eta_units, _fixed_point_plan, _from_units, _to_units, bernoulli,
-    log_gamma_rational, log_two_pi, partition_count,
+    _fixed_point_plan, _from_units, _sum_units, bernoulli, log_gamma_rational,
+    log_two_pi, partition_count,
 )
 
 # _check_oracle_cap refuses factorial products projected above this many bits
 ORACLE_BIT_CAP = 1 << 26
-ETA_PRIME_BOUND_CAP = 10 ** 6  # eta_identity_check's largest P, about 6 s
+ETA_PRIME_BOUND_CAP = 10 ** 6  # eta_identity_check's largest P, about 0.4 s
 
 DEFAULT_RATIO_GRID = (25, 50, 100)
 DEFAULT_MILNOR_GRID = (10, 100, 1000)
@@ -599,29 +600,44 @@ def primes_up_to(limit: int) -> List[int]:
     for p in range(2, int(limit ** 0.5) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p in range(2, limit + 1) if sieve[p]]
+    return list(itertools.compress(range(limit + 1), sieve))
+
+
+def _euler_factor_terms(p2: int, one: int):
+    """_sum_units source for the pentagonal series in q = 1/p2, after its 1.
+
+    Term e is (-1)^k floor(one / p2^e) for e = k(3k -+ 1)/2, each floor
+    taken from the last one and low by under a unit. With q <= 1/4 the
+    terms from q^e on sum below (4/3) q^e, so 2 (floor + 1) bounds them.
+    """
+    t, at = one, 0
+    for k in itertools.count(1):
+        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            t //= p2 ** (e - at)
+            at = e
+            yield e, -t if k % 2 else t, 1, 2 * t + 2
 
 
 def _eta_prime_product(primes: Sequence[int], ctx: PrecisionContext) -> BoundedReal:
     """prod_{p in primes} p^(1/12) eta(i log p / pi), enclosed in integers.
 
-    The kernel's x = pi t/12 = log p / 12 of 2^-P has radius ceil(e_L/12)
-    plus a unit, and q = p^-2 <= 1/4. The product keeps P + 1 bits and a
-    binary exponent; sum log p is exact.
+    With q = e^(-2 log p) = p^-2, each factor is exactly the Euler factor
+    prod_v (1 - q^v), summed as Euler's pentagonal series in the exact q
+    to 2^-g in units of 2^-P. No log, exp or pi enters. The product keeps
+    P + 1 bits and a binary exponent. At 20 digits the primes to 10^4 take
+    about 4 ms and those to 10^6 about 0.25 s (2-core VM, CPython 3.11).
     """
     g, P = _fixed_point_plan(ctx)
-    with ctx.workprec():
-        acc, acc_err, acc_exp, log_sum, log_err = 1, 0, 0, 0, 0  # acc of 2^-acc_exp
-        for p in primes:
-            lm, le = _to_units(log_exact_int(p, ctx), P)
-            log_sum, log_err = log_sum + lm, log_err + le
-            m, e, E = _eta_units((lm // 12, -(-le // 12) + 1), g, P)
-            acc, acc_err = acc * m, acc * e + m * acc_err + acc_err * e
-            shift = max(0, acc.bit_length() - P - 1)
-            acc, acc_err = acc >> shift, -(-acc_err >> shift) + 1
-            acc_exp += E - shift
-        log_sum = _from_units(log_sum, log_err, P)
-        return _from_units(acc, acc_err, acc_exp) * (log_sum / 12).exp()
+    one, goal = 1 << P, 1 << (P - g)
+    acc, acc_err, acc_exp = 1, 0, 0  # acc of 2^-acc_exp
+    for p in primes:
+        s, se, _ = _sum_units(_euler_factor_terms(p * p, one), goal)
+        s += one
+        acc, acc_err = acc * s, acc * se + s * acc_err + acc_err * se
+        shift = max(0, acc.bit_length() - P - 1)
+        acc, acc_err = acc >> shift, -(-acc_err >> shift) + 1
+        acc_exp += P - shift
+    return _from_units(acc, acc_err, acc_exp)
 
 
 def eta_identity_check(prime_bound: int, ctx: PrecisionContext) -> IdentityReport:
@@ -631,7 +647,8 @@ def eta_identity_check(prime_bound: int, ctx: PrecisionContext) -> IdentityRepor
     exceeds the limit. The omitted log-mass over primes p > P (all odd) is
     majorized by the sum over odd integers m > P of m^(-2) + 2 m^(-4), which
     is below 1/(2(P-1)) + (4/3)(P-1)^(-3); this is folded into the tolerance.
-    _eta_prime_product builds the product; P is at most ETA_PRIME_BOUND_CAP.
+    _eta_prime_product builds the product from exact integers alone, so it
+    shares no code with C2's route. P is at most ETA_PRIME_BOUND_CAP.
     """
     if prime_bound < 3:
         raise ValueError("need prime_bound >= 3")

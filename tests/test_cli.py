@@ -551,6 +551,38 @@ def test_verify_eta_small_bound(capsys):
     assert "within-bounds" in out
 
 
+_ETA_JSON = """[
+  {{
+    "gap": {gap},
+    "name": "prime-eta-product",
+    "params": {{
+      "prime_bound": {bound},
+      "primes_used": {used},
+      "tolerance": {tolerance}
+    }},
+    "status": "within-bounds"
+  }}
+]
+"""
+
+
+@pytest.mark.parametrize("bound, used, gap, tolerance", [
+    (100, 25, "0.0009996583643442634", "0.0027812262044271917"),
+    (10000, 1229, "5.390255504218998e-06", "2.746061113448198e-05"),
+    (100000, 9592, "4.405500522815991e-07", "2.7457521057733617e-06"),
+])
+def test_verify_eta_json_golden(capsys, bound, used, gap, tolerance):
+    # exact bytes; the product's radius (about 1e-31) is far below the
+    # float ulp of the gap (about 1e-21)
+    argv = ["verify", "eta", "--json"]
+    if bound != 10000:  # 10000 is the default --prime-bound
+        argv += ["--prime-bound", str(bound)]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == _ETA_JSON.format(gap=gap, bound=bound, used=used,
+                                   tolerance=tolerance)
+
+
 def test_verify_abelian_small(capsys):
     code, out, _ = invoke(capsys, "verify", "abelian", "--n", "1000", "--json")
     assert code == 0
@@ -707,7 +739,7 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 
 
 def test_verify_eta_refuses_a_prime_bound_past_its_limit():
-    # 10^6 takes about 11 s; one past it is refused before any work
+    # 10^6 takes about 0.4 s; one past it is refused before any work
     done = subprocess.run(
         [sys.executable, "-m", "bernfac", "verify", "eta",
          "--prime-bound", "1000001"],

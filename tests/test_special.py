@@ -17,13 +17,11 @@ from bernfac import constants, special
 from bernfac.precision import (
     BoundedReal,
     PrecisionContext,
-    PrecisionError,
     make_context,
     mpf_to_fraction,
 )
 from bernfac.special import (
     bernoulli,
-    dedekind_eta_imag,
     euler_gamma,
     harmonic,
     log_gamma_rational,
@@ -376,106 +374,6 @@ def test_log_gamma_rejects_nonpositive():
         log_gamma_rational(Fraction(0), CTX)
     with pytest.raises(ValueError):
         log_gamma_rational(Fraction(-3, 2), CTX)
-
-
-# -- Dedekind eta on the imaginary axis ----------------------------------------
-
-def test_eta_at_i_closed_form():
-    # eta(i) = Gamma(1/4) / (2 pi^(3/4))
-    e1 = dedekind_eta_imag(1, CTX)
-    with mp.workdps(45):
-        ref = mp.gamma(mpf(1) / 4) / (2 * mp.pi ** (mpf(3) / 4))
-        assert abs(e1.value - ref) <= e1.abs_err + mpf(10) ** (-38)
-
-
-def test_eta_functional_equation():
-    # eta(i/t) = sqrt(t) eta(i t) at t = 2
-    with CTX.workprec():
-        lhs = dedekind_eta_imag(Fraction(1, 2), CTX)
-        rhs = BoundedReal.exact(2).sqrt() * dedekind_eta_imag(2, CTX)
-        assert lhs.agrees_with(rhs)
-        assert abs(float((lhs - rhs).value)) < 1e-25
-
-
-@pytest.mark.parametrize("t", [1000, 10**5])
-def test_eta_keeps_relative_precision_near_q_1(t):
-    # eta(i/t) = sqrt(t) eta(i t) is about 6e-113 at t = 1000 and 5e-11368
-    # at t = 10^5; q = e^(-2 pi/t) is near 1, so eta(i/t) takes the modular
-    # step to eta(i t), and must keep the target digits relative to the value
-    rel = mpf(10) ** -CTX.target_digits
-    with CTX.workprec():
-        small = dedekind_eta_imag(Fraction(1, t), CTX)
-        rhs = BoundedReal.exact(t).sqrt() * dedekind_eta_imag(t, CTX)
-        assert small.agrees_with(rhs)
-        assert abs((small - rhs).value) < rel * rhs.value
-        assert small.abs_err < rel * small.value
-
-
-def test_eta_matches_truncated_q_product():
-    with CTX.workprec():
-        t = Fraction(3, 2)
-        e = dedekind_eta_imag(t, CTX)
-        q = (-pi_const(CTX) * t * 2).exp()
-        brute = (-pi_const(CTX) * t / 12).exp()
-        qpow = BoundedReal.exact(1)
-        for _ in range(40):
-            qpow = qpow * q
-            brute = brute * (BoundedReal.exact(1) - qpow)
-        assert abs(float((e - brute).value)) < 1e-25
-
-
-@pytest.mark.parametrize("digits", [20, 100])
-def test_eta_contains_mpmath_eta(digits):
-    # exact t, and t = log p / pi as an enclosure (the eta identity's inputs);
-    # t = 999/1000, 1, 1001/1000 and p = 23, 29 sit at the modular switch t = 1
-    ctx = make_context(digits)
-    cases = [(t, lambda t=t: mpf(t.numerator) / t.denominator) for t in
-             (Fraction(1, 5), Fraction(1, 2), Fraction(999, 1000), Fraction(1),
-              Fraction(1001, 1000), Fraction(2))]
-    for p in (3, 23, 29, 9973):
-        with ctx.workprec():
-            t = BoundedReal.exact(p).log() / pi_const(ctx)
-        cases.append((t, lambda p=p: mp.log(p) / mp.pi))
-    for t, tau in cases:
-        eta = dedekind_eta_imag(t, ctx)
-        with mp.workdps(3 * ctx.working_digits):
-            ref = mp.eta(1j * tau())
-            assert abs(ref.imag) < mpf(10) ** (-2 * ctx.working_digits)
-            assert eta.contains(mpf_to_fraction(ref.real)), t
-        assert eta.abs_err < mpf(10) ** -digits * abs(eta.value)
-
-
-def test_eta_encloses_both_ends_of_a_wide_t():
-    # t = 3/2 +- 2^-40: x = pi t/12 carries t's radius into w and eta
-    radius = mpf(2) ** -40
-    eta = dedekind_eta_imag(BoundedReal(mpf(3) / 2, radius), CTX)
-    with mp.workdps(3 * CTX.working_digits):
-        for end in (mpf(3) / 2 - radius, mpf(3) / 2 + radius):
-            assert eta.contains(mpf_to_fraction(mp.eta(1j * end).real)), end
-    assert eta.abs_err < radius
-
-
-def test_eta_rejects_nonpositive_argument():
-    with pytest.raises(ValueError):
-        dedekind_eta_imag(0, CTX)
-
-
-def test_eta_refuses_a_t_too_wide_to_bound_q():
-    # midpoint 1 takes no modular step, yet q reaches e^(-pi/10) > 1/2,
-    # where 2 q^e no longer bounds the rest of the series
-    with pytest.raises(PrecisionError):
-        dedekind_eta_imag(BoundedReal(mpf(1), mpf("0.95")), CTX)
-
-
-def test_eta_takes_one_exp(monkeypatch):
-    # w = e^(-pi t/12) is the only exp; q = w^24 comes from w's units
-    with CTX.workprec():
-        t = BoundedReal.exact(9973).log() / pi_const(CTX)
-    calls = []
-    exp = BoundedReal.exp
-    monkeypatch.setattr(BoundedReal, "exp", lambda x: calls.append(x) or exp(x))
-    dedekind_eta_imag(t, CTX)
-    assert len(calls) == 1
 
 
 # -- partitions and abelian group counts ----------------------------------------

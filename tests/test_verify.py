@@ -12,10 +12,10 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from bernfac import precision, verify
-from bernfac.constants import c_constant, m_tilde_matrix
+from bernfac import precision, special, verify
+from bernfac.constants import m_tilde_matrix
 from bernfac.precision import BoundedReal, make_context, mpf_to_fraction
-from bernfac.special import dedekind_eta_imag, partition_count, pi_const
+from bernfac.special import partition_count
 from bernfac.verify import (
     IdentityReport,
     RatioReport,
@@ -394,18 +394,22 @@ def test_primes_up_to():
 
 
 def test_eta_factor_is_eulerian_and_below_one():
-    # p^(1/12) eta(i log p / pi) = prod_v (1 - p^(-2v))
-    with CTX.workprec():
+    # p^(1/12) eta(i log p / pi) = prod_v (1 - q^v) with q = p^-2, and for
+    # q <= 1/4 the tail prod_{v>V} (1 - q^v) lies in [1 - 2 q^(V+1), 1]:
+    # an exact bracket, taken narrower than the enclosure's radius
+    for digits in (20, 100):
+        ctx = make_context(digits)
         for p in (2, 3, 5):
-            log_p = log_exact_int(p, CTX)
-            factor = (Fraction(1, 12) * log_p).exp() * dedekind_eta_imag(
-                log_p / pi_const(CTX), CTX
-            )
+            factor = verify._eta_prime_product([p], ctx)
+            radius = mpf_to_fraction(factor.abs_err)
+            q = Fraction(1, p * p)
+            head, V = 1 - q, 1
+            while 2 * q ** (V + 1) >= radius:
+                V += 1
+                head *= 1 - q ** V
+            assert factor.contains(head * (1 - 2 * q ** (V + 1)))
+            assert factor.contains(head)
             assert factor.upper() < 1
-            brute = BoundedReal.exact(1)
-            for v in range(1, 60):
-                brute = brute * (1 - BoundedReal.exact(Fraction(1, p ** (2 * v))))
-            assert abs(float((factor - brute).value)) < 1e-15
 
 
 @pytest.mark.parametrize("digits", [20, 100])
@@ -424,25 +428,13 @@ def test_eta_prime_product_contains_mpmath(digits):
     assert acc.abs_err < mpmath.mpf(10) ** -(digits + 5)
 
 
-def test_eta_prime_product_encloses_both_ends_of_a_wide_log_p(monkeypatch):
-    # log 2 +- 2^-40: x = log p / 12 carries log p's radius into w and q
-    radius = mpmath.mpf(2) ** -40
-    log_2 = BoundedReal(mpmath.log(2), radius)
-    monkeypatch.setattr(verify, "log_exact_int", lambda n, ctx: log_2)
-    acc = verify._eta_prime_product([2], CTX)
-    with mpmath.workdps(3 * CTX.working_digits):
-        for end in (log_2.value - radius, log_2.value + radius):
-            ref = mpmath.exp(end / 12) * mpmath.eta(1j * end / mpmath.pi).real
-            assert acc.contains(mpf_to_fraction(ref)), end
-
-
-@pytest.mark.parametrize("bound, radius", [(10**4, 7.3e-27), (10**5, 6.8e-26)])
+@pytest.mark.parametrize("bound, radius", [(10**4, 1.2e-31), (10**5, 1.2e-31)])
 def test_eta_prime_product_radius(bound, radius):
-    # no wider than the BoundedReal product's at 20 digits (7.2e-27 and
-    # 6.7e-26), and a relative radius that shows no drift in the mantissa
+    # 9.95e-32 at both bounds at 20 digits, with a 20% margin, and no
+    # drift in the mantissa
     acc = verify._eta_prime_product(primes_up_to(bound), CTX)
     assert acc.abs_err <= radius
-    assert acc.abs_err < 1e-24 * acc.value
+    assert acc.abs_err < 1e-30 * acc.value
 
 
 def test_eta_identity_check_small_bound():
@@ -464,15 +456,16 @@ def test_eta_identity_check_refuses_a_prime_bound_above_its_cap():
         eta_identity_check(verify.ETA_PRIME_BOUND_CAP + 1, CTX)
 
 
-def test_eta_identity_check_takes_few_exps(monkeypatch):
-    # one exp per eta, one more per sqrt of the modular step (p < e^pi,
-    # 9 primes) and one for prod p^(1/12): 35 for the 25 primes to 100
-    c_constant(2, CTX)
-    calls = []
-    exp = BoundedReal.exp
-    monkeypatch.setattr(BoundedReal, "exp", lambda x: calls.append(x) or exp(x))
-    assert eta_identity_check(100, CTX).status == "within-bounds"
-    assert len(calls) <= 40
+def test_eta_prime_product_takes_no_log_exp_or_pi(monkeypatch):
+    # q = 1/p^2 is exact: no log p, no exp and no pi enters the product
+    def boom(*args):
+        raise AssertionError("the prime-eta product left exact integers")
+
+    monkeypatch.setattr(BoundedReal, "exp", boom)
+    monkeypatch.setattr(verify, "log_exact_int", boom)
+    monkeypatch.setattr(special, "pi_const", boom)
+    acc = verify._eta_prime_product(primes_up_to(100), CTX)
+    assert 0 < acc.value < 1
 
 
 # -- abelian averages -----------------------------------------------------------------
