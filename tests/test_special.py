@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
-from bernfac import constants, special
+from bernfac import constants, special, verify
 from bernfac.precision import (
     BoundedReal,
     PrecisionContext,
@@ -374,6 +374,30 @@ def test_log_gamma_rejects_nonpositive():
         log_gamma_rational(Fraction(0), CTX)
     with pytest.raises(ValueError):
         log_gamma_rational(Fraction(-3, 2), CTX)
+
+
+# -- Dedekind eta on the imaginary axis ----------------------------------------
+# eta(i t) is taken only at t = log p / pi, where q = 1/p^2 is exact and
+# p^(1/12) eta(i t) is verify's Euler factor prod_v (1 - p^(-2v))
+
+@pytest.mark.parametrize("digits", [20, 100])
+def test_eta_contains_mpmath_eta(digits):
+    # each factor alone, p = 23, 29 on either side of t = 1 (p = e^pi)
+    ctx = make_context(digits)
+    for p in (2, 3, 23, 29, 9973):
+        factor = verify._eta_prime_product([p], ctx)
+        with mp.workdps(3 * ctx.working_digits):
+            ref = mp.root(p, 12) * mp.eta(1j * mp.log(p) / mp.pi)
+            assert abs(ref.imag) < mpf(10) ** (-2 * ctx.working_digits)
+            assert factor.contains(mpf_to_fraction(ref.real)), p
+        assert factor.abs_err < mpf(10) ** -digits * abs(factor.value)
+
+
+def test_eta_rejects_nonpositive_argument():
+    # t = log p / pi <= 0 at p = 1, and q = 1/p^2 >= 1 for p < 2
+    for p in (0, 1):
+        with pytest.raises(ValueError, match="p >= 2"):
+            verify._eta_prime_product([p], CTX)
 
 
 # -- partitions and abelian group counts ----------------------------------------

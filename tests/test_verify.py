@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bernfac import precision, special, verify
-from bernfac.constants import m_tilde_matrix
+from bernfac.constants import c_constant, m_tilde_matrix
 from bernfac.precision import BoundedReal, make_context, mpf_to_fraction
 from bernfac.special import partition_count
 from bernfac.verify import (
@@ -428,10 +428,14 @@ def test_eta_prime_product_contains_mpmath(digits):
     assert acc.abs_err < mpmath.mpf(10) ** -(digits + 5)
 
 
-@pytest.mark.parametrize("bound, radius", [(10**4, 1.2e-31), (10**5, 1.2e-31)])
+@pytest.mark.parametrize(
+    "bound, radius",
+    [(10**4, 7.3e-27), (10**5, 6.8e-26), (10**4, 1.2e-31), (10**5, 1.2e-31)],
+)
 def test_eta_prime_product_radius(bound, radius):
-    # 9.95e-32 at both bounds at 20 digits, with a 20% margin, and no
-    # drift in the mantissa
+    # at 20 digits: the former BoundedReal product's pins, which no rewrite
+    # may exceed, then the exact Euler product's 9.95e-32 at both bounds
+    # with a 20% margin; and no drift in the mantissa
     acc = verify._eta_prime_product(primes_up_to(bound), CTX)
     assert acc.abs_err <= radius
     assert acc.abs_err < 1e-30 * acc.value
@@ -454,6 +458,17 @@ def test_eta_identity_check_refuses_a_prime_bound_above_its_cap():
     # refused before any prime is sieved
     with pytest.raises(ValueError, match="prime_bound <= 1000000"):
         eta_identity_check(verify.ETA_PRIME_BOUND_CAP + 1, CTX)
+
+
+def test_eta_identity_check_takes_few_exps(monkeypatch):
+    # with C2 cached, the whole check takes no exp: q = 1/p^2 is exact
+    # (at most 40 while each factor took eta's exp and p^(1/12)'s)
+    c_constant(2, CTX)
+    calls = []
+    exp = BoundedReal.exp
+    monkeypatch.setattr(BoundedReal, "exp", lambda x: calls.append(x) or exp(x))
+    assert eta_identity_check(100, CTX).status == "within-bounds"
+    assert calls == []
 
 
 def test_eta_prime_product_takes_no_log_exp_or_pi(monkeypatch):
