@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp, mpf
-from mpmath.libmp import mpf_sub, round_ceiling
 
 from bernfac.asymptotic import n_coeff
 from bernfac.divergent import smallest_term_sum
@@ -29,15 +27,15 @@ from bernfac.precision import (
     BoundedReal,
     PrecisionContext,
     PrecisionError,
-    _add_up,
     _decimal,
-    _mul_up,
+    _hull,
     format_bound,
+    mpf_to_fraction,
     round_to_digits,
 )
 from bernfac.special import (
+    _clear_caches,
     bernoulli,
-    clear_zeta_cache,
     euler_gamma,
     harmonic,
     log_gamma_rational,
@@ -90,10 +88,10 @@ def _memoized(fn):
 
 
 def clear_cache() -> None:
-    """Drop the memoized reports and the cached zeta values."""
+    """Drop the memoized reports and every cache of bernfac.special."""
     with _cache_lock:
         _cache.clear()
-    clear_zeta_cache()
+    _clear_caches()
 
 
 # -- zeta products C1, C2, C3 --------------------------------------------------
@@ -147,9 +145,8 @@ def c_constant(which: int, ctx: PrecisionContext) -> ConstantReport:
             prod = prod * zeta_int(s, ctx)
         # remaining factors multiply by e^delta with
         # 0 <= delta < b = 2^(1-N') >= 2^(-N'+3/N'); e^b - 1 <= b + b^2
-        b = mpf(2) ** (1 - n_prime)
-        widen = _mul_up(prod.upper(), _add_up(b, _mul_up(b, b)))
-        value = BoundedReal(prod.value, _add_up(prod.abs_err, widen))
+        b = Fraction(1, 2 ** (n_prime - 1))
+        value = BoundedReal(prod, mpf_to_fraction(prod.upper()) * (b + b * b))
     return ConstantReport(
         name=f"C{which}",
         value=value,
@@ -239,9 +236,7 @@ def f_rk_series(r: int, k: int, ctx: PrecisionContext) -> ConstantReport:
             j_start, ctx,
         )
         bound = omitted.abs_upper()
-        log_val = prefix + kept
-        log_val = BoundedReal(log_val.value, _add_up(log_val.abs_err, bound))
-        value = log_val.exp()
+        value = BoundedReal(prefix + kept, bound).exp()
     return ConstantReport(
         name=f"F_{k}" if r == 0 else f"F({r},{k})",
         value=value,
@@ -353,15 +348,8 @@ def f_infty_weak(ctx: PrecisionContext) -> ConstantReport:
         if not positive and omitted.upper() >= 0:  # t + e >= 0 too
             raise PrecisionError("the sign of the omitted term is not certified")
         lo_log, hi_log = (s, shifted) if positive else (shifted, s)
-        lo = lo_log.exp()
-        hi = hi_log.exp()
-        mid = (lo + hi) * Fraction(1, 2)
-        prec, centre = ctx.prec, mid.value._mpf_
-        err = max(
-            mp.make_mpf(mpf_sub(hi.upper()._mpf_, centre, prec, round_ceiling)),
-            mp.make_mpf(mpf_sub(centre, lo.lower()._mpf_, prec, round_ceiling)),
-        )
-        value = BoundedReal(mid.value, err)
+        lo, hi = lo_log.exp(), hi_log.exp()
+        value = _hull(lo, hi)
         lower_str = _decimal(lo.lower(), 6)[0]
         upper_str = _decimal(hi.upper(), 6, up=True)[0]
     return ConstantReport(
@@ -440,16 +428,13 @@ def f_infty_refined(n: int, m: int, ctx: PrecisionContext) -> ConstantReport:
             ) * zeta_int(2 * j - 1, inner).pow_int(2)
         theta_mid = (theta_min + theta_max) * Fraction(1, 2)
         half_width = (theta_max - theta_min) * Fraction(1, 2)
-        log_val = base + theta_mid * r_signed
         log_val = BoundedReal(
-            log_val.value,
-            _add_up(
-                log_val.abs_err,
-                _mul_up(half_width.upper(), r_abs.upper()),
-            ),
+            base + theta_mid * r_signed,
+            mpf_to_fraction(half_width.upper()) * mpf_to_fraction(r_abs.upper()),
         )
         value = log_val.exp()
-        value_bound = _mul_up(theta_err.upper(), value.upper())
+        value_bound = (mpf_to_fraction(theta_err.upper())
+                       * mpf_to_fraction(value.upper()))
     return ConstantReport(
         name="F_inf",
         value=value,

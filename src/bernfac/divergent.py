@@ -19,12 +19,12 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from bernfac.precision import BoundedReal, PrecisionContext, PrecisionError
+from bernfac.precision import (
+    BoundedReal, PrecisionContext, PrecisionError, _from_units, _to_units,
+)
 from bernfac.special import (
     _fixed_point_plan,
-    _from_units,
     _sum_units,
-    _to_units,
     bernoulli,
     log_two_pi,
 )

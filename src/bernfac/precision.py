@@ -21,6 +21,12 @@ rounded upward. upper() and lower() give the interval ends at working
 precision, rounded with ceiling and floor. Every directed sum of a midpoint
 and a radius goes through _directed, which avoids a wrong-side rounding.
 
+Radii are built, rounded and read only in this module. Other modules pass
+exact radii (int, Fraction or mpf): BoundedReal(x, extra) keeps the
+midpoint of the ball x bit for bit and adds extra to its radius, rounded
+upward. _to_units and _from_units cross to and from integer units of
+2^-P, and _hull joins two balls.
+
 Printing: round_to_digits, is_certified and _decimal read the raw
 midpoint and radius. One integer scaling of the mantissa by 10^q (from a
 cache) gives the digits, and the same q decides the '~' certificate;
@@ -47,6 +53,7 @@ from mpmath.libmp import (
     fzero,
     mpf_abs,
     mpf_add,
+    mpf_cmp,
     mpf_div,
     mpf_exp,
     mpf_log,
@@ -58,6 +65,7 @@ from mpmath.libmp import (
     round_ceiling,
     round_floor,
     round_nearest,
+    to_int,
 )
 import mpmath
 
@@ -157,19 +165,6 @@ def _directed(op, v: tuple, e: tuple, prec: int, rnd) -> tuple:
     return op(v, e, prec, rnd)
 
 
-def _add_up(*xs) -> mpf:
-    """Upper bound for the sum of nonnegative mpf radii, at RADIUS_PREC bits."""
-    acc = fzero
-    for x in xs:
-        acc = mpf_add(acc, x._mpf_, RADIUS_PREC, round_ceiling)
-    return _make_mpf(acc)
-
-
-def _mul_up(x, y) -> mpf:
-    """Upper bound for the product of nonnegative mpf radii, at RADIUS_PREC bits."""
-    return _make_mpf(mpf_mul(x._mpf_, y._mpf_, RADIUS_PREC, round_ceiling))
-
-
 def _upward(x) -> tuple:
     """Raw tuple of the number x: exact for mpf and float, else rounded up
     to RADIUS_PREC bits."""
@@ -214,8 +209,9 @@ class BoundedReal:
 
     def __new__(cls, value, abs_err) -> "BoundedReal":
         # an mpf value keeps every bit. Any other value goes through
-        # exact(), and the radius of its rounding joins abs_err; a non-mpf
-        # radius is rounded upward so that it still covers the one given
+        # exact(), and the radius of its rounding joins abs_err; so a
+        # BoundedReal value keeps its midpoint and is widened by abs_err. A
+        # non-mpf radius is rounded upward so that it still covers the one given
         err = _upward(abs_err)
         if isinstance(value, mpf):
             return _raw(value._mpf_, err)
@@ -469,6 +465,39 @@ def _sum(x: BoundedReal, y: BoundedReal, op) -> BoundedReal:
     if y._e[1]:
         err = mpf_add(err, y._e, RADIUS_PREC, round_ceiling)
     return _raw(v, err)
+
+
+def _hull(lo: BoundedReal, hi: BoundedReal) -> BoundedReal:
+    """The ball about (lo + hi)/2 that holds lo.lower() and hi.upper().
+
+    Its radius is the larger distance from the centre to those ends,
+    rounded up at working precision, not at RADIUS_PREC.
+    """
+    prec = _get_prec()
+    centre = ((lo + hi) * Fraction(1, 2))._v
+    top = mpf_sub(hi.upper()._mpf_, centre, prec, round_ceiling)
+    bottom = mpf_sub(centre, lo.lower()._mpf_, prec, round_ceiling)
+    return _raw(centre, top if mpf_cmp(top, bottom) >= 0 else bottom)
+
+
+# -- crossings from libmp constants and integer units of 2^-P ----------------
+
+def _const(mpf_const, ctx: PrecisionContext) -> BoundedReal:
+    """A libmp constant rounded to nearest at ctx.prec, with its ulp slop."""
+    prec = ctx.prec
+    v = mpf_const(prec, round_nearest)
+    return _raw(v, _ulp_slop(v, prec))
+
+
+def _from_units(units: int, err: int, P: int) -> BoundedReal:
+    """units * 2^-P with radius err * 2^-P, both exact."""
+    return _raw(from_man_exp(units, -P), from_man_exp(err, -P))
+
+
+def _to_units(x: BoundedReal, P: int) -> tuple:
+    """(t, e): t = floor(x.value 2^P), and every point of x is within e of t."""
+    return (to_int(mpf_shift(x._v, P), round_floor),
+            to_int(mpf_shift(x._e, P), round_ceiling) + 1)
 
 
 _LOG10_2 = math.log10(2)

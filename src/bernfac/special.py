@@ -25,14 +25,11 @@ from fractions import Fraction
 
 from mpmath.libmp import (
     from_int,
-    from_man_exp,
     mpf_euler,
     mpf_log,
     mpf_pi,
     mpf_shift,
-    round_ceiling,
     round_floor,
-    round_nearest,
     to_int,
 )
 
@@ -40,8 +37,8 @@ from bernfac.precision import (
     BoundedReal,
     PrecisionContext,
     PrecisionError,
-    _raw,
-    _ulp_slop,
+    _const,
+    _from_units,
 )
 
 _lock = threading.Lock()
@@ -65,36 +62,32 @@ def _tangent_numbers(m: int) -> list:
 _bern_even: list = [Fraction(1)]  # _bern_even[m] = B_{2m}
 
 
-def _extend_bernoulli(upto_even_index: int) -> None:
-    """Make the cache hold B_0 .. B_upto_even_index, possibly more.
+def bernoulli(n: int) -> Fraction:
+    """Exact Bernoulli number B_n (B_1 = -1/2 convention).
 
-    The tangent triangle cannot be extended in place, so each growth
+    Even B_n come from a cache grown by the tangent triangle, and are read
+    under _lock, so that a clear_cache() in another thread cannot empty it
+    in between. The triangle cannot be extended in place, so each growth
     rebuilds it. Growing to at least twice the cached length makes callers
     that ask for B_2, B_4, ... one at a time pay O(m^2) in total instead of
     O(m^3) (Brent & Harvey, arXiv:1108.0286).
     """
-    with _lock:
-        cached = len(_bern_even)
-        if upto_even_index // 2 < cached:
-            return
-        m_max = max(upto_even_index // 2, 2 * cached)
-        T = _tangent_numbers(m_max)
-        for m in range(cached, m_max + 1):
-            num = (-1) ** (m - 1) * 2 * m * T[m]
-            den = 2 ** (2 * m) * (2 ** (2 * m) - 1)
-            _bern_even.append(Fraction(num, den))
-
-
-def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (B_1 = -1/2 convention)."""
     if n < 0:
         raise ValueError("Bernoulli numbers need n >= 0")
     if n == 1:
         return Fraction(-1, 2)
     if n % 2 == 1:
         return Fraction(0)
-    _extend_bernoulli(n)
-    return _bern_even[n // 2]
+    with _lock:
+        cached = len(_bern_even)
+        if n // 2 >= cached:
+            m_max = max(n // 2, 2 * cached)
+            T = _tangent_numbers(m_max)
+            for m in range(cached, m_max + 1):
+                num = (-1) ** (m - 1) * 2 * m * T[m]
+                den = 2 ** (2 * m) * (2 ** (2 * m) - 1)
+                _bern_even.append(Fraction(num, den))
+        return _bern_even[n // 2]
 
 
 _harmonic_cache: list = [Fraction(0)]
@@ -113,15 +106,8 @@ def harmonic(n: int) -> Fraction:
 
 # -- engine-rounded constants -----------------------------------------------
 
-def _const(mpf_const, ctx: PrecisionContext) -> BoundedReal:
-    """A libmp constant rounded to nearest at ctx.prec, with its ulp slop."""
-    prec = ctx.prec
-    v = mpf_const(prec, round_nearest)
-    return _raw(v, _ulp_slop(v, prec))
-
-
 def pi_const(ctx: PrecisionContext) -> BoundedReal:
-    """pi at ctx, filled once per context under _lock (clear_zeta_cache drops it)."""
+    """pi at ctx, filled once per context under _lock (_clear_caches drops it)."""
     key = ("pi_const", ctx.target_digits, ctx.guard_digits)
     value = _zeta_cache.get(key)
     if value is None:
@@ -136,7 +122,7 @@ def euler_gamma(ctx: PrecisionContext) -> BoundedReal:
 
 
 def log_two_pi(ctx: PrecisionContext) -> BoundedReal:
-    """log(2 pi) at ctx, once per context (clear_zeta_cache drops it)."""
+    """log(2 pi) at ctx, once per context (_clear_caches drops it)."""
     key = ("log_two_pi", ctx.target_digits, ctx.guard_digits)
     value = _zeta_cache.get(key)
     if value is None:
@@ -163,15 +149,18 @@ def zeta_int(s: int, ctx: PrecisionContext) -> BoundedReal:
         raise ValueError("zeta_int needs s >= 2")
     key = (s, ctx.target_digits, ctx.guard_digits)
     value = _zeta_cache.get(key)
-    if value is None:
+    while value is None:  # a clear_cache() in another thread may empty it again
         zeta_family((s,), ctx)
-        value = _zeta_cache[key]
+        value = _zeta_cache.get(key)
     return value
 
 
-def clear_zeta_cache() -> None:
+def _clear_caches() -> None:
+    """Drop the zeta values, pi and log(2 pi), and cut the Bernoulli,
+    harmonic and partition lists back to their seeds, in place."""
     with _lock:
         _zeta_cache.clear()
+        del _bern_even[1:], _harmonic_cache[1:], _partition_cache[1:]
 
 
 def _fixed_point_plan(ctx: PrecisionContext) -> tuple:
@@ -236,17 +225,6 @@ def _power_sums(upto: dict, P: int) -> dict:
                 at = s
                 sums[s] += x
     return sums
-
-
-def _from_units(units: int, err: int, P: int) -> BoundedReal:
-    """units * 2^-P with radius err * 2^-P, both exact."""
-    return _raw(from_man_exp(units, -P), from_man_exp(err, -P))
-
-
-def _to_units(x: BoundedReal, P: int) -> tuple:
-    """(t, e): t = floor(x.value 2^P), and every point of x is within e of t."""
-    return (to_int(mpf_shift(x._v, P), round_floor),
-            to_int(mpf_shift(x._e, P), round_ceiling) + 1)
 
 
 def _sum_units(terms, goal):

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from mpmath import mpf
-
 from .asymptotic import milnor_f_log, milnor_g_log, p_rk_log, q_r_log, s_r
 from .constants import (
     b_family,
@@ -41,9 +39,9 @@ from .constants import (
     m_matrix,
     m_tilde_matrix,
 )
-from .precision import BoundedReal, PrecisionContext, _add_up, make_context
+from .precision import BoundedReal, PrecisionContext, _from_units, make_context
 from .special import (
-    _fixed_point_plan, _from_units, _sum_units, bernoulli, log_gamma_rational,
+    _fixed_point_plan, _sum_units, bernoulli, log_gamma_rational,
     log_two_pi, partition_count,
 )
 
@@ -218,9 +216,7 @@ def log_exact_int(n: int, ctx: PrecisionContext) -> BoundedReal:
             return BoundedReal.exact(n).log()
         head = BoundedReal.exact(n >> shift).log()
         head = head + shift * BoundedReal.exact(2).log()
-        return BoundedReal(
-            head.value, _add_up(head.abs_err, mpf(2) ** (1 - keep))
-        )
+        return BoundedReal(head, Fraction(1, 2 ** (keep - 1)))
 
 
 def log_exact_fraction(q: Fraction, ctx: PrecisionContext) -> BoundedReal:

@@ -6,6 +6,7 @@ is per-thread state of PrecisionContext.workprec, not mpmath's global one.
 """
 
 import random
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -13,7 +14,7 @@ from fractions import Fraction
 import mpmath
 
 from bernfac import constants, special
-from bernfac.precision import PrecisionContext, mpf_to_fraction
+from bernfac.precision import PrecisionContext, make_context, mpf_to_fraction
 
 ROUTES = {
     "A_1": lambda ctx: constants.glaisher_a(1, ctx),
@@ -85,3 +86,48 @@ def test_results_across_threads_equal_the_single_threaded_ones():
                for i, (route, _) in enumerate(jobs) if route == "A_1")
     assert mpmath.mp.prec == prec_before
     assert time.perf_counter() - start < 5
+
+
+def test_clear_cache_never_pulls_a_value_from_a_reader():
+    # for one second, readers of every cache of bernfac.special race threads
+    # that clear them all; each read must return its value, not an
+    # IndexError or KeyError. Small indices keep each refill cheap, so the
+    # caches are emptied and refilled many times. Only integer routes run:
+    # pi would read mpmath's constant cache, whose own race (see README)
+    # this test does not cover.
+    ctx = make_context(20)
+
+    def read_all():
+        return (special.bernoulli(6), special.harmonic(3),
+                special.partition_count(4), special.zeta_int(61, ctx))
+
+    want, errors, stop = read_all(), [], threading.Event()
+    deadline = time.perf_counter() + 1.0
+
+    def read():
+        try:
+            while time.perf_counter() < deadline:
+                assert read_all() == want
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    def clear():
+        while not stop.is_set():
+            constants.clear_cache()
+
+    clearers = [threading.Thread(target=clear) for _ in range(2)]
+    readers = [threading.Thread(target=read) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in clearers + readers:
+            thread.start()
+        for thread in readers:
+            thread.join(timeout=30)
+    finally:
+        stop.set()
+        for thread in clearers:
+            thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in clearers + readers)
+    assert not errors, errors[:3]

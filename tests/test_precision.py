@@ -15,6 +15,7 @@ from mpmath import mp, mpf
 from bernfac.precision import (
     BoundedReal,
     _decimal,
+    _hull,
     PrecisionContext,
     PrecisionError,
     format_bound,
@@ -130,6 +131,33 @@ def test_constructor_counts_the_rounding_of_a_non_mpf_value():
         long_third = mpf(1) / 3
     x = BoundedReal(long_third, 0)
     assert x.value == long_third and x.abs_err == 0
+
+
+@pytest.mark.parametrize("extra", [3, Fraction(1, 3 * 2**100), "long_mpf"],
+                         ids=["int", "fraction", "long_mpf"])
+def test_constructor_widens_a_ball_by_an_exact_radius(extra):
+    if extra == "long_mpf":
+        with mp.workdps(60):
+            extra = mpf(1) / 7 * mpf(2) ** -95
+    with make_context(20).workprec():
+        x = BoundedReal(Fraction(1, 3), Fraction(1, 5 * 2**99))
+        wide = BoundedReal(x, extra)
+    assert x.abs_err > 0 and wide._v == x._v
+    want = mpf_to_fraction(x.abs_err) + (
+        mpf_to_fraction(extra) if isinstance(extra, mpf) else extra)
+    assert want <= mpf_to_fraction(wide.abs_err) <= want * (1 + Fraction(1, 2**62))
+
+
+def test_hull_holds_both_ends_about_the_midpoint():
+    with make_context(20).workprec():
+        third, half = BoundedReal.exact(Fraction(1, 3)), BoundedReal.exact(Fraction(1, 2))
+        # lo wider, then hi wider with a distance that must round up
+        for lo, hi in [(third.exp(), half.exp()),
+                       (BoundedReal(third, Fraction(1, 100)), half),
+                       (-third, BoundedReal(third * 2, Fraction(1, 100)))]:
+            hull = _hull(lo, hi)
+            assert hull._v == ((lo + hi) * Fraction(1, 2))._v
+            assert hull.contains(lo.lower()) and hull.contains(hi.upper())
 
 
 def test_contains_reads_mpf_and_float_exactly():

@@ -92,6 +92,32 @@ def test_bernoulli_cache_grows_geometrically(monkeypatch):
     assert one_at_a_time[-1] == Fraction(*mpmath.bernfrac(800))
 
 
+def test_bernoulli_reads_its_cache_under_the_lock(monkeypatch):
+    # a read after the lock is released could meet a clear_cache() from
+    # another thread and raise IndexError
+    class LockedReads(list):
+        def __getitem__(self, index):
+            assert special._lock.locked()
+            return super().__getitem__(index)
+
+    monkeypatch.setattr(special, "_bern_even", LockedReads([Fraction(1)]))
+    assert bernoulli(10) == Fraction(5, 66)
+    assert bernoulli(4) == Fraction(-1, 30)
+
+
+def test_clear_cache_cuts_the_exact_sequences_to_their_seeds():
+    before = (bernoulli(60), harmonic(40), partition_count(80))
+    def lists():
+        return special._bern_even, special._harmonic_cache, special._partition_cache
+
+    grown = lists()
+    constants.clear_cache()
+    # reset in place: the same list objects, back at their seeds
+    assert all(a is b for a, b in zip(grown, lists()))
+    assert grown == ([Fraction(1)], [Fraction(0)], [1])
+    assert (bernoulli(60), harmonic(40), partition_count(80)) == before
+
+
 # -- harmonic numbers and Euler's constant ------------------------------------
 
 def test_harmonic_values():
@@ -149,7 +175,7 @@ def test_pi_const_is_kept_per_context_until_the_cache_is_cleared():
     assert pi_const(ctx) is first
     fresh = special._const(special.mpf_pi, ctx)
     assert (first._v, first._e) == (fresh._v, fresh._e)
-    for clear in (constants.clear_cache, special.clear_zeta_cache):
+    for clear in (constants.clear_cache, special._clear_caches):
         clear()
         assert not [key for key in special._zeta_cache if key[0] == "pi_const"]
         again = pi_const(ctx)
@@ -224,11 +250,27 @@ def test_power_sums_stay_within_two_units_per_term():
 
 def test_zeta_family_fills_the_zeta_int_cache(monkeypatch):
     ctx = make_context(30)
-    special.clear_zeta_cache()
+    special._clear_caches()
     special.zeta_family(range(2, 200), ctx)
     monkeypatch.setattr(special, "zeta_family", None)  # a miss would call it
     for s in (2, 3, 57, 199):
         assert zeta_int(s, ctx) is zeta_int(s, ctx)
+
+
+def test_zeta_int_survives_a_clear_between_fill_and_read(monkeypatch):
+    ctx = make_context(30)
+    fill, cleared = special.zeta_family, []
+
+    def fill_then_clear(s_values, c):
+        fill(s_values, c)
+        if not cleared:  # as if clear_cache() ran in another thread
+            cleared.append(True)
+            constants.clear_cache()
+
+    constants.clear_cache()
+    monkeypatch.setattr(special, "zeta_family", fill_then_clear)
+    assert zeta_int(5, ctx) == special._zeta_cache[(5, 30, 10)]
+    assert cleared
 
 
 def test_f_infty_refined_runs_few_euler_maclaurin_sums(monkeypatch):

@@ -192,9 +192,11 @@ def test_log_exact_int_top_bits_path(digits):
 
 
 def test_log_exact_fraction_huge():
-    q = Fraction(3**700000, 2**1000000 - 1)
-    log_q = log_exact_fraction(q, CTX)
-    assert _contains_mpmath_log(log_q, q.numerator, q.denominator, CTX)
+    # a 10^6-bit numerator, then a 10^6-bit denominator, each down the
+    # top-bits path; one Fraction with both would spend seconds in its gcd
+    for q in (Fraction(3**700000, 7), Fraction(7, 2**1000000 - 1)):
+        log_q = log_exact_fraction(q, CTX)
+        assert _contains_mpmath_log(log_q, q.numerator, q.denominator, CTX)
 
 
 def test_log_exact_fraction():
@@ -414,8 +416,8 @@ def test_eta_factor_is_eulerian_and_below_one():
 
 @pytest.mark.parametrize("digits", [20, 100])
 def test_eta_prime_product_contains_mpmath(digits):
-    # the check's own integer-unit product, not dedekind_eta_imag's values,
-    # against mpmath's eta at three times the working digits
+    # the check's exact Euler product in q = 1/p^2 against mpmath's eta at
+    # three times the working digits
     ctx = make_context(digits)
     primes = primes_up_to(200)
     acc = verify._eta_prime_product(primes, ctx)
