@@ -66,10 +66,6 @@ def _linear_in_logs(rest: Fraction, *terms) -> BoundedReal:
     return total
 
 
-def _log(x: int) -> BoundedReal:
-    return BoundedReal.exact(x).log()
-
-
 def q_r_log(r: int, n: int, ctx: PrecisionContext) -> BoundedReal:
     """Certified log Q_r(n).
 
@@ -80,7 +76,8 @@ def q_r_log(r: int, n: int, ctx: PrecisionContext) -> BoundedReal:
     hr = harmonic(r)
     rest = s_r_weighted(r, n, lambda i: hr - harmonic(i))
     with ctx.workprec():
-        return _linear_in_logs(rest, (s_r(r, n) - zeta_neg_int(r), _log(n)))
+        log_n = BoundedReal.exact(n).log()
+        return _linear_in_logs(rest, (s_r(r, n) - zeta_neg_int(r), log_n))
 
 
 def n_coeff(m: int, k: int) -> Fraction:
@@ -109,8 +106,8 @@ def p_rk_log(r: int, k: int, n: int, ctx: PrecisionContext) -> BoundedReal:
         return _linear_in_logs(
             rest,
             (half_s, log_two_pi(ctx)),
-            (half_s + k_s, _log(k)),
-            (n_coeff(r + 2, k), _log(n)),
+            (half_s + k_s, BoundedReal.exact(k).log()),
+            (n_coeff(r + 2, k), BoundedReal.exact(n).log()),
         )
 
 
@@ -125,9 +122,9 @@ def milnor_f_log(n: int, ctx: PrecisionContext) -> BoundedReal:
     with ctx.workprec():
         return _linear_in_logs(
             Fraction(n, 4) - Fraction(3, 2) * sq,
-            (sq - Fraction(n, 4) - Fraction(1, 24), _log(n)),
+            (sq - Fraction(n, 4) - Fraction(1, 24), BoundedReal.exact(n).log()),
             (Fraction(n, 4) - sq, log_two_pi(ctx)),
-            (Fraction(n, 2), _log(2)),
+            (Fraction(n, 2), BoundedReal.exact(2).log()),
         )
 
 
@@ -140,7 +137,7 @@ def milnor_g_log(n: int, ctx: PrecisionContext) -> BoundedReal:
     with ctx.workprec():
         return _linear_in_logs(
             -Fraction(3, 2) * n * n - half,
-            (n * n + half - Fraction(1, 24), _log(n)),
+            (n * n + half - Fraction(1, 24), BoundedReal.exact(n).log()),
             (-(n * n) - half, pi_const(ctx).log()),
-            (n, _log(2)),
+            (n, BoundedReal.exact(2).log()),
         )

@@ -55,7 +55,6 @@ class ConstantReport:
     value: BoundedReal
     method: str  # closed_form | divergent_series | linear_system | refined_sum
     params: dict = field(default_factory=dict)
-    components: tuple = ()
 
     def digits(self, d: int) -> str:
         return round_to_digits(self.value, d)
@@ -284,8 +283,8 @@ def f_k_via_linear_system(k: int, ctx: PrecisionContext) -> ConstantReport:
     The right side is b_{l+1} = (1/2)log 2pi - log Gamma(1 - l/k) for
     l = 0..k-2 and b_k = (1/2)log 2pi - log A + 1/12 + (5/12)log k;
     the solution components x_{l+1} are the asymptotic constants of the
-    shifted products prod (kv-l)! and are returned for cross-checks.
-    log F_k is extracted from x_1 = log F_k + (1/4)log 2pi + k log A.
+    shifted products prod (kv-l)!. Only x_1 = log F_k + (1/4)log 2pi
+    + k log A is formed, from row 0 of the inverse.
     """
     if k < 2:
         raise ValueError("the linear-system route needs k >= 2")
@@ -304,22 +303,17 @@ def f_k_via_linear_system(k: int, ctx: PrecisionContext) -> ConstantReport:
             + BoundedReal.exact(Fraction(1, 12))
             + BoundedReal.exact(k).log() * Fraction(5, 12)
         )
-        mt = m_tilde_matrix(k)
-        x = []
-        for i in range(k):
-            acc = BoundedReal.exact(0)
-            for j in range(k):
-                if mt[i][j]:
-                    acc = acc + b[j] * Fraction(mt[i][j])
-            x.append(acc * Fraction(1, k))
-        log_fk = x[0] - l2p * Fraction(1, 4) - la * k
+        acc = BoundedReal.exact(0)  # k x_1: row 0 of m_tilde times b
+        for b_j, m_j in zip(b, m_tilde_matrix(k)[0]):
+            if m_j:
+                acc = acc + b_j * Fraction(m_j)
+        log_fk = acc * Fraction(1, k) - l2p * Fraction(1, 4) - la * k
         value = log_fk.exp()
     return ConstantReport(
         name=f"F_{k}",
         value=value,
         method="linear_system",
         params={"k": k, "det": k},
-        components=tuple(x),
     )
 
 

@@ -27,10 +27,10 @@ midpoint of the ball x bit for bit and adds extra to its radius, rounded
 upward. _to_units and _from_units cross to and from integer units of
 2^-P, and _hull joins two balls.
 
-Printing: round_to_digits, is_certified and _decimal read the raw
-midpoint and radius. One integer scaling of the mantissa by 10^q (from a
-cache) gives the digits, and the same q decides the '~' certificate;
-for a long 10^|q|, a directed enclosure of the scaled value does both.
+Printing: round_to_digits and _decimal read the raw midpoint and radius.
+One integer scaling of the mantissa by 10^q (from a cache) gives the
+digits, and the same q decides the '~' certificate; for a long 10^|q|, a
+directed enclosure of the scaled value does both.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from mpmath import mp, mpf
 from mpmath.libmp import (
     dps_to_prec,
     from_float,
-    from_int,
     from_man_exp,
     from_rational,
     fzero,
@@ -248,15 +247,20 @@ class BoundedReal:
 
     @staticmethod
     def exact(x: Union[int, Fraction, float, mpf]) -> "BoundedReal":
-        """Wrap a number, exactly if representable, else with an ulp bound."""
+        """Wrap a number, exactly if representable, else with an ulp bound.
+
+        An int or dyadic Fraction stays exact up to prec significant bits; a
+        longer one is rounded to nearest at working precision in one step,
+        so the log of an exact integer of any size is exact(n).log().
+        """
         if isinstance(x, BoundedReal):
             return x
         if isinstance(x, int):
-            return _rounded(from_int(x))
+            return _rounded(x, 0)
         if isinstance(x, Fraction):
             p, q = x.numerator, x.denominator
             if q & (q - 1) == 0:  # dyadic: exact unless p is too long
-                return _rounded(from_man_exp(p, 1 - q.bit_length()))
+                return _rounded(p, 1 - q.bit_length())
             prec = _get_prec()
             v = from_rational(p, q, prec, round_nearest)
             return _raw(v, _ulp_slop(v, prec))
@@ -446,12 +450,21 @@ def _raw(v: tuple, e: tuple) -> BoundedReal:
     return x
 
 
-def _rounded(t: tuple) -> BoundedReal:
-    """The exact raw value t, rounded to working precision if it is longer."""
+def _rounded(man: int, exp: int) -> BoundedReal:
+    """man 2^exp, exact if man has at most prec significant bits, else
+    rounded to nearest at working precision, with its ulp slop.
+
+    A man longer than prec bits is rounded in one step: from_man_exp with
+    no precision would first strip its trailing zeros a byte at a time,
+    which takes seconds for a 10^6-bit man.
+    """
     prec = _get_prec()
-    if t[3] <= prec:
-        return _raw(t, fzero)
-    v = normalize(t[0], t[1], t[2], t[3], prec, round_nearest)
+    bits = man.bit_length()
+    if bits <= prec:
+        return _raw(from_man_exp(man, exp), fzero)
+    v = from_man_exp(man, exp, prec, round_nearest)
+    if bits - (man & -man).bit_length() < prec:  # the dropped bits are zeros
+        return _raw(v, fzero)
     return _raw(v, _ulp_slop(v, prec))
 
 
@@ -625,15 +638,10 @@ def round_to_digits(x: BoundedReal, digits: int) -> str:
     return text if certified else text + "~"
 
 
-def is_certified(x: BoundedReal, digits: int) -> bool:
-    """Whether x's bound pins down a truncated d-digit display."""
-    return _scale(x._v, x._e, digits)[3]
-
-
-def format_bound(x, sig: int = 4) -> str:
-    """Scientific-notation display of an error bound, rounded to sig digits."""
+def format_bound(x) -> str:
+    """Scientific-notation display of an error bound, rounded to 4 digits."""
     v = _make_mpf(_upward(x))
     if v == 0:
         return "0"
-    return mpmath.nstr(v, sig, min_fixed=1, max_fixed=0, strip_zeros=False)
+    return mpmath.nstr(v, 4, min_fixed=1, max_fixed=0, strip_zeros=False)
 

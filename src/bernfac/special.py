@@ -14,6 +14,10 @@ its tail bound, even s below that range exactly from |B_2j| (2 pi)^(2j) /
 omitted correction since x^-s is completely monotone. zeta'(s) takes the
 same split, with log v built from the logs of primes and the integral form
 of the Euler-Maclaurin remainder.
+
+log Gamma(x) at rational x > 0 is Stirling's series for log Gamma itself,
+at x + N for an N that makes its tail reach the goal, less the log of the
+exact rational prod_{j<N} (x + j).
 """
 
 from __future__ import annotations
@@ -482,16 +486,60 @@ def zeta_prime_neg(r: int, ctx: PrecisionContext) -> BoundedReal:
         return lead - corr
 
 
+def _stirling_terms(big: Fraction, P: int):
+    """The Stirling tail of log Gamma(big) as a term source, in units of 2^-P.
+
+    For big = a/b the j-th term B_2j/(2j(2j-1)) big^-(2j-1) is taken as
+    t_j = floor(B_2j b^(2j-1) 2^P / (2j(2j-1) a^(2j-1))), off by less than
+    one unit, so |t_j| + 1 bounds the remainder before j.
+    """
+    a, b = big.numerator, big.denominator
+    num, den = b << P, a  # 2^P b^(2j-1) and a^(2j-1)
+    for j in itertools.count(1):
+        bern = bernoulli(2 * j)
+        scale = bern.denominator * 2 * j * (2 * j - 1)
+        t = bern.numerator * num // (scale * den)
+        yield j, t, 1, abs(t) + 1
+        num *= b * b
+        den *= a * a
+
+
 def log_gamma_rational(x: Fraction, ctx: PrecisionContext) -> BoundedReal:
-    """log Gamma(x) for rational x > 0, certified."""
+    """log Gamma(x) for rational x > 0, certified by Stirling's series.
+
+    log Gamma(x) = (X - 1/2) log X - X + (1/2) log 2 pi + S(X)
+                   - log prod_{j<N} (x + j),  X = x + N,
+    with S the Stirling tail (_stirling_terms). N promotes arguments too
+    small for S to reach working precision; the product is one exact
+    rational. S is summed only until a term drops below the goal
+    2^-g < 10^-(working digits + 2), not to its smallest term; that term
+    still bounds the remainder, with its sign (DLMF 5.11(ii)).
+    """
     x = Fraction(x)
     if x <= 0:
         raise ValueError("log_gamma_rational needs x > 0")
-    from bernfac.divergent import log_factorial  # deferred to avoid a cycle
-
-    with ctx.workprec():
-        # Gamma(x) = (x-1)! formally: log Gamma(x) = log_factorial(x) - log x
-        return log_factorial(x, ctx) - BoundedReal.exact(x).log()
+    wd = ctx.working_digits
+    g, P = _fixed_point_plan(ctx)
+    # smallest Stirling term at argument X is ~ e^(-2 pi X); require
+    # e^(-2 pi X) < goal, i.e. X > wd * ln(10)/(2 pi) ~ 0.3665 wd
+    threshold = int(0.3665 * (wd + 6)) + 2
+    for _ in range(6):
+        N = max(0, threshold - int(x))
+        big = x + N
+        tail = _sum_units(_stirling_terms(big, P), 1 << (P - g))
+        if tail is not None:
+            units, radius, _ = tail
+            with ctx.workprec():
+                log_big = BoundedReal.exact(big).log()
+                total = log_two_pi(ctx) / 2 + (big - Fraction(1, 2)) * log_big
+                total = total - big + _from_units(units, radius, P)
+                if N:  # prod_{j<N} (x+j) = prod (a + j b) / b^N
+                    a, b = x.numerator, x.denominator
+                    rising = math.prod(a + j * b for j in range(N))
+                    total = total - BoundedReal.exact(Fraction(rising, b ** N)).log()
+                return total
+        threshold *= 2
+    raise PrecisionError("log_gamma_rational promotion did not converge")
 
 
 # -- abelian group counting ---------------------------------------------------

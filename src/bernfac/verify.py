@@ -14,12 +14,12 @@ enters ctx.workprec() once around building and evaluating diff, and one gap
 loop, _gap_pairs, turns the differences into float gaps and the verdict.
 
 The suites are deliberately independent of the series machinery they test:
-product logs come from exact integers (bit length plus mantissa, wrapped with
-an ulp bound), not from Stirling-type expansions. The factorial products
-prod (kv)!^(v^r) are not built at all: their log is sum_p e_p log p, with
-the prime exponents e_p from Legendre's formula, exact by unique
-factorization. The weighted factorial split is decided the same way, by the
-prime-exponent vectors of its two sides alone.
+product logs are logs of exact integers and rationals, each rounded once to
+working precision by BoundedReal.exact, not Stirling-type expansions. The
+factorial products prod (kv)!^(v^r) are not built at all: their log is
+sum_p e_p log p, with the prime exponents e_p from Legendre's formula,
+exact by unique factorization. The weighted factorial split is decided the
+same way, by the prime-exponent vectors of its two sides alone.
 """
 
 import itertools
@@ -179,7 +179,7 @@ def _exponents_log(exponents, logs: dict, ctx) -> BoundedReal:
         for p, e in exponents:
             log_p = logs.get(p)
             if log_p is None:
-                log_p = logs[p] = log_exact_int(p, ctx)
+                log_p = logs[p] = BoundedReal.exact(p).log()
             total = total + e * log_p
         return total
 
@@ -197,36 +197,6 @@ def exact_bernoulli_product(n: int, mode: str = "plain") -> Fraction:
             term /= scale * v
         acc *= term
     return acc
-
-
-def log_exact_int(n: int, ctx: PrecisionContext) -> BoundedReal:
-    """Certified log of an exact positive integer of any bit size.
-
-    Integers longer than keep = prec + 64 bits are cut to their top keep
-    bits: n = top * 2^shift + rest with 0 <= rest < 2^shift and
-    top >= 2^(keep-1), so log n = log top + shift log 2 + log(1 + u) with
-    0 <= u < 2^(1-keep). The last term is folded into the error bound.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    with ctx.workprec():
-        keep = ctx.prec + 64
-        shift = n.bit_length() - keep
-        if shift <= 0:
-            return BoundedReal.exact(n).log()
-        head = BoundedReal.exact(n >> shift).log()
-        head = head + shift * BoundedReal.exact(2).log()
-        return BoundedReal(head, Fraction(1, 2 ** (keep - 1)))
-
-
-def log_exact_fraction(q: Fraction, ctx: PrecisionContext) -> BoundedReal:
-    """Certified log of an exact positive rational."""
-    if q <= 0:
-        raise ValueError("need q > 0")
-    with ctx.workprec():
-        num = log_exact_int(q.numerator, ctx)
-        den = log_exact_int(q.denominator, ctx)
-        return num - den
 
 
 # -- identity suite -----------------------------------------------------------
@@ -492,7 +462,7 @@ def _bernoulli_diff(which: str, ctx):
     log_pi = log_two_pi(ctx) - log_2
 
     def diff(n: int) -> BoundedReal:
-        log_n = log_exact_int(n, ctx)
+        log_n = BoundedReal.exact(n).log()
         core = log_n - log_pi - Fraction(3, 2)
         if which == "abs":
             lhs = exact_bernoulli_product(n, "plain")
@@ -510,7 +480,7 @@ def _bernoulli_diff(which: str, ctx):
             rhs = log_b + (n * n) * core
             rhs = rhs + Fraction(sign * n, 2) * (2 * log_2 + log_n - log_pi - 1)
             rhs = rhs - Fraction(1, 24) * log_n
-        return log_exact_fraction(lhs, ctx) - rhs
+        return BoundedReal.exact(lhs).log() - rhs
 
     return diff
 
@@ -522,7 +492,7 @@ def _power_tower_diff(r, ctx):
     def diff(n: int) -> BoundedReal:
         lhs = BoundedReal.exact(0)
         for v in range(2, n + 1):
-            lhs = lhs + v ** r * log_exact_int(v, ctx)
+            lhs = lhs + v ** r * BoundedReal.exact(v).log()
         return lhs - (log_ar + q_r_log(r, n, ctx))
 
     return diff
@@ -536,7 +506,7 @@ def _gamma_ratio_diff(ctx):
         lhs = BoundedReal.exact(0)
         for v in range(1, n):
             lhs = lhs + v * log_gamma_rational(Fraction(v, n), ctx)
-        log_n = log_exact_int(n, ctx)
+        log_n = BoundedReal.exact(n).log()
         return lhs - (log_g1 + (n * n) * log_g2 - Fraction(1, 12) * log_n)
 
     return diff

@@ -1,4 +1,4 @@
-"""Tests for optimal truncation of divergent tails and certified log x!.
+"""Tests for optimal truncation of divergent tails and certified log Gamma.
 
 The key property: the true tail value lies within the stopping remainder
 bound of the partial sum, with the sign of the omitted term giving the
@@ -15,15 +15,15 @@ from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
 from bernfac.asymptotic import n_coeff
-from bernfac.divergent import log_factorial
 from bernfac.precision import (
     BoundedReal,
     PrecisionError,
     make_context,
     mpf_to_fraction,
 )
-from bernfac import divergent
+from bernfac import special
 from bernfac.special import (
+    _stirling_terms,
     _sum_units,
     bernoulli,
     log_gamma_rational,
@@ -36,7 +36,7 @@ CTX = make_context(21)
 # -- tail definitions -----------------------------------------------------------
 
 def stirling_coeff(j: int) -> Fraction:
-    """B_2j/(2j(2j-1)): the tail of log Gamma(x+1) is sum_j coeff x^-(2j-1)."""
+    """B_2j/(2j(2j-1)): the tail of log Gamma(x) is sum_j coeff x^-(2j-1)."""
     return Fraction(bernoulli(2 * j), 2 * j * (2 * j - 1))
 
 
@@ -50,7 +50,7 @@ def test_stirling_tail_coefficients():
 
 def _smallest_stirling(x, P):
     """The Stirling tail at x summed to its smallest term, in units of 2^-P."""
-    return _sum_units(divergent._stirling_terms(Fraction(x), P), None)
+    return _sum_units(_stirling_terms(Fraction(x), P), None)
 
 
 def test_smallest_term_brackets_true_stirling_tail():
@@ -128,18 +128,18 @@ def test_smallest_term_sum_of_d3_tail():
     assert abs(exact(m)) * 2**P < err - (m - 1)
 
 
-# -- certified log factorial -------------------------------------------------------
+# -- certified log x! = log Gamma(x + 1) -------------------------------------------
 
 @given(st.integers(min_value=1, max_value=60))
 def test_log_factorial_contains_exact_integers(n):
-    lf = log_factorial(n, CTX)
+    lf = log_gamma_rational(n + 1, CTX)
     assert lf.exp().contains(math.factorial(n))
 
 
 def test_log_factorial_is_tight():
     with CTX.workprec():
         for n in (1, 2, 7, 40):
-            lf = log_factorial(n, CTX)
+            lf = log_gamma_rational(n + 1, CTX)
             exact = BoundedReal.exact(math.factorial(n)).log()
             assert abs(float((lf - exact).value)) < 1e-25
             assert float(lf.abs_err) < 1e-25
@@ -148,7 +148,7 @@ def test_log_factorial_is_tight():
 def test_log_factorial_half_integer():
     # (1/2)! = Gamma(3/2) = sqrt(pi)/2
     with CTX.workprec():
-        lf = log_factorial(Fraction(1, 2), CTX)
+        lf = log_gamma_rational(Fraction(3, 2), CTX)
         with mp.workdps(45):
             ref = mpmath.log(mpmath.sqrt(mp.pi) / 2)
             assert abs(lf.value - ref) <= lf.abs_err + mpf(10) ** (-38)
@@ -156,7 +156,7 @@ def test_log_factorial_half_integer():
 
 def test_log_factorial_small_rational_promotion():
     with CTX.workprec():
-        lf = log_factorial(Fraction(1, 10), CTX)
+        lf = log_gamma_rational(Fraction(11, 10), CTX)
         with mp.workdps(45):
             ref = mpmath.loggamma(mpf(11) / 10)
             assert abs(lf.value - ref) <= lf.abs_err + mpf(10) ** (-38)
@@ -164,14 +164,14 @@ def test_log_factorial_small_rational_promotion():
 
 def test_log_factorial_rejects_nonpositive():
     with pytest.raises(ValueError):
-        log_factorial(0, CTX)
+        log_gamma_rational(0, CTX)
     with pytest.raises(ValueError):
-        log_factorial(Fraction(-1, 2), CTX)
+        log_gamma_rational(Fraction(-1, 2), CTX)
 
 
 @pytest.mark.parametrize("digits", [20, 100, 300])
 def test_log_gamma_rational_contains_mpmath_loggamma(digits):
-    # 1/7, 2/3 and 49/3 take the promotion path, log((x+N)!) - log prod (x+j);
+    # 1/7, 2/3 and 49/3 take the promotion path, log Gamma(x+N) - log prod (x+j);
     # the reference runs at working digits + 40
     ctx = make_context(digits)
     xs = (Fraction(1, 3), Fraction(1, 2), Fraction(15), Fraction(50),
@@ -204,21 +204,21 @@ def test_log_factorial_stops_at_goal(monkeypatch):
     # the Stirling sum stops at the first term below the goal, far before
     # the smallest term (near j = pi x = 157 at x = 50)
     seen = []
-    engine = divergent._sum_units
+    engine = special._sum_units
 
     def spy(*args):
         result = engine(*args)
         seen.append(result[2])
         return result
 
-    monkeypatch.setattr(divergent, "_sum_units", spy)
+    monkeypatch.setattr(special, "_sum_units", spy)
     log_gamma_rational(Fraction(50), make_context(20))
     assert seen and max(seen) <= 20
 
 
 def _stirling_units(big, P, g):
-    """The Stirling tail of log(big!) summed to the goal 2^-g."""
-    return _sum_units(divergent._stirling_terms(big, P), 1 << (P - g))
+    """The Stirling tail of log Gamma(big) summed to the goal 2^-g."""
+    return _sum_units(_stirling_terms(big, P), 1 << (P - g))
 
 
 def test_stirling_units_bracket_the_exact_tail():

@@ -5,6 +5,7 @@ chain of BoundedReal operations must yield an interval that contains the
 exact rational result.
 """
 
+import time
 from fractions import Fraction
 
 import mpmath
@@ -19,7 +20,6 @@ from bernfac.precision import (
     PrecisionContext,
     PrecisionError,
     format_bound,
-    is_certified,
     make_context,
     mpf_to_fraction,
     round_to_digits,
@@ -100,6 +100,41 @@ def test_exact_huge_int_is_contained():
     x = BoundedReal.exact(n)
     assert x.abs_err > 0
     assert x.contains(n)
+
+
+@pytest.mark.parametrize("kind", [int, Fraction])
+def test_exact_rounds_a_long_int_in_one_step(kind):
+    # three significant bits in 10^6: exact, with no byte-by-byte strip of
+    # the trailing zeros (2.7 s), and its log in well under 0.1 s too
+    n = 7 * 2**1000000
+    ctx = make_context(20)
+    with ctx.workprec():
+        start = time.perf_counter()
+        x = BoundedReal.exact(kind(n))
+        built = time.perf_counter() - start
+        start = time.perf_counter()
+        log_x = x.log()
+        logged = time.perf_counter() - start
+    assert x.abs_err == 0 and x.contains(n)
+    with mp.workdps(3 * ctx.working_digits):
+        ref = mp.log(7) + 1000000 * mp.log(2)
+    assert log_x.contains(mpf_to_fraction(ref))
+    assert built < 0.1 and logged < 0.1
+
+
+def test_exact_adds_the_slop_only_past_prec_significant_bits():
+    ctx = make_context(20)
+    prec = ctx.prec
+    with ctx.workprec():
+        for n in (2**200, (2**prec - 1) * 2**300):
+            for x in (BoundedReal.exact(n), BoundedReal.exact(Fraction(n, 2**900))):
+                assert x.abs_err == 0
+            assert BoundedReal.exact(n).contains(n)
+        for n in ((2 ** (prec + 1) - 1) * 2**300, 3**300, -(3**300) * 2**50):
+            x = BoundedReal.exact(n)
+            assert x.abs_err > 0 and x.contains(n)
+            with mp.workprec(prec):  # the value mpmath rounds to nearest
+                assert x.value == mpf(n)
 
 
 def test_exact_fraction_dyadic_and_generic():
@@ -428,8 +463,8 @@ def test_round_to_digits_uncertified_marker():
     rough = BoundedReal(mpf(1), mpf("0.1"))
     assert round_to_digits(rough, 5) == "1.0000~"
     assert round_to_digits(rough, 1) == "1"
-    assert is_certified(rough, 1)
-    assert not is_certified(rough, 5)
+    assert not round_to_digits(rough, 1).endswith("~")
+    assert round_to_digits(rough, 5).endswith("~")
     # certified only below half a unit of the last printed place
     assert round_to_digits(BoundedReal(mpf(1), mpf(0.5)), 1) == "1~"
     assert round_to_digits(BoundedReal(mpf(1), mpf(0.375)), 1) == "1"
@@ -521,7 +556,7 @@ def test_printing_matches_an_exact_fraction_reference(negative, man_exp, digits,
     x = BoundedReal(v, radius)
     certified = 2 * mpf_to_fraction(radius) < Fraction(10) ** last_place
     assert round_to_digits(x, digits) == (text if certified else text + "~")
-    assert is_certified(x, digits) == certified
+    assert round_to_digits(x, digits).endswith("~") != certified
     assert _decimal(v, digits) == (text, last_place)
     assert _decimal(v, digits, up=True) == _reference_decimal(
         exact, digits, up=True
@@ -532,4 +567,4 @@ def test_format_bound():
     assert format_bound(mpf(0)) == "0"
     assert format_bound(mpf("6.002e-4")) == "6.002e-4"
     assert format_bound(mpf("1.948e-12")) == "1.948e-12"
-    assert format_bound(mpf("0.123"), sig=2) == "1.2e-1"
+    assert format_bound(mpf("0.123")) == "1.230e-1"

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from bernfac import precision, special, verify
 from bernfac.constants import c_constant, m_tilde_matrix
-from bernfac.precision import BoundedReal, make_context, mpf_to_fraction
+from bernfac.precision import BoundedReal, PrecisionError, make_context, mpf_to_fraction
 from bernfac.special import partition_count
 from bernfac.verify import (
     IdentityReport,
@@ -26,8 +26,6 @@ from bernfac.verify import (
     eta_identity_check,
     exact_bernoulli_product,
     identity_suite,
-    log_exact_fraction,
-    log_exact_int,
     milnor_equivalence_check,
     primes_up_to,
     ratio_suite,
@@ -108,7 +106,9 @@ def test_factorial_product_exponents_and_log_match_the_exact_product():
                 exact = exact_factorial_product(k, n, r)
                 assert math.prod(p**e for p, e in exponents) == exact
                 log_sum = verify._exponents_log(exponents, {}, CTX)
-                assert log_sum.agrees_with(log_exact_int(exact, CTX)), (k, n, r)
+                with CTX.workprec():
+                    log_exact = BoundedReal.exact(exact).log()
+                assert log_sum.agrees_with(log_exact), (k, n, r)
                 if exact.bit_length() < 1 << 14:  # mpmath's log of it is slow
                     assert _contains_mpmath_log(log_sum, exact, 1, CTX), (k, n, r)
     assert built > 300
@@ -144,17 +144,23 @@ def test_exact_bernoulli_product_examples():
         exact_bernoulli_product(3, "over_8nu")
 
 
+def _log_exact(x, ctx):
+    with ctx.workprec():
+        return BoundedReal.exact(x).log()
+
+
 def test_log_exact_int_round_trips():
     for n in (3, 10**20, 2**200 + 1):
-        log_n = log_exact_int(n, CTX)
-        assert log_n.exp().contains(n)
-    with pytest.raises(ValueError):
-        log_exact_int(0, CTX)
+        log_n = _log_exact(n, CTX)
+        with CTX.workprec():
+            assert log_n.exp().contains(n)
+    with pytest.raises(PrecisionError):
+        _log_exact(0, CTX)
 
 
 def test_log_exact_int_huge_matches_lgamma_scale():
     n = math.factorial(300)
-    got = float(log_exact_int(n, CTX).value)
+    got = float(_log_exact(n, CTX).value)
     assert abs(got - math.lgamma(301)) < 1e-6 * got
 
 
@@ -177,7 +183,8 @@ def _contains_mpmath_log(enclosure, numerator, denominator, ctx):
 
 @pytest.mark.parametrize("digits", [20, 100])
 def test_log_exact_int_top_bits_path(digits):
-    # keep = prec + 64 bits is where log_exact_int switches to the top bits
+    # integers about prec + 64 bits long and 10^6 bits long, each rounded
+    # to working precision once before its log
     ctx = make_context(digits)
     keep = ctx.prec + 64
     for k in (keep, keep + 1, 10**6):
@@ -186,25 +193,26 @@ def test_log_exact_int_top_bits_path(digits):
             if n % 2:  # mpmath.mpf(n) is quick without trailing zeros
                 with mpmath.workdps(3 * ctx.working_digits):
                     assert _mpf_of_int(n)._mpf_ == mpmath.mpf(n)._mpf_
-            log_n = log_exact_int(n, ctx)
+            log_n = _log_exact(n, ctx)
             assert _contains_mpmath_log(log_n, n, 1, ctx), (k, n.bit_length())
             assert log_n.abs_err < 10 ** -(digits + 1) * max(1, log_n.value)
 
 
 def test_log_exact_fraction_huge():
-    # a 10^6-bit numerator, then a 10^6-bit denominator, each down the
-    # top-bits path; one Fraction with both would spend seconds in its gcd
+    # a 10^6-bit numerator, then a 10^6-bit denominator; one Fraction with
+    # both would spend seconds in its gcd
     for q in (Fraction(3**700000, 7), Fraction(7, 2**1000000 - 1)):
-        log_q = log_exact_fraction(q, CTX)
+        log_q = _log_exact(q, CTX)
         assert _contains_mpmath_log(log_q, q.numerator, q.denominator, CTX)
 
 
 def test_log_exact_fraction():
     q = Fraction(34560, 7)
-    log_q = log_exact_fraction(q, CTX)
-    assert log_q.exp().contains(q)
-    with pytest.raises(ValueError):
-        log_exact_fraction(Fraction(-1, 2), CTX)
+    log_q = _log_exact(q, CTX)
+    with CTX.workprec():
+        assert log_q.exp().contains(q)
+    with pytest.raises(PrecisionError):
+        _log_exact(Fraction(-1, 2), CTX)
 
 
 # -- report types -----------------------------------------------------------------
@@ -479,7 +487,7 @@ def test_eta_prime_product_takes_no_log_exp_or_pi(monkeypatch):
         raise AssertionError("the prime-eta product left exact integers")
 
     monkeypatch.setattr(BoundedReal, "exp", boom)
-    monkeypatch.setattr(verify, "log_exact_int", boom)
+    monkeypatch.setattr(BoundedReal, "log", boom)
     monkeypatch.setattr(special, "pi_const", boom)
     acc = verify._eta_prime_product(primes_up_to(100), CTX)
     assert 0 < acc.value < 1
