@@ -9,13 +9,16 @@ term, an explicit linear-system solution, and a refined tail-bracketing
 sum for F_inf. Each route evaluates its constant once and every value
 carries a certified bound; the relations among the routes and against
 independent references are checked by the test suite, not per request.
+
+Every route is memoized per (arguments, context) by special._memoized,
+which also runs it at its context's working precision. The only other
+precision blocks here are F_inf's doubled guard digits and the cutoff
+search of the zeta products.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,6 +38,7 @@ from bernfac.precision import (
 )
 from bernfac.special import (
     _clear_caches,
+    _memoized,
     bernoulli,
     euler_gamma,
     harmonic,
@@ -60,36 +64,9 @@ class ConstantReport:
         return round_to_digits(self.value, d)
 
 
-# Memo cache: write-once per (route, positional arguments), the context
-# included: PrecisionContext is a frozen dataclass, so it hashes and compares
-# by (target_digits, guard_digits). Reads take no lock, since a dict lookup
-# is atomic and no entry is ever replaced. Concurrent readers may race to
-# compute the same entry; setdefault keeps the first result, and all routes
-# are deterministic, so no digit can ever change.
-_cache: dict = {}
-_cache_lock = threading.Lock()
-
-
-def _memoized(fn):
-    """fn, taking positional arguments only, with its results memoized."""
-
-    @functools.wraps(fn)
-    def memoized(*args):
-        key = (fn, args)
-        value = _cache.get(key)
-        if value is None:
-            value = fn(*args)
-            with _cache_lock:
-                value = _cache.setdefault(key, value)
-        return value
-
-    return memoized
-
-
 def clear_cache() -> None:
-    """Drop the memoized reports and every cache of bernfac.special."""
-    with _cache_lock:
-        _cache.clear()
+    """Drop every cached value: the memo of bernfac.special, and the
+    Bernoulli, harmonic and partition lists past their seeds."""
     _clear_caches()
 
 
@@ -134,18 +111,15 @@ def c_constant(which: int, ctx: PrecisionContext) -> ConstantReport:
     """C1 = prod_{v>=2} zeta(v), C2 = even-index part, C3 = odd-index part."""
     if which not in (1, 2, 3):
         raise ValueError("c_constant selects 1, 2 or 3")
-    with ctx.workprec():
-        n_prime = _zeta_product_cutoff(ctx)
-        start, step = {1: (2, 1), 2: (2, 2), 3: (3, 2)}[which]
-        s_values = range(start, n_prime + 1, step)
-        zeta_family(s_values, ctx)
-        prod = BoundedReal.exact(1)
-        for s in s_values:
-            prod = prod * zeta_int(s, ctx)
-        # remaining factors multiply by e^delta with
-        # 0 <= delta < b = 2^(1-N') >= 2^(-N'+3/N'); e^b - 1 <= b + b^2
-        b = Fraction(1, 2 ** (n_prime - 1))
-        value = BoundedReal(prod, mpf_to_fraction(prod.upper()) * (b + b * b))
+    n_prime = _zeta_product_cutoff(ctx)
+    start, step = {1: (2, 1), 2: (2, 2), 3: (3, 2)}[which]
+    prod = BoundedReal.exact(1)
+    for zeta in zeta_family(range(start, n_prime + 1, step), ctx).values():
+        prod = prod * zeta
+    # remaining factors multiply by e^delta with
+    # 0 <= delta < b = 2^(1-N') >= 2^(-N'+3/N'); e^b - 1 <= b + b^2
+    b = Fraction(1, 2 ** (n_prime - 1))
+    value = BoundedReal(prod, mpf_to_fraction(prod.upper()) * (b + b * b))
     return ConstantReport(
         name=f"C{which}",
         value=value,
@@ -161,16 +135,14 @@ def log_glaisher_a(r: int, ctx: PrecisionContext) -> BoundedReal:
     """log A_r = -zeta(-r) H_r - zeta'(-r)."""
     if r < 0:
         raise ValueError("log_glaisher_a needs r >= 0")
-    with ctx.workprec():
-        exact_part = -zeta_neg_int(r) * harmonic(r)
-        return BoundedReal.exact(exact_part) - zeta_prime_neg(r, ctx)
+    exact_part = -zeta_neg_int(r) * harmonic(r)
+    return BoundedReal.exact(exact_part) - zeta_prime_neg(r, ctx)
 
 
 @_memoized
 def glaisher_a(r: int, ctx: PrecisionContext) -> ConstantReport:
     """A_r, the asymptotic constant of prod_{v<=n} v^(v^r)."""
-    with ctx.workprec():
-        value = log_glaisher_a(r, ctx).exp()
+    value = log_glaisher_a(r, ctx).exp()
     return ConstantReport(
         name="A" if r == 1 else f"A_{r}",
         value=value,
@@ -186,30 +158,40 @@ def f_k_log_closed(k: int, ctx: PrecisionContext) -> BoundedReal:
     """Certified log F_k by the closed form in log A and log Gamma(v/k)."""
     if k < 1:
         raise ValueError("f_k_log_closed needs k >= 1")
-    with ctx.workprec():
-        log_f = (
-            log_glaisher_a(1, ctx) * Fraction(-(k * k + 1), k)
-            + BoundedReal.exact(Fraction(1, 12 * k))
-            + log_two_pi(ctx) * Fraction(k, 4)
-        )
-        if k > 1:
-            log_f = log_f - BoundedReal.exact(k).log() * Fraction(1, 12 * k)
-        for nu in range(1, k):
-            log_f = log_f - log_gamma_rational(Fraction(nu, k), ctx) * Fraction(nu, k)
-        return log_f
+    log_f = (
+        log_glaisher_a(1, ctx) * Fraction(-(k * k + 1), k)
+        + BoundedReal.exact(Fraction(1, 12 * k))
+        + log_two_pi(ctx) * Fraction(k, 4)
+    )
+    if k > 1:
+        log_f = log_f - BoundedReal.exact(k).log() * Fraction(1, 12 * k)
+    for nu in range(1, k):
+        log_f = log_f - log_gamma_rational(Fraction(nu, k), ctx) * Fraction(nu, k)
+    return log_f
 
 
 @_memoized
 def f_k_closed(k: int, ctx: PrecisionContext) -> ConstantReport:
     """F_k by closed form."""
-    with ctx.workprec():
-        value = f_k_log_closed(k, ctx).exp()
+    value = f_k_log_closed(k, ctx).exp()
     return ConstantReport(
         name=f"F_{k}",
         value=value,
         method="closed_form",
         params={"k": k},
     )
+
+
+def _f_rk_term(j: int, r: int, k: int, ctx: PrecisionContext) -> BoundedReal:
+    """Term j of the log F_{r,k} series: N_{2j,k} zeta(2j-r-1)."""
+    return n_coeff(2 * j, k) * zeta_int(2 * j - r - 1, ctx)
+
+
+def _f_inf_term(j: int, ctx: PrecisionContext) -> BoundedReal:
+    """Term j of the log F_inf series: B_2j zeta(2j-1)^2 / (2j(2j-1))."""
+    return Fraction(bernoulli(2 * j), 2 * j * (2 * j - 1)) * zeta_int(
+        2 * j - 1, ctx
+    ).pow_int(2)
 
 
 @_memoized
@@ -222,20 +204,18 @@ def f_rk_series(r: int, k: int, ctx: PrecisionContext) -> ConstantReport:
     """
     if k < 1 or r < 0:
         raise ValueError("f_rk_series needs k >= 1, r >= 0")
-    with ctx.workprec():
-        big_r = (r + 1) // 2
-        if r % 2 == 1:
-            j_start = big_r + 1
-            prefix = BoundedReal.exact(0)
-        else:
-            j_start = big_r + 2
-            prefix = euler_gamma(ctx) * n_coeff(r + 2, k)
-        kept, omitted, m = smallest_term_sum(
-            lambda j: n_coeff(2 * j, k) * zeta_int(2 * j - (r + 1), ctx),
-            j_start, ctx,
-        )
-        bound = omitted.abs_upper()
-        value = BoundedReal(prefix + kept, bound).exp()
+    big_r = (r + 1) // 2
+    if r % 2 == 1:
+        j_start = big_r + 1
+        prefix = BoundedReal.exact(0)
+    else:
+        j_start = big_r + 2
+        prefix = euler_gamma(ctx) * n_coeff(r + 2, k)
+    kept, omitted, m = smallest_term_sum(
+        lambda j: _f_rk_term(j, r, k, ctx), j_start, ctx
+    )
+    bound = omitted.abs_upper()
+    value = BoundedReal(prefix + kept, bound).exp()
     return ConstantReport(
         name=f"F_{k}" if r == 0 else f"F({r},{k})",
         value=value,
@@ -288,27 +268,26 @@ def f_k_via_linear_system(k: int, ctx: PrecisionContext) -> ConstantReport:
     """
     if k < 2:
         raise ValueError("the linear-system route needs k >= 2")
-    with ctx.workprec():
-        l2p = log_two_pi(ctx)
-        la = log_glaisher_a(1, ctx)
-        b = []
-        for l in range(k - 1):
-            bl = l2p * Fraction(1, 2)
-            if l > 0:
-                bl = bl - log_gamma_rational(Fraction(k - l, k), ctx)
-            b.append(bl)
-        b.append(
-            l2p * Fraction(1, 2)
-            - la
-            + BoundedReal.exact(Fraction(1, 12))
-            + BoundedReal.exact(k).log() * Fraction(5, 12)
-        )
-        acc = BoundedReal.exact(0)  # k x_1: row 0 of m_tilde times b
-        for b_j, m_j in zip(b, m_tilde_matrix(k)[0]):
-            if m_j:
-                acc = acc + b_j * Fraction(m_j)
-        log_fk = acc * Fraction(1, k) - l2p * Fraction(1, 4) - la * k
-        value = log_fk.exp()
+    l2p = log_two_pi(ctx)
+    la = log_glaisher_a(1, ctx)
+    b = []
+    for l in range(k - 1):
+        bl = l2p * Fraction(1, 2)
+        if l > 0:
+            bl = bl - log_gamma_rational(Fraction(k - l, k), ctx)
+        b.append(bl)
+    b.append(
+        l2p * Fraction(1, 2)
+        - la
+        + BoundedReal.exact(Fraction(1, 12))
+        + BoundedReal.exact(k).log() * Fraction(5, 12)
+    )
+    acc = BoundedReal.exact(0)  # k x_1: row 0 of m_tilde times b
+    for b_j, m_j in zip(b, m_tilde_matrix(k)[0]):
+        if m_j:
+            acc = acc + b_j * Fraction(m_j)
+    log_fk = acc * Fraction(1, k) - l2p * Fraction(1, 4) - la * k
+    value = log_fk.exp()
     return ConstantReport(
         name=f"F_{k}",
         value=value,
@@ -327,25 +306,20 @@ def f_infty_weak(ctx: PrecisionContext) -> ConstantReport:
     summed to the smallest term; the signed first omitted term brackets
     log F_inf one-sidedly, giving an interval after exponentiation.
     """
-    with ctx.workprec():
-        g = euler_gamma(ctx)
-        prefix = g * g * Fraction(1, 12)
-        kept, omitted, m = smallest_term_sum(
-            lambda j: Fraction(bernoulli(2 * j), 2 * j * (2 * j - 1))
-            * zeta_int(2 * j - 1, ctx).pow_int(2),
-            2, ctx,
-        )
-        bound = omitted.abs_upper()
-        s = prefix + kept
-        shifted = s + omitted
-        positive = omitted.lower() > 0  # t - e > 0 in units
-        if not positive and omitted.upper() >= 0:  # t + e >= 0 too
-            raise PrecisionError("the sign of the omitted term is not certified")
-        lo_log, hi_log = (s, shifted) if positive else (shifted, s)
-        lo, hi = lo_log.exp(), hi_log.exp()
-        value = _hull(lo, hi)
-        lower_str = _decimal(lo.lower(), 6)[0]
-        upper_str = _decimal(hi.upper(), 6, up=True)[0]
+    g = euler_gamma(ctx)
+    prefix = g * g * Fraction(1, 12)
+    kept, omitted, m = smallest_term_sum(lambda j: _f_inf_term(j, ctx), 2, ctx)
+    bound = omitted.abs_upper()
+    s = prefix + kept
+    shifted = s + omitted
+    positive = omitted.lower() > 0  # t - e > 0 in units
+    if not positive and omitted.upper() >= 0:  # t + e >= 0 too
+        raise PrecisionError("the sign of the omitted term is not certified")
+    lo_log, hi_log = (s, shifted) if positive else (shifted, s)
+    lo, hi = lo_log.exp(), hi_log.exp()
+    value = _hull(lo, hi)
+    lower_str = _decimal(lo.lower(), 6)[0]
+    upper_str = _decimal(hi.upper(), 6, up=True)[0]
     return ConstantReport(
         name="F_inf",
         value=value,
@@ -387,9 +361,7 @@ def f_infty_refined(n: int, m: int, ctx: PrecisionContext) -> ConstantReport:
         for k in range(1, n + 1):
             partial = g * Fraction(1, 12 * k)
             for j in range(2, m):
-                partial = partial + n_coeff(2 * j, k) * zeta_int(
-                    2 * j - 1, inner
-                )
+                partial = partial + _f_rk_term(j, 0, k, inner)
             t_mk = n_coeff(2 * m, k) * z
             eta = (f_k_log_closed(k, inner) - partial) / t_mk
             if not (eta.lower() > 0 and eta.upper() < 1):
@@ -417,9 +389,7 @@ def f_infty_refined(n: int, m: int, ctx: PrecisionContext) -> ConstantReport:
         ) * r_abs
         base = g * g * Fraction(1, 12)
         for j in range(2, m):
-            base = base + Fraction(
-                bernoulli(2 * j), 2 * j * (2 * j - 1)
-            ) * zeta_int(2 * j - 1, inner).pow_int(2)
+            base = base + _f_inf_term(j, inner)
         theta_mid = (theta_min + theta_max) * Fraction(1, 2)
         half_width = (theta_max - theta_min) * Fraction(1, 2)
         log_val = BoundedReal(
@@ -472,26 +442,24 @@ def f_r1_log(r: int, ctx: PrecisionContext) -> BoundedReal:
     """Certified log F_{r,1} via the A_j exponent table."""
     if r < 0:
         raise ValueError("f_r1_log needs r >= 0")
-    with ctx.workprec():
-        if r == 0:
-            return (
-                BoundedReal.exact(Fraction(1, 12))
-                + log_glaisher_a(0, ctx) * Fraction(1, 2)
-                - log_glaisher_a(1, ctx) * 2
-            )
-        log_f = BoundedReal.exact(f_r1_alpha(r, 0))
-        for j in range(1, r + 2):
-            a = f_r1_alpha(r, j)
-            if a != 0:
-                log_f = log_f + log_glaisher_a(j, ctx) * a
-        return log_f
+    if r == 0:
+        return (
+            BoundedReal.exact(Fraction(1, 12))
+            + log_glaisher_a(0, ctx) * Fraction(1, 2)
+            - log_glaisher_a(1, ctx) * 2
+        )
+    log_f = BoundedReal.exact(f_r1_alpha(r, 0))
+    for j in range(1, r + 2):
+        a = f_r1_alpha(r, j)
+        if a != 0:
+            log_f = log_f + log_glaisher_a(j, ctx) * a
+    return log_f
 
 
 @_memoized
 def f_r1(r: int, ctx: PrecisionContext) -> ConstantReport:
     """F_{r,1} by the A_j-form closed expression."""
-    with ctx.workprec():
-        value = f_r1_log(r, ctx).exp()
+    value = f_r1_log(r, ctx).exp()
     alphas = {}
     if r > 0:
         alphas = {
@@ -516,18 +484,17 @@ def b_family(ctx: PrecisionContext) -> tuple:
     B2 = C2 2^(5/24) e^(1/24) / A^(1/2); B1 = B2 (2pi)^(1/2);
     B3 = B2 sqrt(2); B' = 2^(-35/24) B2 = C2 e^(1/24) / (2^(5/4) A^(1/2)).
     """
-    with ctx.workprec():
-        c2 = c_constant(2, ctx).value
-        log2 = BoundedReal.exact(2).log()
-        core = (
-            log2 * Fraction(5, 24)
-            + BoundedReal.exact(Fraction(1, 24))
-            - log_glaisher_a(1, ctx) * Fraction(1, 2)
-        )
-        b2 = c2 * core.exp()
-        b1 = b2 * (log_two_pi(ctx) * Fraction(1, 2)).exp()
-        b3 = b2 * (log2 * Fraction(1, 2)).exp()
-        bprime = b2 * (log2 * Fraction(-35, 24)).exp()
+    c2 = c_constant(2, ctx).value
+    log2 = BoundedReal.exact(2).log()
+    core = (
+        log2 * Fraction(5, 24)
+        + BoundedReal.exact(Fraction(1, 24))
+        - log_glaisher_a(1, ctx) * Fraction(1, 2)
+    )
+    b2 = c2 * core.exp()
+    b1 = b2 * (log_two_pi(ctx) * Fraction(1, 2)).exp()
+    b3 = b2 * (log2 * Fraction(1, 2)).exp()
+    bprime = b2 * (log2 * Fraction(-35, 24)).exp()
     reports = tuple(
         ConstantReport(name=name, value=value, method="closed_form")
         for name, value in (
@@ -548,10 +515,9 @@ def gamma_product_constants(ctx: PrecisionContext) -> tuple:
 
     Returns (e^((1-gamma)/12)/A, (2pi)^(1/4)/A).
     """
-    with ctx.workprec():
-        la = log_glaisher_a(1, ctx)
-        first = (
-            (BoundedReal.exact(1) - euler_gamma(ctx)) * Fraction(1, 12) - la
-        ).exp()
-        second = (log_two_pi(ctx) * Fraction(1, 4) - la).exp()
+    la = log_glaisher_a(1, ctx)
+    first = (
+        (BoundedReal.exact(1) - euler_gamma(ctx)) * Fraction(1, 12) - la
+    ).exp()
+    second = (log_two_pi(ctx) * Fraction(1, 4) - la).exp()
     return (first, second)

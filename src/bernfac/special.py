@@ -1,4 +1,9 @@
-"""Exact Bernoulli and harmonic numbers, and certified special functions.
+"""Exact Bernoulli and harmonic numbers, certified special functions, and
+the one memo of bernfac.
+
+Every cached value lives in the write-once dict _memo, written only by
+_remember under _lock; _memoized routes a function through it and runs a
+miss at its context's working precision.
 
 The series here are summed by one engine, _sum_units, in exact integers in
 units of 2^-P. A term source gives, per index j, the term after floor
@@ -8,12 +13,12 @@ below the goal, or before the smallest term, and its radius counts every
 kept floor and the stopping remainder.
 
 zeta(s) at integers s >= 2 is evaluated for a whole family of s at once and
-cached (zeta_family, read through zeta_int): large s by a direct sum plus
-its tail bound, even s below that range exactly from |B_2j| (2 pi)^(2j) /
-(2 (2j)!), and odd s by Euler-Maclaurin, whose remainder is below the first
-omitted correction since x^-s is completely monotone. zeta'(s) takes the
-same split, with log v built from the logs of primes and the integral form
-of the Euler-Maclaurin remainder.
+memoized under ("zeta", s, ctx) (zeta_family, read through zeta_int): large
+s by a direct sum plus its tail bound, even s below that range exactly from
+|B_2j| (2 pi)^(2j) / (2 (2j)!), and odd s by Euler-Maclaurin, whose
+remainder is below the first omitted correction since x^-s is completely
+monotone. zeta'(s) takes the same split, with log v built from the logs of
+primes and the integral form of the Euler-Maclaurin remainder.
 
 log Gamma(x) at rational x > 0 is Stirling's series for log Gamma itself,
 at x + N for an N that makes its tail reach the goal, less the log of the
@@ -22,6 +27,7 @@ exact rational prod_{j<N} (x + j).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -108,63 +114,78 @@ def harmonic(n: int) -> Fraction:
         return _harmonic_cache[n]
 
 
+# -- the memo ----------------------------------------------------------------
+
+# Write-once, under (fn, args) for a _memoized function and ("zeta", s, ctx)
+# for zeta(s). A PrecisionContext is a frozen dataclass, so keys compare it
+# by (target_digits, guard_digits). Reads take no lock, since a dict lookup
+# is atomic and no entry is ever replaced; racing fills compute identical
+# values, and _remember keeps the first.
+_memo: dict = {}
+
+
+def _remember(key, value):
+    """The value under key: value itself unless a racing fill got there first."""
+    with _lock:
+        return _memo.setdefault(key, value)
+
+
+def _memoized(fn):
+    """fn(*args, ctx), memoized per args; a miss runs at ctx's working precision."""
+
+    @functools.wraps(fn)
+    def memoized(*args):
+        key = (fn, args)
+        value = _memo.get(key)
+        if value is None:
+            with args[-1].workprec():
+                value = _remember(key, fn(*args))
+        return value
+
+    return memoized
+
+
+def _clear_caches() -> None:
+    """Empty the memo, and cut the Bernoulli, harmonic and partition lists
+    back to their seeds, in place."""
+    with _lock:
+        _memo.clear()
+        del _bern_even[1:], _harmonic_cache[1:], _partition_cache[1:]
+
+
 # -- engine-rounded constants -----------------------------------------------
 
+@_memoized
 def pi_const(ctx: PrecisionContext) -> BoundedReal:
-    """pi at ctx, filled once per context under _lock (_clear_caches drops it)."""
-    key = ("pi_const", ctx.target_digits, ctx.guard_digits)
-    value = _zeta_cache.get(key)
-    if value is None:
-        with _lock:
-            value = _zeta_cache.setdefault(key, _const(mpf_pi, ctx))
-    return value
+    """pi at ctx, read from mpmath's constant cache under _lock."""
+    with _lock:
+        return _const(mpf_pi, ctx)
 
 
+@_memoized
 def euler_gamma(ctx: PrecisionContext) -> BoundedReal:
-    """Euler's constant, certified to working precision."""
-    return _const(mpf_euler, ctx)
+    """Euler's constant at ctx, read from mpmath's constant cache under _lock."""
+    with _lock:
+        return _const(mpf_euler, ctx)
 
 
+@_memoized
 def log_two_pi(ctx: PrecisionContext) -> BoundedReal:
-    """log(2 pi) at ctx, once per context (_clear_caches drops it)."""
-    key = ("log_two_pi", ctx.target_digits, ctx.guard_digits)
-    value = _zeta_cache.get(key)
-    if value is None:
-        with ctx.workprec():
-            value = (pi_const(ctx) * 2).log()
-        with _lock:
-            value = _zeta_cache.setdefault(key, value)
-    return value
+    """log(2 pi) at ctx."""
+    return (pi_const(ctx) * 2).log()
 
 
 # -- Riemann zeta at integers -----------------------------------------------
 
-# Write-once: zeta_int per (s, target, guard), filled by zeta_family, pi_const
-# and log_two_pi. Racing fills compute identical values; setdefault keeps one.
-_zeta_cache: dict = {}
-
-
 def zeta_int(s: int, ctx: PrecisionContext) -> BoundedReal:
     """zeta(s) for integer s >= 2 with a certified error bound.
 
-    Read from the cache that zeta_family fills; a miss evaluates s alone.
+    Read from the memo that zeta_family fills; a miss evaluates s alone.
     """
-    if s < 2:
-        raise ValueError("zeta_int needs s >= 2")
-    key = (s, ctx.target_digits, ctx.guard_digits)
-    value = _zeta_cache.get(key)
-    while value is None:  # a clear_cache() in another thread may empty it again
-        zeta_family((s,), ctx)
-        value = _zeta_cache.get(key)
+    value = _memo.get(("zeta", s, ctx))
+    if value is None:
+        value = zeta_family((s,), ctx)[s]
     return value
-
-
-def _clear_caches() -> None:
-    """Drop the zeta values, pi and log(2 pi), and cut the Bernoulli,
-    harmonic and partition lists back to their seeds, in place."""
-    with _lock:
-        _zeta_cache.clear()
-        del _bern_even[1:], _harmonic_cache[1:], _partition_cache[1:]
 
 
 def _fixed_point_plan(ctx: PrecisionContext) -> tuple:
@@ -307,8 +328,9 @@ def _zeta_even(s_values: list, ctx: PrecisionContext) -> dict:
     return values
 
 
-def zeta_family(s_values, ctx: PrecisionContext) -> None:
-    """Put zeta(s) for every s in s_values into zeta_int's cache, in one pass.
+def zeta_family(s_values, ctx: PrecisionContext) -> dict:
+    """{s: zeta(s)} for every s in s_values, from the memo or from one pass
+    that fills it.
 
     With n = max(10, 3/4 working digits) and 2^-g < 10^-(working digits
     + 2), each s takes one route:
@@ -323,10 +345,10 @@ def zeta_family(s_values, ctx: PrecisionContext) -> None:
     (the power ladder of Johansson, arXiv:1309.2877), and the radius
     counts every floor.
     """
-    key = (ctx.target_digits, ctx.guard_digits)
-    todo = sorted({s for s in s_values if (s, *key) not in _zeta_cache})
+    zetas = {s: _memo.get(("zeta", s, ctx)) for s in s_values}
+    todo = sorted(s for s, value in zetas.items() if value is None)
     if not todo:
-        return
+        return zetas
     if todo[0] < 2:
         raise ValueError("zeta_int needs s >= 2")
     n, g, P = _zeta_plan(ctx)
@@ -350,9 +372,9 @@ def zeta_family(s_values, ctx: PrecisionContext) -> None:
         values[s] = _zeta_em(s, n, sums[s], P, g)
     if even:
         values.update(_zeta_even(even, ctx))
-    with _lock:
-        for s, value in values.items():
-            _zeta_cache.setdefault((s, *key), value)
+    for s, value in values.items():
+        zetas[s] = _remember(("zeta", s, ctx), value)
+    return zetas
 
 
 def _log_units(top: int, P: int) -> list:

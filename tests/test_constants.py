@@ -503,10 +503,50 @@ def test_memoized_reports_are_shared():
 
 
 def test_memoized_routes_stay_plain_functions_of_the_module():
-    # perfbench's tracer wraps only functions whose __module__ is this one
+    # perfbench's tracer wraps only functions whose __module__ is their own
     for route in (c_constant, glaisher_a, f_rk_series, b_family):
         assert isinstance(route, types.FunctionType)
         assert route.__module__ == "bernfac.constants"
+    for route in (pi_const, euler_gamma, log_two_pi):
+        assert isinstance(route, types.FunctionType)
+        assert route.__module__ == "bernfac.special"
+
+
+# the arguments before the context of every memoized route
+MEMOIZED_ROUTES = {
+    "c_constant": (1,),
+    "log_glaisher_a": (2,),
+    "glaisher_a": (3,),
+    "f_k_log_closed": (3,),
+    "f_k_closed": (2,),
+    "f_rk_series": (1, 2),
+    "f_k_via_linear_system": (3,),
+    "f_infty_weak": (),
+    "f_infty_refined": (7, 17),
+    "f_r1_log": (2,),
+    "f_r1": (3,),
+    "b_family": (),
+    "gamma_product_constants": (),
+}
+
+
+def test_memoized_routes_are_listed():
+    assert set(MEMOIZED_ROUTES) == {
+        name for name, fn in vars(constants).items()
+        if hasattr(fn, "__wrapped__") and fn.__module__ == constants.__name__
+    }
+
+
+@pytest.mark.parametrize("name", MEMOIZED_ROUTES)
+def test_memoized_route_sets_its_own_precision(name):
+    # the memo runs a miss at the route's context, whatever block encloses it
+    route, args = getattr(constants, name), MEMOIZED_ROUTES[name]
+    ctx = make_context(20)
+    clear_cache()
+    plain = route(*args, ctx)
+    clear_cache()
+    with PrecisionContext(60, 10).workprec():
+        assert route(*args, ctx) == plain
 
 
 def test_clear_cache_preserves_values():

@@ -163,7 +163,7 @@ def test_log_two_pi_is_kept_per_context_until_the_cache_is_cleared():
         fresh = (pi_const(ctx) * 2).log()
     assert (first._v, first._e) == (fresh._v, fresh._e)
     constants.clear_cache()
-    assert not [key for key in special._zeta_cache if key[0] == "log_two_pi"]
+    assert (log_two_pi.__wrapped__, (ctx,)) not in special._memo
     again = log_two_pi(ctx)
     assert again is not first and again == first
 
@@ -177,10 +177,32 @@ def test_pi_const_is_kept_per_context_until_the_cache_is_cleared():
     assert (first._v, first._e) == (fresh._v, fresh._e)
     for clear in (constants.clear_cache, special._clear_caches):
         clear()
-        assert not [key for key in special._zeta_cache if key[0] == "pi_const"]
+        assert (pi_const.__wrapped__, (ctx,)) not in special._memo
         again = pi_const(ctx)
         assert again is not first and again == first
         first = again
+
+
+@pytest.mark.parametrize("read, name", [(pi_const, "mpf_pi"),
+                                        (euler_gamma, "mpf_euler")])
+def test_constants_are_read_from_mpmath_once_per_context_under_the_lock(
+        monkeypatch, read, name):
+    # mpmath's constant cache stores a new value before its precision, so a
+    # read outside the lock could meet another thread's growth
+    reads, mpf_const = [], getattr(special, name)
+
+    def counted(prec, rnd):
+        assert special._lock.locked()
+        reads.append(prec)
+        return mpf_const(prec, rnd)
+
+    monkeypatch.setattr(special, name, counted)
+    constants.clear_cache()
+    ctx = PrecisionContext(37, 13)
+    first = read(ctx)
+    assert read(ctx) is first and read(PrecisionContext(37, 13)) is first
+    assert read(PrecisionContext(38, 13)) is not first
+    assert len(reads) == 2
 
 
 # -- zeta at positive integers ------------------------------------------------
@@ -251,10 +273,11 @@ def test_power_sums_stay_within_two_units_per_term():
 def test_zeta_family_fills_the_zeta_int_cache(monkeypatch):
     ctx = make_context(30)
     special._clear_caches()
-    special.zeta_family(range(2, 200), ctx)
+    zetas = special.zeta_family(range(2, 200), ctx)
+    assert list(zetas) == list(range(2, 200))
     monkeypatch.setattr(special, "zeta_family", None)  # a miss would call it
     for s in (2, 3, 57, 199):
-        assert zeta_int(s, ctx) is zeta_int(s, ctx)
+        assert zeta_int(s, ctx) is zetas[s]
 
 
 def test_zeta_int_survives_a_clear_between_fill_and_read(monkeypatch):
@@ -262,15 +285,17 @@ def test_zeta_int_survives_a_clear_between_fill_and_read(monkeypatch):
     fill, cleared = special.zeta_family, []
 
     def fill_then_clear(s_values, c):
-        fill(s_values, c)
+        zetas = fill(s_values, c)
         if not cleared:  # as if clear_cache() ran in another thread
             cleared.append(True)
             constants.clear_cache()
+        return zetas
 
     constants.clear_cache()
     monkeypatch.setattr(special, "zeta_family", fill_then_clear)
-    assert zeta_int(5, ctx) == special._zeta_cache[(5, 30, 10)]
+    value = zeta_int(5, ctx)
     assert cleared
+    assert value == fill((5,), ctx)[5]
 
 
 def test_f_infty_refined_runs_few_euler_maclaurin_sums(monkeypatch):
