@@ -5,15 +5,14 @@ without bound: zeta products C1..C3, the Glaisher-type constants A_r of
 prod v^(v^r), the factorial-product constants F_k, F_inf and F_{r,k},
 and the Bernoulli-product constants B1, B2, B3, B'. The routes are closed
 forms in Gamma values and A_r, divergent series summed to the smallest
-term, an explicit linear-system solution, and a refined tail-bracketing
-sum for F_inf. Each route evaluates its constant once and every value
-carries a certified bound; the relations among the routes and against
+term, an explicit linear-system solution, and a regularized product of
+the exact F_k for F_inf. Each route evaluates its constant once and every
+value carries a certified bound; the relations among the routes and against
 independent references are checked by the test suite, not per request.
 
 Every route is memoized per (arguments, context) by special._memoized,
 which also runs it at its context's working precision. The only other
-precision blocks here are F_inf's doubled guard digits and the cutoff
-search of the zeta products.
+precision block here is the cutoff search of the zeta products.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from bernfac.precision import (
 from bernfac.special import (
     _clear_caches,
     _memoized,
+    _zeta_tails,
     bernoulli,
     euler_gamma,
     harmonic,
@@ -336,69 +336,45 @@ def f_infty_weak(ctx: PrecisionContext) -> ConstantReport:
 
 @_memoized
 def f_infty_refined(n: int, m: int, ctx: PrecisionContext) -> ConstantReport:
-    """F_inf to full precision by bracketing the divergent remainder.
+    """F_inf as the regularized product of the exact F_k, k <= n.
 
-    Writing log F_k = gamma/(12k) + sum_{j<m} (series terms)
-    + eta_k * (j=m term) defines eta_k in (0,1) computably from the
-    exact F_k, k <= n. Summing over k brackets the multiplier theta of
-    the j=m term of the log F_inf series inside (theta_min, theta_max),
-    whose width times |B_2m| zeta(2m-1)^2/(2m(2m-1)) is the remainder
-    error bound. The value is taken at the midpoint of the bracket, so
-    the certified abs_err uses the half width; the reported bound keeps
-    the full width for comparability.
+    With c_j = B_2j/(2j(2j-1)) and the Hurwitz tails zeta(s, n+1),
+
+        log F_inf = gamma^2/12 + sum_{k<=n} (log F_k - gamma/(12k))
+                    + sum_{2<=j<m} c_j zeta(2j-1) zeta(2j-1, n+1) + theta R,
+
+    R = c_m zeta(2m-1) zeta(2m-1, n+1), theta in (0,1): the sums over j
+    are the log F_k series of every k > n, each with its remainder between
+    0 and its j = m term (DLMF 5.11(ii), summed over the multiples k nu).
+    So log F_inf lies between A, the first three terms, and A + R.
+    theta_min and theta_max are those ends as multiples of the j = m term
+    of the log F_inf series; both in (0,1) checks the premise on k <= n.
     """
     if m <= 2:
         raise ValueError("f_infty_refined needs m > 2")
     if n < 1:
         raise ValueError("f_infty_refined needs n >= 1")
-    # eta_k comes from a catastrophic cancellation: the series partial
-    # sums reach magnitude ~ the j=m term, so double guard digits
-    inner = PrecisionContext(ctx.target_digits, 2 * ctx.guard_digits)
-    with inner.workprec():
-        g = euler_gamma(inner)
-        z = zeta_int(2 * m - 1, inner)
-        etas = []
-        for k in range(1, n + 1):
-            partial = g * Fraction(1, 12 * k)
-            for j in range(2, m):
-                partial = partial + _f_rk_term(j, 0, k, inner)
-            t_mk = n_coeff(2 * m, k) * z
-            eta = (f_k_log_closed(k, inner) - partial) / t_mk
-            if not (eta.lower() > 0 and eta.upper() < 1):
-                raise PrecisionError(
-                    f"eta_{k} = {eta!r} not certified inside (0,1)"
-                )
-            etas.append(eta)
-        s_eta = BoundedReal.exact(0)
-        s_eta_m1 = BoundedReal.exact(0)
-        s_plain = Fraction(0)
-        for k, eta in enumerate(etas, start=1):
-            w = Fraction(1, k ** (2 * m - 1))
-            s_eta = s_eta + eta * w
-            s_eta_m1 = s_eta_m1 + (eta - 1) * w
-            s_plain += w
-        theta_min = s_eta / z
-        theta_max = BoundedReal.exact(1) + s_eta_m1 / z
-        if not (theta_min.lower() > 0 and theta_max.upper() < 1):
-            raise PrecisionError("theta bracket escaped (0,1)")
-        r_term = Fraction(bernoulli(2 * m), 2 * m * (2 * m - 1))
-        r_signed = BoundedReal.exact(r_term) * z.pow_int(2)
-        r_abs = abs(r_signed)
-        theta_err = (
-            BoundedReal.exact(1) - BoundedReal.exact(s_plain) / z
-        ) * r_abs
-        base = g * g * Fraction(1, 12)
-        for j in range(2, m):
-            base = base + _f_inf_term(j, inner)
-        theta_mid = (theta_min + theta_max) * Fraction(1, 2)
-        half_width = (theta_max - theta_min) * Fraction(1, 2)
-        log_val = BoundedReal(
-            base + theta_mid * r_signed,
-            mpf_to_fraction(half_width.upper()) * mpf_to_fraction(r_abs.upper()),
-        )
-        value = log_val.exp()
-        value_bound = (mpf_to_fraction(theta_err.upper())
-                       * mpf_to_fraction(value.upper()))
+    odd = range(3, 2 * m, 2)
+    zetas = zeta_family(odd, ctx)
+    tails = _zeta_tails(odd, n + 1, ctx)
+    g = euler_gamma(ctx)
+    total = g * g * Fraction(1, 12)
+    base = total
+    for k in range(1, n + 1):
+        total = total + f_k_log_closed(k, ctx) - g * Fraction(1, 12 * k)
+    for j in range(2, m):
+        s = 2 * j - 1
+        total = total + n_coeff(2 * j, 1) * zetas[s] * tails[s]
+        base = base + _f_inf_term(j, ctx)
+    r_signed = n_coeff(2 * m, 1) * zetas[2 * m - 1] * tails[2 * m - 1]
+    r_abs = mpf_to_fraction(r_signed.abs_upper())
+    t_m = _f_inf_term(m, ctx)
+    theta_min = (total - base) / t_m
+    theta_max = (total + r_signed - base) / t_m
+    if not (theta_min.lower() > 0 and theta_max.upper() < 1):
+        raise PrecisionError("theta bracket escaped (0,1)")
+    value = BoundedReal(total + r_signed * Fraction(1, 2), r_abs / 2).exp()
+    value_bound = r_abs * mpf_to_fraction(value.upper())
     return ConstantReport(
         name="F_inf",
         value=value,
@@ -410,7 +386,7 @@ def f_infty_refined(n: int, m: int, ctx: PrecisionContext) -> ConstantReport:
             "theta_max": mpmath.nstr(theta_max.value, 12),
             "theta_min_float": float(theta_min.value),
             "theta_max_float": float(theta_max.value),
-            "log_bound": format_bound(theta_err.upper()),
+            "log_bound": format_bound(r_abs),
             "bound": format_bound(value_bound),
             "bound_float": float(value_bound),
         },

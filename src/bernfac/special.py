@@ -17,8 +17,9 @@ memoized under ("zeta", s, ctx) (zeta_family, read through zeta_int): large
 s by a direct sum plus its tail bound, even s below that range exactly from
 |B_2j| (2 pi)^(2j) / (2 (2j)!), and odd s by Euler-Maclaurin, whose
 remainder is below the first omitted correction since x^-s is completely
-monotone. zeta'(s) takes the same split, with log v built from the logs of
-primes and the integral form of the Euler-Maclaurin remainder.
+monotone; the Hurwitz tails zeta(s, a) share that tail (_em_tail). zeta'(s)
+takes the same split, with log v built from the logs of primes and the
+integral form of the Euler-Maclaurin remainder.
 
 log Gamma(x) at rational x > 0 is Stirling's series for log Gamma itself,
 at x + N for an N that makes its tail reach the goal, less the log of the
@@ -282,19 +283,18 @@ def _sum_units(terms, goal):
         held = (j, t, e, r)
 
 
-def _zeta_em(s: int, n: int, partial: int, P: int, g: int) -> BoundedReal:
-    """zeta(s) by Euler-Maclaurin at cutoff n, in units of 2^-P.
+def _em_tail(s: int, n: int, P: int, g: int) -> tuple:
+    """sum_{v>=n} v^-s by Euler-Maclaurin, in units of 2^-P: (units, err).
 
-    zeta(s) = sum_{v<n} v^-s + n^(1-s)/(s-1) + n^(-s)/2
-              + sum_j B_2j/(2j)! * (s)_{2j-1} * n^(1-s-2j)  [+ remainder]
+    sum_{v>=n} v^-s = n^(1-s)/(s-1) + n^(-s)/2
+                      + sum_j B_2j/(2j)! * (s)_{2j-1} * n^(1-s-2j)  [+ remainder]
     with |remainder| <= first omitted correction term (the integrand
-    x^-s is completely monotone on (0, inf)). partial is
-    sum_{v<n} floor(2^P v^-s), below the exact sum by less than 2 per
-    v >= 2; every other piece is one floor division, off by less than 1.
+    x^-s is completely monotone on (0, inf)). The corrections stop at the
+    goal 2^-g. Every piece is one floor division, off by less than 1.
     """
     one = 1 << P
     power = n ** (s - 1)
-    units = partial + one // ((s - 1) * power) + one // (2 * power * n)
+    units = one // ((s - 1) * power) + one // (2 * power * n)
 
     def corrections():
         poch, fact, scale = s, 2, power * n * n  # (s)_{2j-1}, (2j)!, n^(s+2j-1)
@@ -308,8 +308,28 @@ def _zeta_em(s: int, n: int, partial: int, P: int, g: int) -> BoundedReal:
 
     total = _sum_units(corrections(), 1 << (P - g))
     if total is None:
-        raise PrecisionError(f"Euler-Maclaurin diverged for zeta({s})")
-    return _from_units(units + total[0], 2 * (n - 2) + 2 + total[1], P)
+        raise PrecisionError(f"Euler-Maclaurin diverged for zeta({s}) past {n}")
+    return units + total[0], 2 + total[1]
+
+
+def _zeta_tails(s_values, a: int, ctx: PrecisionContext) -> dict:
+    """{s: zeta(s, a)} = {s: sum_{v>=a} v^-s} for integers s >= 2, a >= 1.
+
+    Each is summed on zeta's plan shifted by b = bit length of a^s, in
+    units of 2^-(P+b) < a^-s 2^-P to the goal 2^-(g+b) < a^-s 2^-g, so its
+    radius is relative: the terms a <= v < cut directly, one floor each,
+    then _em_tail at cut = max(a, n, s), with n zeta's cutoff. Below s the
+    corrections grow from the first. zeta(s) less the terms v < a would
+    lose s log10(a) digits.
+    """
+    n, g, P = _zeta_plan(ctx)
+    tails = {}
+    for s in s_values:
+        cut, b = max(a, n, s), (a ** s).bit_length()
+        units, err = _em_tail(s, cut, P + b, g + b)
+        direct = sum((1 << (P + b)) // v ** s for v in range(a, cut))
+        tails[s] = _from_units(direct + units, cut - a + err, P + b)
+    return tails
 
 
 def _zeta_even(s_values: list, ctx: PrecisionContext) -> dict:
@@ -369,7 +389,9 @@ def zeta_family(s_values, ctx: PrecisionContext) -> dict:
         tail = -(-one // ((s - 1) * v ** (s - 1)))
         values[s] = _from_units(sums[s], 2 * (v - 1) + tail, P)
     for s in odd:
-        values[s] = _zeta_em(s, n, sums[s], P, g)
+        # sums[s] is below the exact sum_{v<n} v^-s by less than 2 per v >= 2
+        units, err = _em_tail(s, n, P, g)
+        values[s] = _from_units(sums[s] + units, 2 * (n - 2) + err, P)
     if even:
         values.update(_zeta_even(even, ctx))
     for s, value in values.items():

@@ -8,6 +8,7 @@ identical arguments produce identical bytes.
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -456,7 +457,9 @@ TIGHTENED = {
     ("C2", "100"): {"bound": "2.034e-103"},
     ("C3", "100"): {"bound": "1.407e-103"},
     ("B1", "100"): {"bound": "5.422e-103"},
-    ("F_inf", "20"): {"bound_float": "6.320816312259722e-22"},
+    # R = c_m zeta(2m-1) zeta(2m-1, n+1) is formed with no cancellation, so
+    # the bound is the same at every digit count from 10 up
+    ("F_inf", "20"): {"bound_float": "6.320816310824011e-22"},
     ("A_r", "20"): {"bound": "5.330e-30"},
     ("F_k", "20"): {"bound": "1.111e-29"},
     ("F_k", "20", "--k", "3"): {"bound": "4.752e-28"},
@@ -749,6 +752,25 @@ def test_verify_eta_refuses_a_prime_bound_past_its_limit():
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "error: need prime_bound <= 1000000\n"
+
+
+def _limit_memory():
+    """Cap the child's address space at 1 GiB; the test process keeps its own."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("n, m, digits", [(20, 60, 60), (10, 40, 30)])
+def test_constant_f_inf_past_its_defaults_exits_zero(n, m, digits):
+    # a route that cancels digits at large (n, m) exhausts memory or
+    # overflows a float on these two requests
+    done = subprocess.run(
+        [sys.executable, "-m", "bernfac", "constant", "F_inf", "--n", str(n),
+         "--m", str(m), "--digits", str(digits)],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=10,
+        preexec_fn=_limit_memory,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("1.0246068826555972148")
 
 
 # -- closed pipe ------------------------------------------------------------------

@@ -53,6 +53,8 @@ from bernfac.special import (
 from references import (
     References,
     contains_reference,
+    exact_fraction,
+    f_inf_reference,
     f_r1_log_zeta_form,
     reference_dps,
 )
@@ -325,6 +327,19 @@ def test_f_infty_refined_golden_digits():
     # endpoints coincide at display resolution; only strictness against the
     # ends of (0, 1) is meaningful here
     assert 0 < rep.params["theta_min_float"] <= rep.params["theta_max_float"] < 1
+
+
+@pytest.mark.parametrize("n, m, digits, certified", [
+    (7, 17, 20, True), (20, 60, 60, False), (37, 117, 100, True),
+])
+def test_f_infty_refined_contains_the_regularized_product_reference(
+    n, m, digits, certified
+):
+    rep = f_infty_refined(n, m, make_context(digits))
+    ref, radius = f_inf_reference(digits)
+    gap = abs(mpf_to_fraction(rep.value.value) - exact_fraction(ref))
+    assert gap <= mpf_to_fraction(rep.value.abs_err) + exact_fraction(radius)
+    assert rep.digits(digits).endswith("~") != certified
 
 
 def test_f_infty_refined_validation():

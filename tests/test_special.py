@@ -302,16 +302,36 @@ def test_f_infty_refined_runs_few_euler_maclaurin_sums(monkeypatch):
     from bernfac.constants import clear_cache, f_infty_refined
 
     runs = []
-    em = special._zeta_em
+    em = special._em_tail
 
     def counted(*args):
-        runs.append(args[0])
+        runs.append((args[0], args[2]))  # (s, P): P grows with a^s in a tail
         return em(*args)
 
-    monkeypatch.setattr(special, "_zeta_em", counted)
+    monkeypatch.setattr(special, "_em_tail", counted)
     clear_cache()
     f_infty_refined(7, 17, make_context(20))
-    assert 1 <= len(runs) <= 16
+    assert 1 <= len(runs) <= 32
+    assert len(set(runs)) == len(runs)
+
+
+@pytest.mark.parametrize("a", [2, 8, 38, 111])
+def test_zeta_tails_contain_mpmath_hurwitz_zeta(a):
+    # one reference per s at working digits + 40 for the largest request;
+    # mpmath's zeta(s, a) is accurate to about 10^-w absolutely at w digits,
+    # and zeta(s, a) > a^-s, so it carries s log10(a) more
+    sweep = [make_context(digits) for digits in (*range(1, 31), 100)]
+    top = max(ctx.working_digits for ctx in sweep) + 40
+    refs = {}
+    for s in range(3, 42, 2):
+        with mp.workdps(top + math.ceil(s * math.log10(a))):
+            refs[s] = mp.zeta(s, a)
+    with mp.workdps(top):
+        for ctx in sweep:
+            tails = special._zeta_tails(refs, a, ctx)
+            for s, ref in refs.items():
+                assert tails[s].contains(ref), (ctx, s)
+                assert tails[s].abs_err < ref * mpf(10) ** -ctx.working_digits, (ctx, s)
 
 
 # -- zeta derivatives ----------------------------------------------------------
