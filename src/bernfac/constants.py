@@ -11,14 +11,14 @@ value carries a certified bound; the relations among the routes and against
 independent references are checked by the test suite, not per request.
 
 Every route is memoized per (arguments, context) by special._memoized,
-which also runs it at its context's working precision. The only other
-precision block here is the cutoff search of the zeta products.
+which also runs it at its context's working precision, and a report's
+printed digits are kept in the same memo. The only other precision block
+here is the cutoff search of the zeta products.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -37,7 +37,9 @@ from bernfac.precision import (
 )
 from bernfac.special import (
     _clear_caches,
+    _memo,
     _memoized,
+    _remember,
     _zeta_tails,
     bernoulli,
     euler_gamma,
@@ -51,17 +53,47 @@ from bernfac.special import (
 )
 
 
-@dataclass(frozen=True)
 class ConstantReport:
-    """One computed constant: certified value plus how it was obtained."""
+    """One computed constant: certified value plus how it was obtained.
 
-    name: str
-    value: BoundedReal
-    method: str  # closed_form | divergent_series | linear_system | refined_sum
-    params: dict = field(default_factory=dict)
+    Immutable, and equal to a report with equal fields. Not a tuple: a route
+    that returns several reports (b_family) returns a tuple of them.
+    """
+
+    __slots__ = ("name", "value", "method", "params")
+
+    def __init__(self, name: str, value: BoundedReal, method: str,
+                 params: dict = None) -> None:
+        # method: closed_form | divergent_series | linear_system | refined_sum
+        _set = object.__setattr__
+        _set(self, "name", name)
+        _set(self, "value", value)
+        _set(self, "method", method)
+        _set(self, "params", {} if params is None else params)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ConstantReport is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not ConstantReport:
+            return NotImplemented
+        return (self.name, self.value, self.method, self.params) == (
+            other.name, other.value, other.method, other.params)
+
+    def __repr__(self) -> str:
+        return (f"ConstantReport(name={self.name!r}, value={self.value!r}, "
+                f"method={self.method!r}, params={self.params!r})")
 
     def digits(self, d: int) -> str:
-        return round_to_digits(self.value, d)
+        """round_to_digits(self.value, d), formatted once per ball and d and
+        kept in the memo until clear_cache()."""
+        key = ("digits", self.value, d)
+        text = _memo.get(key)
+        if text is None:
+            text = _remember(key, round_to_digits(self.value, d))
+        return text
 
 
 def clear_cache() -> None:

@@ -39,8 +39,8 @@ import contextlib
 import functools
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Union
 
 from mpmath import mp, mpf
@@ -73,18 +73,31 @@ class PrecisionError(ArithmeticError):
     """An operation could not certify the requested precision."""
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
-    """Target output digits plus guard digits for intermediate work."""
+class PrecisionContext(tuple):
+    """Target output digits plus guard digits for intermediate work.
 
-    target_digits: int
-    guard_digits: int
+    An immutable (target_digits, guard_digits) pair. It is a tuple so that
+    a memo key holding it is hashed and compared in C; like any tuple it
+    also equals the plain tuple of its two fields.
+    """
 
-    def __post_init__(self) -> None:
-        if self.target_digits < 1:
+    __slots__ = ()
+
+    def __new__(cls, target_digits: int, guard_digits: int) -> "PrecisionContext":
+        if target_digits < 1:
             raise ValueError("target_digits must be at least 1")
-        if self.guard_digits < 10:
+        if guard_digits < 10:
             raise ValueError("guard_digits must be at least 10")
+        return tuple.__new__(cls, (target_digits, guard_digits))
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle call __new__ with these
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"PrecisionContext(target_digits={self[0]}, guard_digits={self[1]})"
+
+    target_digits = property(itemgetter(0))
+    guard_digits = property(itemgetter(1))
 
     @property
     def working_digits(self) -> int:
@@ -109,8 +122,12 @@ class PrecisionContext:
             _prec.reset(token)
 
 
+@functools.lru_cache(maxsize=256)
 def make_context(target_digits: int) -> PrecisionContext:
-    """Context with the default guard policy: max(10, ceil(target/10))."""
+    """Context with the default guard policy: max(10, ceil(target/10)).
+
+    Interned: a repeated target returns the same context object.
+    """
     if target_digits < 1:
         raise ValueError("target_digits must be at least 1")
     return PrecisionContext(target_digits, max(10, -(-target_digits // 10)))
@@ -597,9 +614,27 @@ def _scale(v: tuple, err: tuple, digits: int, up: bool = False) -> tuple:
     return m, e, q, not eman or not _floor_scaled(eman, eexp + 1, q, digits)
 
 
+def _int_text(m: int) -> str:
+    """str(m) for an integer m >= 0 of any length.
+
+    str() refuses an int longer than sys.get_int_max_str_digits() digits
+    (4300 by default, and at least 640 unless 0). So an m of over 1700 bits
+    is split by one divmod at 10^k, for the largest power of two k with
+    10^k <= m, and each part is converted alone, the low one padded to k
+    digits; str() only ever sees at most 512 digits.
+    """
+    if m.bit_length() <= 1700:  # m < 2^1700 < 10^512
+        return str(m)
+    k = 256
+    while m >= _ten(2 * k):
+        k *= 2
+    high, low = divmod(m, _ten(k))
+    return _int_text(high) + _int_text(low).zfill(k)
+
+
 def _layout(sign: int, m: int, e: int, digits: int) -> str:
     """The text of _scale's m: round_to_digits' layout."""
-    s = str(m)
+    s = _int_text(m)
     if 0 <= e < digits:
         text = s[: e + 1] + ("." + s[e + 1 :] if e + 1 < digits else "")
     elif -digits < e < 0:

@@ -117,10 +117,11 @@ def harmonic(n: int) -> Fraction:
 
 # -- the memo ----------------------------------------------------------------
 
-# Write-once, under (fn, args) for a _memoized function and ("zeta", s, ctx)
-# for zeta(s). A PrecisionContext is a frozen dataclass, so keys compare it
-# by (target_digits, guard_digits). Reads take no lock, since a dict lookup
-# is atomic and no entry is ever replaced; racing fills compute identical
+# Write-once, under (fn, args) for a _memoized function, ("zeta", s, ctx)
+# for zeta(s) and ("digits", ball, d) for ConstantReport.digits' text. A
+# PrecisionContext is a tuple of (target_digits, guard_digits), so a key
+# hashes and compares it in C. Reads take no lock, since a dict lookup is
+# atomic and no entry is ever replaced; racing fills compute identical
 # values, and _remember keeps the first.
 _memo: dict = {}
 
@@ -548,6 +549,7 @@ def _stirling_terms(big: Fraction, P: int):
         den *= a * a
 
 
+@_memoized
 def log_gamma_rational(x: Fraction, ctx: PrecisionContext) -> BoundedReal:
     """log Gamma(x) for rational x > 0, certified by Stirling's series.
 
@@ -557,7 +559,8 @@ def log_gamma_rational(x: Fraction, ctx: PrecisionContext) -> BoundedReal:
     small for S to reach working precision; the product is one exact
     rational. S is summed only until a term drops below the goal
     2^-g < 10^-(working digits + 2), not to its smallest term; that term
-    still bounds the remainder, with its sign (DLMF 5.11(ii)).
+    still bounds the remainder, with its sign (DLMF 5.11(ii)). Memoized per
+    (x, ctx), as the F_k closed forms ask for the same nu/k many times.
     """
     x = Fraction(x)
     if x <= 0:
@@ -573,15 +576,14 @@ def log_gamma_rational(x: Fraction, ctx: PrecisionContext) -> BoundedReal:
         tail = _sum_units(_stirling_terms(big, P), 1 << (P - g))
         if tail is not None:
             units, radius, _ = tail
-            with ctx.workprec():
-                log_big = BoundedReal.exact(big).log()
-                total = log_two_pi(ctx) / 2 + (big - Fraction(1, 2)) * log_big
-                total = total - big + _from_units(units, radius, P)
-                if N:  # prod_{j<N} (x+j) = prod (a + j b) / b^N
-                    a, b = x.numerator, x.denominator
-                    rising = math.prod(a + j * b for j in range(N))
-                    total = total - BoundedReal.exact(Fraction(rising, b ** N)).log()
-                return total
+            log_big = BoundedReal.exact(big).log()
+            total = log_two_pi(ctx) / 2 + (big - Fraction(1, 2)) * log_big
+            total = total - big + _from_units(units, radius, P)
+            if N:  # prod_{j<N} (x+j) = prod (a + j b) / b^N
+                a, b = x.numerator, x.denominator
+                rising = math.prod(a + j * b for j in range(N))
+                total = total - BoundedReal.exact(Fraction(rising, b ** N)).log()
+            return total
         threshold *= 2
     raise PrecisionError("log_gamma_rational promotion did not converge")
 

@@ -24,9 +24,8 @@ same way, by the prime-exponent vectors of its two sides alone.
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .asymptotic import milnor_f_log, milnor_g_log, p_rk_log, q_r_log, s_r
 from .constants import (
@@ -77,8 +76,7 @@ def _params_record(params: dict) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """One exact or interval-certified identity check."""
 
     name: str
@@ -101,19 +99,24 @@ class IdentityReport:
         }
 
 
-@dataclass(frozen=True)
-class RatioReport:
-    """Log-gap of exact product vs asymptotic formula along an n-grid."""
-
+class _RatioFields(NamedTuple):
     name: str
     gaps: tuple  # ((n, float gap), ...) sorted by n
     monotone_tail: bool
     offending: tuple = ()
 
-    def __post_init__(self):
-        ns = [n for n, _ in self.gaps]
+
+class RatioReport(_RatioFields):
+    """Log-gap of exact product vs asymptotic formula along an n-grid."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        report = super().__new__(cls, *args, **kwargs)
+        ns = [n for n, _ in report.gaps]
         if ns != sorted(ns):
             raise ValueError("gap entries must be sorted by n")
+        return report
 
     @property
     def status(self) -> str:

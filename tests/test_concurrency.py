@@ -1,8 +1,9 @@
 """Determinism across threads: each thread works at its own precision.
 
-Four threads evaluate routes at mixed precisions at once. Every result must
-equal the one the same call gives on its own, since the working precision
-is per-thread state of PrecisionContext.workprec, not mpmath's global one.
+Four threads evaluate routes at mixed precisions at once. Every result, and
+every report's printed text, must equal the one the same call gives on its
+own, since the working precision is per-thread state of
+PrecisionContext.workprec, not mpmath's global one.
 """
 
 import random
@@ -50,13 +51,15 @@ def test_results_across_threads_equal_the_single_threaded_ones():
     assert len(jobs) >= 1000
     assert len({ctx for _, ctx in jobs}) == len(jobs)
     prec_before = mpmath.mp.prec
-    threaded, errors = {}, []
+    threaded, texts, errors = {}, {}, []
 
     def work(indices):
         try:
             for i in indices:
                 route, ctx = jobs[i]
                 threaded[i] = ROUTES[route](ctx)
+                if isinstance(threaded[i], constants.ConstantReport):
+                    texts[i] = threaded[i].digits(ctx.target_digits)
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -77,6 +80,13 @@ def test_results_across_threads_equal_the_single_threaded_ones():
     differ = [(route, ctx) for i, (route, ctx) in enumerate(jobs)
               if ROUTES[route](ctx) != threaded[i]]
     assert not differ, f"{len(differ)} of {len(jobs)} differ, e.g. {differ[:3]}"
+    assert len(texts) == 78  # A_1, C2 and F_3 at 26 contexts each
+    differ = []
+    for i, text in texts.items():
+        route, ctx = jobs[i]
+        if ROUTES[route](ctx).digits(ctx.target_digits) != text:
+            differ.append((route, ctx))
+    assert not differ, f"{len(differ)} texts differ, e.g. {differ[:3]}"
     assert prec_after == prec_before
 
     top = max(ctx.working_digits for route, ctx in jobs if route == "A_1")

@@ -15,7 +15,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from bernfac import constants
+from bernfac import constants, special
 from bernfac.asymptotic import n_coeff, s_r_coeffs
 from bernfac.constants import (
     b_family,
@@ -45,6 +45,7 @@ from bernfac.precision import (
 )
 from bernfac.special import (
     euler_gamma,
+    log_gamma_rational,
     log_two_pi,
     pi_const,
     zeta_int,
@@ -522,7 +523,7 @@ def test_memoized_routes_stay_plain_functions_of_the_module():
     for route in (c_constant, glaisher_a, f_rk_series, b_family):
         assert isinstance(route, types.FunctionType)
         assert route.__module__ == "bernfac.constants"
-    for route in (pi_const, euler_gamma, log_two_pi):
+    for route in (pi_const, euler_gamma, log_two_pi, log_gamma_rational):
         assert isinstance(route, types.FunctionType)
         assert route.__module__ == "bernfac.special"
 
@@ -562,6 +563,26 @@ def test_memoized_route_sets_its_own_precision(name):
     clear_cache()
     with PrecisionContext(60, 10).workprec():
         assert route(*args, ctx) == plain
+
+
+def test_digits_are_formatted_once_and_kept_in_the_memo():
+    ctx = make_context(100)
+    reports = (c_constant(2, ctx), glaisher_a(1, ctx), *b_family(ctx))
+    for d in range(1, 121):
+        for report in reports:
+            text = report.digits(d)
+            assert report.digits(d) is text
+            assert text == round_to_digits(report.value, d)
+
+
+def test_clear_cache_drops_the_digits_texts():
+    report = c_constant(2, CTX)
+    text = report.digits(21)
+    assert special._memo[("digits", report.value, 21)] is text
+    clear_cache()
+    assert ("digits", report.value, 21) not in special._memo
+    again = report.digits(21)
+    assert again == text and again is not text
 
 
 def test_clear_cache_preserves_values():

@@ -47,6 +47,16 @@ def test_context_validation():
         make_context(0)
 
 
+def test_contexts_are_interned_immutable_values():
+    assert make_context(37) is make_context(37)
+    ctx = PrecisionContext(37, 10)
+    assert ctx == make_context(37) and hash(ctx) == hash(make_context(37))
+    assert ctx != PrecisionContext(37, 11) and ctx != PrecisionContext(38, 10)
+    assert (ctx.target_digits, ctx.guard_digits) == (37, 10)
+    with pytest.raises(AttributeError):
+        ctx.target_digits = 38
+
+
 def test_workprec_sets_and_restores_the_precision():
     def third_at(prec):
         return mpmath.libmp.from_rational(1, 3, prec, mpmath.libmp.round_nearest)
@@ -561,6 +571,17 @@ def test_printing_matches_an_exact_fraction_reference(negative, man_exp, digits,
     assert _decimal(v, digits, up=True) == _reference_decimal(
         exact, digits, up=True
     )
+
+
+@pytest.mark.parametrize("digits", [4300, 4301, 6000])
+def test_printing_past_the_int_to_str_limit(digits):
+    # str() of an int refuses more than 4300 digits by default
+    with PrecisionContext(digits, 20).workprec():
+        thirds = round_to_digits(BoundedReal.exact(Fraction(4, 3)), digits)
+        near_one = round_to_digits(BoundedReal.exact(1 + Fraction(1, 2**3000)), digits)
+    assert thirds == "1." + "3" * (digits - 1)
+    tail = str(5**3000).rjust(3000, "0")  # 2^-3000 = 5^3000 10^-3000
+    assert near_one == ("1." + tail + "0" * digits)[: digits + 1]
 
 
 def test_format_bound():

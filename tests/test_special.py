@@ -456,6 +456,17 @@ def test_log_gamma_reflection_at_thirds():
         assert abs(float((lhs - rhs).value)) < 1e-25
 
 
+def test_log_gamma_is_kept_per_context_and_sets_its_own_precision():
+    ctx = PrecisionContext(37, 13)
+    constants.clear_cache()
+    first = log_gamma_rational(Fraction(1, 3), ctx)
+    assert log_gamma_rational(Fraction(1, 3), ctx) is first
+    constants.clear_cache()
+    with PrecisionContext(60, 10).workprec():
+        again = log_gamma_rational(Fraction(1, 3), ctx)
+    assert again is not first and again == first
+
+
 def test_log_gamma_rejects_nonpositive():
     with pytest.raises(ValueError):
         log_gamma_rational(Fraction(0), CTX)
