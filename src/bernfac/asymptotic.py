@@ -5,7 +5,9 @@ the Milnor-Husemoller comparison functions F and G are exact rationals
 times log n, log 2 pi (or log pi), log k and log 2, plus an exact rational:
 S_r(n), the harmonic numbers H_r and the Bernoulli numbers B_m are all
 exact. Each function builds those rationals with Fraction arithmetic and
-meets the logs once, in one certified BoundedReal sum.
+meets the logs once, in one certified BoundedReal sum. The main terms are
+memoized per (arguments, context) by special._memoized, which runs them at
+their context's working precision.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from fractions import Fraction
 from typing import Callable
 
 from bernfac.precision import BoundedReal, PrecisionContext
-from bernfac.special import bernoulli, harmonic, log_two_pi, pi_const, zeta_neg_int
+from bernfac.special import (
+    _memoized, bernoulli, harmonic, log_two_pi, pi_const, zeta_neg_int,
+)
 
 
 def _signed_bernoulli(m: int) -> Fraction:
@@ -55,10 +59,7 @@ def s_r_weighted(r: int, n: int, weight: Callable[[int], Fraction]):
 # -- asymptotic main terms of the studied products ---------------------------
 
 def _linear_in_logs(rest: Fraction, *terms) -> BoundedReal:
-    """rest + sum of c * log_x over the (c, log_x) terms, each c exact.
-
-    Call inside workprec(): the logs are BoundedReal at working precision.
-    """
+    """rest + sum of c * log_x over the (c, log_x) terms, each c exact."""
     total = BoundedReal.exact(rest)
     for c, log_x in terms:
         if c != 0:
@@ -66,6 +67,7 @@ def _linear_in_logs(rest: Fraction, *terms) -> BoundedReal:
     return total
 
 
+@_memoized
 def q_r_log(r: int, n: int, ctx: PrecisionContext) -> BoundedReal:
     """Certified log Q_r(n).
 
@@ -75,9 +77,8 @@ def q_r_log(r: int, n: int, ctx: PrecisionContext) -> BoundedReal:
     """
     hr = harmonic(r)
     rest = s_r_weighted(r, n, lambda i: hr - harmonic(i))
-    with ctx.workprec():
-        log_n = BoundedReal.exact(n).log()
-        return _linear_in_logs(rest, (s_r(r, n) - zeta_neg_int(r), log_n))
+    log_n = BoundedReal.exact(n).log()
+    return _linear_in_logs(rest, (s_r(r, n) - zeta_neg_int(r), log_n))
 
 
 def n_coeff(m: int, k: int) -> Fraction:
@@ -87,6 +88,7 @@ def n_coeff(m: int, k: int) -> Fraction:
     return Fraction(bernoulli(m), m * (m - 1) * k ** (m - 1))
 
 
+@_memoized
 def p_rk_log(r: int, k: int, n: int, ctx: PrecisionContext) -> BoundedReal:
     """Certified log P_{r,k}(n), the k-dependent main term of prod (kv)!^(v^r).
 
@@ -102,42 +104,41 @@ def p_rk_log(r: int, k: int, n: int, ctx: PrecisionContext) -> BoundedReal:
         n_coeff(2 * j, k) * s_r(r + 1 - 2 * j, n)
         for j in range(1, (r + 1) // 2 + 1)
     )
-    with ctx.workprec():
-        return _linear_in_logs(
-            rest,
-            (half_s, log_two_pi(ctx)),
-            (half_s + k_s, BoundedReal.exact(k).log()),
-            (n_coeff(r + 2, k), BoundedReal.exact(n).log()),
-        )
+    return _linear_in_logs(
+        rest,
+        (half_s, log_two_pi(ctx)),
+        (half_s + k_s, BoundedReal.exact(k).log()),
+        (n_coeff(r + 2, k), BoundedReal.exact(n).log()),
+    )
 
 
 # -- Milnor-Husemoller comparison functions ----------------------------------
 
+@_memoized
 def milnor_f_log(n: int, ctx: PrecisionContext) -> BoundedReal:
     """Certified log F(n) of the Milnor-Husemoller comparison function.
 
     F(n) = (n/(2 pi e^(3/2)))^(n^2/4) (8 pi e/n)^(n/4) / n^(1/24).
     """
     sq = Fraction(n * n, 4)
-    with ctx.workprec():
-        return _linear_in_logs(
-            Fraction(n, 4) - Fraction(3, 2) * sq,
-            (sq - Fraction(n, 4) - Fraction(1, 24), BoundedReal.exact(n).log()),
-            (Fraction(n, 4) - sq, log_two_pi(ctx)),
-            (Fraction(n, 2), BoundedReal.exact(2).log()),
-        )
+    return _linear_in_logs(
+        Fraction(n, 4) - Fraction(3, 2) * sq,
+        (sq - Fraction(n, 4) - Fraction(1, 24), BoundedReal.exact(n).log()),
+        (Fraction(n, 4) - sq, log_two_pi(ctx)),
+        (Fraction(n, 2), BoundedReal.exact(2).log()),
+    )
 
 
+@_memoized
 def milnor_g_log(n: int, ctx: PrecisionContext) -> BoundedReal:
     """Certified log G(n) of the Bernoulli-quotient comparison function.
 
     G(n) = (n/(pi e^(3/2)))^(n^2) (4n/(pi e))^(n/2) / n^(1/24).
     """
     half = Fraction(n, 2)
-    with ctx.workprec():
-        return _linear_in_logs(
-            -Fraction(3, 2) * n * n - half,
-            (n * n + half - Fraction(1, 24), BoundedReal.exact(n).log()),
-            (-(n * n) - half, pi_const(ctx).log()),
-            (n, BoundedReal.exact(2).log()),
-        )
+    return _linear_in_logs(
+        -Fraction(3, 2) * n * n - half,
+        (n * n + half - Fraction(1, 24), BoundedReal.exact(n).log()),
+        (-(n * n) - half, pi_const(ctx).log()),
+        (n, BoundedReal.exact(2).log()),
+    )

@@ -203,7 +203,7 @@ def _cmd_verify(args) -> int:
     failed = False
     try:
         if args.what in ("identities", "all"):
-            reports.extend(identity_suite())
+            reports.extend(identity_suite(ctx))
         if args.what in ("eta", "all"):
             bound = args.prime_bound if args.prime_bound is not None else 10000
             reports.append(eta_identity_check(bound, ctx))

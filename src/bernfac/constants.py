@@ -36,12 +36,12 @@ from bernfac.precision import (
     round_to_digits,
 )
 from bernfac.special import (
-    _clear_caches,
     _memo,
     _memoized,
     _remember,
     _zeta_tails,
     bernoulli,
+    clear_cache,  # documented as constants.clear_cache()
     euler_gamma,
     harmonic,
     log_gamma_rational,
@@ -94,12 +94,6 @@ class ConstantReport:
         if text is None:
             text = _remember(key, round_to_digits(self.value, d))
         return text
-
-
-def clear_cache() -> None:
-    """Drop every cached value: the memo of bernfac.special, and the
-    Bernoulli, harmonic and partition lists past their seeds."""
-    _clear_caches()
 
 
 # -- zeta products C1, C2, C3 --------------------------------------------------

@@ -128,8 +128,6 @@ def make_context(target_digits: int) -> PrecisionContext:
 
     Interned: a repeated target returns the same context object.
     """
-    if target_digits < 1:
-        raise ValueError("target_digits must be at least 1")
     return PrecisionContext(target_digits, max(10, -(-target_digits // 10)))
 
 

@@ -101,18 +101,12 @@ def bernoulli(n: int) -> Fraction:
         return _bern_even[n // 2]
 
 
-_harmonic_cache: list = [Fraction(0)]
-
-
 def harmonic(n: int) -> Fraction:
-    """Exact harmonic number H_n."""
+    """Exact harmonic number H_n, summed directly: its callers ask for
+    n <= r + 1, inside memoized routes and main terms."""
     if n < 0:
         raise ValueError("harmonic numbers need n >= 0")
-    with _lock:
-        while len(_harmonic_cache) <= n:
-            k = len(_harmonic_cache)
-            _harmonic_cache.append(_harmonic_cache[-1] + Fraction(1, k))
-        return _harmonic_cache[n]
+    return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
 
 
 # -- the memo ----------------------------------------------------------------
@@ -147,12 +141,12 @@ def _memoized(fn):
     return memoized
 
 
-def _clear_caches() -> None:
-    """Empty the memo, and cut the Bernoulli, harmonic and partition lists
-    back to their seeds, in place."""
+def clear_cache() -> None:
+    """Drop every cached value: empty the memo, and cut the Bernoulli list
+    back to its seed, in place."""
     with _lock:
         _memo.clear()
-        del _bern_even[1:], _harmonic_cache[1:], _partition_cache[1:]
+        del _bern_even[1:]
 
 
 # -- engine-rounded constants -----------------------------------------------
@@ -498,6 +492,7 @@ def zeta_neg_int(r: int) -> Fraction:
     return Fraction((-1) ** r) * bernoulli(r + 1) / (r + 1)
 
 
+@_memoized
 def zeta_prime_neg(r: int, ctx: PrecisionContext) -> BoundedReal:
     """zeta'(-r) for integer r >= 0, via real closed forms.
 
@@ -508,27 +503,26 @@ def zeta_prime_neg(r: int, ctx: PrecisionContext) -> BoundedReal:
     """
     if r < 0:
         raise ValueError("zeta_prime_neg needs r >= 0")
-    with ctx.workprec():
-        if r == 0:
-            return -log_two_pi(ctx) / 2
-        two_pi = pi_const(ctx) * 2
-        if r % 2 == 0:
-            sign = (-1) ** (r // 2)
-            return (
-                BoundedReal.exact(sign * math.factorial(r))
-                * zeta_int(r + 1, ctx)
-                / (two_pi.pow_int(r) * 2)
-            )
-        lead = BoundedReal.exact(bernoulli(r + 1) / (r + 1)) * (
-            BoundedReal.exact(harmonic(r)) - euler_gamma(ctx) - log_two_pi(ctx)
+    if r == 0:
+        return -log_two_pi(ctx) / 2
+    two_pi = pi_const(ctx) * 2
+    if r % 2 == 0:
+        sign = (-1) ** (r // 2)
+        return (
+            BoundedReal.exact(sign * math.factorial(r))
+            * zeta_int(r + 1, ctx)
+            / (two_pi.pow_int(r) * 2)
         )
-        sign = (-1) ** ((r + 1) // 2)
-        corr = (
-            BoundedReal.exact(2 * sign * math.factorial(r))
-            * zeta_prime_int(r + 1, ctx)
-            / two_pi.pow_int(r + 1)
-        )
-        return lead - corr
+    lead = BoundedReal.exact(bernoulli(r + 1) / (r + 1)) * (
+        BoundedReal.exact(harmonic(r)) - euler_gamma(ctx) - log_two_pi(ctx)
+    )
+    sign = (-1) ** ((r + 1) // 2)
+    corr = (
+        BoundedReal.exact(2 * sign * math.factorial(r))
+        * zeta_prime_int(r + 1, ctx)
+        / two_pi.pow_int(r + 1)
+    )
+    return lead - corr
 
 
 def _stirling_terms(big: Fraction, P: int):
@@ -590,27 +584,29 @@ def log_gamma_rational(x: Fraction, ctx: PrecisionContext) -> BoundedReal:
 
 # -- abelian group counting ---------------------------------------------------
 
-_partition_cache: list = [1]
+def partition_counts(n: int) -> list:
+    """[p(0), ..., p(n)], the integer partition counts, in one pass of
+    Euler's pentagonal recurrence."""
+    if n < 0:
+        raise ValueError("partition counts need n >= 0")
+    parts = [1]
+    for m in range(1, n + 1):
+        total = 0
+        k = 1
+        while True:
+            g1 = k * (3 * k - 1) // 2
+            g2 = k * (3 * k + 1) // 2
+            if g1 > m:
+                break
+            sign = -1 if k % 2 == 0 else 1
+            total += sign * parts[m - g1]
+            if g2 <= m:
+                total += sign * parts[m - g2]
+            k += 1
+        parts.append(total)
+    return parts
 
 
 def partition_count(n: int) -> int:
-    """p(n), the number of integer partitions, by pentagonal recurrence."""
-    if n < 0:
-        raise ValueError("partition_count needs n >= 0")
-    with _lock:
-        while len(_partition_cache) <= n:
-            m = len(_partition_cache)
-            total = 0
-            k = 1
-            while True:
-                g1 = k * (3 * k - 1) // 2
-                g2 = k * (3 * k + 1) // 2
-                if g1 > m:
-                    break
-                sign = -1 if k % 2 == 0 else 1
-                total += sign * _partition_cache[m - g1]
-                if g2 <= m:
-                    total += sign * _partition_cache[m - g2]
-                k += 1
-            _partition_cache.append(total)
-        return _partition_cache[n]
+    """p(n), the number of integer partitions of n."""
+    return partition_counts(n)[-1]

@@ -9,9 +9,13 @@ constant, and require the absolute gap to shrink along an increasing n-grid.
 The ratio targets are one table, _RATIO_TARGETS, from each name to a builder
 and its arguments. A builder computes its target's constants and returns
 diff(n), the exact log minus the formula, as a BoundedReal at the caller's
-precision. ratio_suite (and milnor_equivalence_check for its own difference)
-enters ctx.workprec() once around building and evaluating diff, and one gap
-loop, _gap_pairs, turns the differences into float gaps and the verdict.
+precision. One gap loop, _gap_pairs, turns the differences into float gaps
+and the verdict, for ratio_suite and milnor_equivalence_check alike.
+
+Precision is set in one place per check: each public check enters
+ctx.workprec() at its entry (ratio_suite once per target), and every helper
+computes at that precision. The memoized constants and main terms it calls
+set their own.
 
 The suites are deliberately independent of the series machinery they test:
 product logs are logs of exact integers and rationals, each rounded once to
@@ -41,7 +45,7 @@ from .constants import (
 from .precision import BoundedReal, PrecisionContext, _from_units, make_context
 from .special import (
     _fixed_point_plan, _sum_units, bernoulli, log_gamma_rational,
-    log_two_pi, partition_count,
+    log_two_pi, partition_counts,
 )
 
 # _check_oracle_cap refuses factorial products projected above this many bits
@@ -175,16 +179,15 @@ def _factorial_product_exponents(k: int, n: int, r: int) -> List[tuple]:
     ]
 
 
-def _exponents_log(exponents, logs: dict, ctx) -> BoundedReal:
+def _exponents_log(exponents, logs: dict) -> BoundedReal:
     """sum e_p log p over [(p, e_p)]; logs keeps each log p once computed."""
-    with ctx.workprec():
-        total = BoundedReal.exact(0)
-        for p, e in exponents:
-            log_p = logs.get(p)
-            if log_p is None:
-                log_p = logs[p] = BoundedReal.exact(p).log()
-            total = total + e * log_p
-        return total
+    total = BoundedReal.exact(0)
+    for p, e in exponents:
+        log_p = logs.get(p)
+        if log_p is None:
+            log_p = logs[p] = BoundedReal.exact(p).log()
+        total = total + e * log_p
+    return total
 
 
 def exact_bernoulli_product(n: int, mode: str = "plain") -> Fraction:
@@ -351,20 +354,19 @@ def _rising_product_gamma(reports, max_n, ctx):
         Fraction(1, 4),
         Fraction(1, 5),
     )
-    with ctx.workprec():
-        for alpha in alphas:
-            base = log_gamma_rational(1 - alpha, ctx)
-            product = Fraction(1)
-            for n in range(1, max_n + 1):
-                product *= n - alpha
-                rhs = (log_gamma_rational(n + 1 - alpha, ctx) - base).exp()
-                _expect_within(
-                    reports,
-                    "rising-product-gamma",
-                    {"alpha": str(alpha), "n": n},
-                    rhs,
-                    product,
-                )
+    for alpha in alphas:
+        base = log_gamma_rational(1 - alpha, ctx)
+        product = Fraction(1)
+        for n in range(1, max_n + 1):
+            product *= n - alpha
+            rhs = (log_gamma_rational(n + 1 - alpha, ctx) - base).exp()
+            _expect_within(
+                reports,
+                "rising-product-gamma",
+                {"alpha": str(alpha), "n": n},
+                rhs,
+                product,
+            )
 
 
 def _telescope_matrix_inverse(reports, max_k):
@@ -397,16 +399,22 @@ def _even_lattice_mass(reports):
     )
 
 
-def identity_suite() -> List[IdentityReport]:
-    """Run every exact identity check; any failure raises VerificationFailure."""
+def identity_suite(
+    ctx: Optional[PrecisionContext] = None,
+) -> List[IdentityReport]:
+    """Run every exact identity check; any failure raises VerificationFailure.
+
+    The rising-product-gamma bounds are computed at ctx, 20 digits by default.
+    """
     reports: List[IdentityReport] = []
-    ctx = make_context(20)
-    _factorial_power_split(reports, 30)
-    _shifted_factorial_identities(reports, 5, 20)
-    _weighted_factorial_split(reports, 4, 15)
-    _rising_product_gamma(reports, 50, ctx)
-    _telescope_matrix_inverse(reports, 50)
-    _even_lattice_mass(reports)
+    ctx = ctx or make_context(20)
+    with ctx.workprec():
+        _factorial_power_split(reports, 30)
+        _shifted_factorial_identities(reports, 5, 20)
+        _weighted_factorial_split(reports, 4, 15)
+        _rising_product_gamma(reports, 50, ctx)
+        _telescope_matrix_inverse(reports, 50)
+        _even_lattice_mass(reports)
     return reports
 
 
@@ -446,7 +454,7 @@ def _progression_diff(r, k, ctx):
     logs = {}
 
     def diff(n: int) -> BoundedReal:
-        lhs = _exponents_log(_factorial_product_exponents(k, n, r), logs, ctx)
+        lhs = _exponents_log(_factorial_product_exponents(k, n, r), logs)
         rhs = log_c + p_rk_log(r, k, n, ctx)
         rhs = rhs + Fraction(1, 2) * q_r_log(r, n, ctx)
         rhs = rhs + k * q_r_log(r + 1, n, ctx)
@@ -664,7 +672,7 @@ def _abelian_count_sums(limit: int) -> dict:
     2.2 sqrt(x) terms.
     """
     # no exponent exceeds log2(limit): one lookup table of p(e)
-    parts = [partition_count(e) for e in range(limit.bit_length() + 1)]
+    parts = partition_counts(limit.bit_length() - 1)
     primes = primes_up_to(math.isqrt(limit))
     terms = []  # (m, h(m)) for every powerful m <= limit
     stack = [(1, 1, 0)]  # m, h(m), index of the least prime m may gain

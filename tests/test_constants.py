@@ -16,7 +16,14 @@ import pytest
 from mpmath import mpf
 
 from bernfac import constants, special
-from bernfac.asymptotic import n_coeff, s_r_coeffs
+from bernfac.asymptotic import (
+    milnor_f_log,
+    milnor_g_log,
+    n_coeff,
+    p_rk_log,
+    q_r_log,
+    s_r_coeffs,
+)
 from bernfac.constants import (
     b_family,
     c_constant,
@@ -50,6 +57,7 @@ from bernfac.special import (
     pi_const,
     zeta_int,
     zeta_prime_int,
+    zeta_prime_neg,
 )
 from references import (
     References,
@@ -523,9 +531,13 @@ def test_memoized_routes_stay_plain_functions_of_the_module():
     for route in (c_constant, glaisher_a, f_rk_series, b_family):
         assert isinstance(route, types.FunctionType)
         assert route.__module__ == "bernfac.constants"
-    for route in (pi_const, euler_gamma, log_two_pi, log_gamma_rational):
+    for route in (pi_const, euler_gamma, log_two_pi, log_gamma_rational,
+                  zeta_prime_neg):
         assert isinstance(route, types.FunctionType)
         assert route.__module__ == "bernfac.special"
+    for route in (q_r_log, p_rk_log, milnor_f_log, milnor_g_log):
+        assert isinstance(route, types.FunctionType)
+        assert route.__module__ == "bernfac.asymptotic"
 
 
 # the arguments before the context of every memoized route
@@ -557,6 +569,25 @@ def test_memoized_routes_are_listed():
 def test_memoized_route_sets_its_own_precision(name):
     # the memo runs a miss at the route's context, whatever block encloses it
     route, args = getattr(constants, name), MEMOIZED_ROUTES[name]
+    ctx = make_context(20)
+    clear_cache()
+    plain = route(*args, ctx)
+    clear_cache()
+    with PrecisionContext(60, 10).workprec():
+        assert route(*args, ctx) == plain
+
+
+@pytest.mark.parametrize("route, args", [
+    (zeta_prime_neg, (0,)),
+    (zeta_prime_neg, (2,)),
+    (zeta_prime_neg, (3,)),
+    (q_r_log, (2, 50)),
+    (p_rk_log, (1, 2, 50)),
+    (milnor_f_log, (21,)),
+    (milnor_g_log, (10,)),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_memoized_term_sets_its_own_precision(route, args):
+    # zeta'(-r) and the main terms are memoized like the routes that call them
     ctx = make_context(20)
     clear_cache()
     plain = route(*args, ctx)

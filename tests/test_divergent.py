@@ -204,7 +204,7 @@ def test_log_factorial_stops_at_goal(monkeypatch):
     # the Stirling sum stops at the first term below the goal, far before
     # the smallest term (near j = pi x = 157 at x = 50); log Gamma is
     # memoized, so the memo is emptied first for the spy to see a sum
-    special._clear_caches()
+    special.clear_cache()
     seen = []
     engine = special._sum_units
 

@@ -106,16 +106,15 @@ def test_bernoulli_reads_its_cache_under_the_lock(monkeypatch):
 
 
 def test_clear_cache_cuts_the_exact_sequences_to_their_seeds():
-    before = (bernoulli(60), harmonic(40), partition_count(80))
-    def lists():
-        return special._bern_even, special._harmonic_cache, special._partition_cache
-
-    grown = lists()
+    # the Bernoulli list is the one cache outside the memo
+    assert constants.clear_cache is special.clear_cache
+    before = bernoulli(60)
+    grown = special._bern_even
     constants.clear_cache()
-    # reset in place: the same list objects, back at their seeds
-    assert all(a is b for a, b in zip(grown, lists()))
-    assert grown == ([Fraction(1)], [Fraction(0)], [1])
-    assert (bernoulli(60), harmonic(40), partition_count(80)) == before
+    # reset in place: the same list object, back at its seed
+    assert special._bern_even is grown
+    assert grown == [Fraction(1)]
+    assert bernoulli(60) == before
 
 
 # -- harmonic numbers and Euler's constant ------------------------------------
@@ -175,7 +174,7 @@ def test_pi_const_is_kept_per_context_until_the_cache_is_cleared():
     assert pi_const(ctx) is first
     fresh = special._const(special.mpf_pi, ctx)
     assert (first._v, first._e) == (fresh._v, fresh._e)
-    for clear in (constants.clear_cache, special._clear_caches):
+    for clear in (constants.clear_cache, special.clear_cache):
         clear()
         assert (pi_const.__wrapped__, (ctx,)) not in special._memo
         again = pi_const(ctx)
@@ -272,7 +271,7 @@ def test_power_sums_stay_within_two_units_per_term():
 
 def test_zeta_family_fills_the_zeta_int_cache(monkeypatch):
     ctx = make_context(30)
-    special._clear_caches()
+    special.clear_cache()
     zetas = special.zeta_family(range(2, 200), ctx)
     assert list(zetas) == list(range(2, 200))
     monkeypatch.setattr(special, "zeta_family", None)  # a miss would call it

@@ -13,8 +13,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bernfac import precision, special, verify
-from bernfac.constants import c_constant, m_tilde_matrix
-from bernfac.precision import BoundedReal, PrecisionError, make_context, mpf_to_fraction
+from bernfac.constants import c_constant, clear_cache, m_tilde_matrix
+from bernfac.precision import (
+    BoundedReal,
+    PrecisionContext,
+    PrecisionError,
+    make_context,
+    mpf_to_fraction,
+)
 from bernfac.special import partition_count
 from bernfac.verify import (
     IdentityReport,
@@ -105,8 +111,8 @@ def test_factorial_product_exponents_and_log_match_the_exact_product():
                 built += 1
                 exact = exact_factorial_product(k, n, r)
                 assert math.prod(p**e for p, e in exponents) == exact
-                log_sum = verify._exponents_log(exponents, {}, CTX)
                 with CTX.workprec():
+                    log_sum = verify._exponents_log(exponents, {})
                     log_exact = BoundedReal.exact(exact).log()
                 assert log_sum.agrees_with(log_exact), (k, n, r)
                 if exact.bit_length() < 1 << 14:  # mpmath's log of it is slow
@@ -261,6 +267,29 @@ def _weighted_split_ints(r, n):
     for v in range(1, n + 1):
         rhs *= math.factorial(v) ** (v ** r) * v ** s[v]
     return lhs, rhs
+
+
+@pytest.mark.parametrize("check", [
+    identity_suite,
+    lambda ctx: ratio_suite(ctx=ctx),
+    lambda ctx: eta_identity_check(1000, ctx),
+    lambda ctx: abelian_average_check(1000, ctx),
+    lambda ctx: milnor_equivalence_check(ctx=ctx),
+], ids=["identities", "ratio", "eta", "abelian", "milnor"])
+def test_public_check_sets_its_own_precision(check):
+    # a check computes at its context, whatever block encloses the call
+    ctx = make_context(20)
+    clear_cache()
+    plain = check(ctx)
+    clear_cache()
+    with PrecisionContext(60, 10).workprec():
+        assert check(ctx) == plain
+
+
+def test_identity_suite_computes_at_its_context():
+    reports = identity_suite(make_context(60))
+    gaps = [rep.gap for rep in reports if rep.name == "rising-product-gamma"]
+    assert len(gaps) == 300 and max(gaps) < 1e-50
 
 
 def test_identity_suite_passes_and_covers_expected_families():
@@ -556,24 +585,25 @@ def test_abelian_count_sums_against_direct_counts():
 
 
 def test_abelian_count_sums_look_up_partitions_once(monkeypatch):
-    # each p(e) is asked for once, and the only sieve runs to sqrt(limit)
+    # one table p(0..log2(limit)) is built, and the only sieve runs to
+    # sqrt(limit)
     asked, sieved = [], []
-    count, primes = verify.partition_count, verify.primes_up_to
+    counts, primes = verify.partition_counts, verify.primes_up_to
 
     def counted(e):
         asked.append(e)
-        return count(e)
+        return counts(e)
 
     def sieve(limit):
         sieved.append(limit)
         return primes(limit)
 
-    monkeypatch.setattr(verify, "partition_count", counted)
+    monkeypatch.setattr(verify, "partition_counts", counted)
     monkeypatch.setattr(verify, "primes_up_to", sieve)
     assert _abelian_count_sums(4096)[4096] == sum(
         abelian_group_count(n) for n in range(1, 4097)
     )
-    assert sorted(asked) == list(range(14))
+    assert asked == [12]
     assert sieved == [64]
 
 
