@@ -273,13 +273,8 @@ def m_tilde_matrix(k: int) -> list:
     """The explicit adjugate-style inverse: M_k^(-1) = (1/k) m_tilde."""
     if k < 2:
         raise ValueError("m_tilde_matrix needs k >= 2")
-    return [
-        [
-            1 if j == k - 1 else (k - 1 - j if i <= j else -(j + 1))
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
+    # row i: -(j + 1) for j < i, k - 1 - j for i <= j < k - 1, then 1
+    return [[*range(-1, -i - 1, -1), *range(k - 1 - i, 0, -1), 1] for i in range(k)]
 
 
 @_memoized

@@ -25,7 +25,8 @@ Radii are built, rounded and read only in this module. Other modules pass
 exact radii (int, Fraction or mpf): BoundedReal(x, extra) keeps the
 midpoint of the ball x bit for bit and adds extra to its radius, rounded
 upward. _to_units and _from_units cross to and from integer units of
-2^-P, and _hull joins two balls.
+2^-P, and _hull joins two balls. contains and agrees_with compare a ball
+with a number or another ball exactly, in integers (_within).
 
 Printing: round_to_digits and _decimal read the raw midpoint and radius.
 One integer scaling of the mantissa by 10^q (from a cache) gives the
@@ -301,13 +302,13 @@ class BoundedReal:
         """Whether the exact number x lies in the certified interval."""
         if isinstance(x, (mpf, float)):
             x = mpf_to_fraction(x)
-        gap = abs(mpf_to_fraction(self.value) - x)
-        return gap <= mpf_to_fraction(self.abs_err)
+        x = Fraction(x)
+        return _within(self._v, x.numerator, x.denominator, 0, (self._e,))
 
     def agrees_with(self, other: "BoundedReal") -> bool:
         """Whether the two certified intervals overlap (exact test)."""
-        gap = abs(mpf_to_fraction(self.value) - mpf_to_fraction(other.value))
-        return gap <= mpf_to_fraction(self.abs_err) + mpf_to_fraction(other.abs_err)
+        sign, man, exp, _ = other._v
+        return _within(self._v, -man if sign else man, 1, exp, (self._e, other._e))
 
     def __float__(self) -> float:
         return float(self.value)
@@ -481,6 +482,21 @@ def _rounded(man: int, exp: int) -> BoundedReal:
     if bits - (man & -man).bit_length() < prec:  # the dropped bits are zeros
         return _raw(v, fzero)
     return _raw(v, _ulp_slop(v, prec))
+
+
+def _within(v: tuple, n: int, q: int, t: int, radii: tuple) -> bool:
+    """|v - n 2^t / q| <= the sum of radii, for a raw v, raw radii and q > 0.
+
+    Decided by integer cross-multiplication: both sides times q 2^-s, with
+    s the least exponent among v, n 2^t and the radii that are not zero, so
+    that every term is an integer.
+    """
+    sign, man, exp, _ = v
+    radii = [(e[1], e[2]) for e in radii if e[1]]
+    s = min([e for m, e in ((man, exp), (n, t), *radii) if m], default=0)
+    mid = q * (man << (exp - s)) if man else 0
+    gap = abs((-mid if sign else mid) - (n << (t - s) if n else 0))
+    return gap <= q * sum(m << (e - s) for m, e in radii)
 
 
 def _sum(x: BoundedReal, y: BoundedReal, op) -> BoundedReal:

@@ -22,8 +22,13 @@ takes the same split, with log v built from the logs of primes and the
 integral form of the Euler-Maclaurin remainder.
 
 log Gamma(x) at rational x > 0 is Stirling's series for log Gamma itself,
-at x + N for an N that makes its tail reach the goal, less the log of the
-exact rational prod_{j<N} (x + j).
+at X = x + N for an N that makes its tail reach the goal, less the log of
+the exact rational prod_{j<N} (x + j). Every part is summed in the same
+units of 2^-P and crossed into a ball once: the logs of integers come from
+one helper (_log_int, off by at most 2 + bits/4096 units), (X - 1/2) log X
+and -X are one floor each, and (1/2) log 2 pi enters through _to_units,
+whose radius dominates the result's. The part at X is summed once per X,
+shared by every x below the threshold with the same fractional part.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from bernfac.precision import (
     PrecisionError,
     _const,
     _from_units,
+    _to_units,
 )
 
 _lock = threading.Lock()
@@ -394,13 +400,28 @@ def zeta_family(s_values, ctx: PrecisionContext) -> dict:
     return zetas
 
 
+def _log_int(v: int, P: int) -> int:
+    """floor(2^P log v) for an integer v >= 1, off by at most _log_err(v).
+
+    mpf_log at P + 16 bits is within |log v| 2^(-12-P) of log v (the ulp
+    bound BoundedReal uses for mpf_log), and |log v| < bits(v), so the
+    floor is off by less than 1 + bits(v)/4096 units.
+    """
+    log_v = mpf_log(from_int(v), P + 16, round_floor)
+    return to_int(mpf_shift(log_v, P), round_floor)
+
+
+def _log_err(v: int) -> int:
+    """2 + bits(v) // 4096: an integer bound on the error of _log_int(v, P)."""
+    return 2 + (v.bit_length() >> 12)
+
+
 def _log_units(top: int, P: int) -> list:
     """log v in units of 2^-P for v <= top, each off by less than 2 Omega(v).
 
-    log v = log(v/p) + log p for the smallest prime factor p of v. log p is
-    taken once per prime, at P + 16 bits: within |log p| 2^(-12-P) of the
-    true value (the ulp bound BoundedReal uses), and off by less than 2
-    units once floored.
+    log v = log(v/p) + log p for the smallest prime factor p of v, with
+    log p from _log_int once per prime: off by less than 2 units, as
+    p < 2^4096.
     """
     logs, primes = [0, 0], []
     for v in range(2, top + 1):
@@ -409,8 +430,7 @@ def _log_units(top: int, P: int) -> list:
             logs.append(logs[v // p] + logs[p])
         else:
             primes.append(p)
-            log_p = mpf_log(from_int(p), P + 16, round_floor)
-            logs.append(to_int(mpf_shift(log_p, P), round_floor))
+            logs.append(_log_int(p, P))
     return logs
 
 
@@ -543,41 +563,101 @@ def _stirling_terms(big: Fraction, P: int):
         den *= a * a
 
 
+def _stirling_units(big: Fraction, ctx: PrecisionContext):
+    """(units, err): (X - 1/2) log X - X + (1/2) log 2 pi + S(X) at X = big,
+    in units of 2^-P on the fixed-point plan, or None if S(X) turns before
+    its goal.
+
+    With X = a/b and c = 2a - b, (X - 1/2) log X is one floor of
+    c (log a - log b) / (2b), off by less than 1 + c (err(a) + err(b))/(2b)
+    for the _log_err bounds err; -X is one floor, off by less than 1;
+    (1/2) log 2 pi is log 2 pi in units of 2^-(P-1) (_to_units), within
+    its radius; and S(X) brings the radius _sum_units gives it.
+    """
+    g, P = _fixed_point_plan(ctx)
+    tail = _sum_units(_stirling_terms(big, P), 1 << (P - g))
+    if tail is None:
+        return None
+    a, b = big.numerator, big.denominator
+    c = 2 * a - b
+    half_log, half_err = _to_units(log_two_pi(ctx), P - 1)
+    units = c * (_log_int(a, P) - _log_int(b, P)) // (2 * b)
+    units += (-a << P) // b + half_log + tail[0]
+    err = 2 - (-c * (_log_err(a) + _log_err(b)) // (2 * b)) + half_err + tail[1]
+    return units, err
+
+
+# one Stirling sum per promoted argument X: every x below the promotion
+# threshold with the same fractional part shares it
+_promoted_stirling_units = _memoized(_stirling_units)
+
+
+@_memoized
+def _grow_bernoulli_for_stirling(threshold: int, ctx: PrecisionContext) -> int:
+    """Grow the Bernoulli cache in one step to every B_2j that a Stirling
+    sum at X >= threshold needs at ctx, and return the top index.
+
+    A larger X needs fewer terms, so B_2J for the last term J at the
+    threshold, planned in floats from |B_2j| ~ 2 (2j)!/(2 pi)^(2j) with two
+    terms to spare, serves every sum log_gamma_rational makes at ctx.
+    Asked for first, it grows the cache to J once, where asking term by
+    term would double it past J (bernoulli).
+    """
+    g, _ = _fixed_point_plan(ctx)
+    log_x, log_2pi, goal = math.log(threshold), math.log(2 * math.pi), -g * math.log(2)
+    j = 1  # log |t_j| ~ log 2 + log (2j-2)! - 2j log 2 pi - (2j-1) log X
+    while j < math.pi * threshold and (
+        math.log(2) + math.lgamma(2 * j - 1) - 2 * j * log_2pi - (2 * j - 1) * log_x
+    ) >= goal:
+        j += 1
+    bernoulli(2 * j + 4)
+    return 2 * j + 4
+
+
 @_memoized
 def log_gamma_rational(x: Fraction, ctx: PrecisionContext) -> BoundedReal:
     """log Gamma(x) for rational x > 0, certified by Stirling's series.
 
     log Gamma(x) = (X - 1/2) log X - X + (1/2) log 2 pi + S(X)
                    - log prod_{j<N} (x + j),  X = x + N,
-    with S the Stirling tail (_stirling_terms). N promotes arguments too
-    small for S to reach working precision; the product is one exact
-    rational. S is summed only until a term drops below the goal
-    2^-g < 10^-(working digits + 2), not to its smallest term; that term
-    still bounds the remainder, with its sign (DLMF 5.11(ii)). Memoized per
-    (x, ctx), as the F_k closed forms ask for the same nu/k many times.
+    with S the Stirling tail (_stirling_terms), summed in integer units of
+    2^-P (_fixed_point_plan) and crossed into a ball once. N promotes
+    arguments too small for S to reach working precision. S is summed only
+    until a term drops below the goal 2^-g < 10^-(working digits + 2), not
+    to its smallest term; that term still bounds the remainder, with its
+    sign (DLMF 5.11(ii)).
+
+    The radius, in units, is the sum of: two floors (-X and the division
+    in (X - 1/2) log X); (X - 1/2) times the error bounds of log a and
+    log b (_log_int, _log_err) for X = a/b; the radius of log 2 pi at
+    working precision, which dominates; S's kept floors and its stopping
+    term; and, for N > 0, the error bounds of log prod_{j<N} (a + j b) and
+    of N log b, as prod (x + j) = prod (a + j b) / b^N for x = a/b.
+
+    Memoized per (x, ctx), as the F_k closed forms ask for the same nu/k
+    many times; the X part is memoized per (X, ctx) for N > 0
+    (_promoted_stirling_units), so that x + 1, x + 2, ... below the
+    threshold share one Stirling sum.
     """
     x = Fraction(x)
     if x <= 0:
         raise ValueError("log_gamma_rational needs x > 0")
-    wd = ctx.working_digits
-    g, P = _fixed_point_plan(ctx)
+    _, P = _fixed_point_plan(ctx)
     # smallest Stirling term at argument X is ~ e^(-2 pi X); require
     # e^(-2 pi X) < goal, i.e. X > wd * ln(10)/(2 pi) ~ 0.3665 wd
-    threshold = int(0.3665 * (wd + 6)) + 2
+    threshold = int(0.3665 * (ctx.working_digits + 6)) + 2
+    _grow_bernoulli_for_stirling(threshold, ctx)
     for _ in range(6):
         N = max(0, threshold - int(x))
-        big = x + N
-        tail = _sum_units(_stirling_terms(big, P), 1 << (P - g))
-        if tail is not None:
-            units, radius, _ = tail
-            log_big = BoundedReal.exact(big).log()
-            total = log_two_pi(ctx) / 2 + (big - Fraction(1, 2)) * log_big
-            total = total - big + _from_units(units, radius, P)
-            if N:  # prod_{j<N} (x+j) = prod (a + j b) / b^N
+        part = (_promoted_stirling_units if N else _stirling_units)(x + N, ctx)
+        if part is not None:
+            units, err = part
+            if N:
                 a, b = x.numerator, x.denominator
                 rising = math.prod(a + j * b for j in range(N))
-                total = total - BoundedReal.exact(Fraction(rising, b ** N)).log()
-            return total
+                units += N * _log_int(b, P) - _log_int(rising, P)
+                err += N * _log_err(b) + _log_err(rising)
+            return _from_units(units, err, P)
         threshold *= 2
     raise PrecisionError("log_gamma_rational promotion did not converge")
 

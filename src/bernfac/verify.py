@@ -29,6 +29,7 @@ same way, by the prime-exponent vectors of its two sides alone.
 import itertools
 import math
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .asymptotic import milnor_f_log, milnor_g_log, p_rk_log, q_r_log, s_r
@@ -372,14 +373,13 @@ def _rising_product_gamma(reports, max_n, ctx):
 def _telescope_matrix_inverse(reports, max_k):
     """M_k times its explicit inverse candidate equals k * identity."""
     for k in range(2, max_k + 1):
-        m = m_matrix(k)
         mt = m_tilde_matrix(k)
         product = []
-        for row in m:  # bidiagonal plus one full row: O(k^2) in all
+        for row in m_matrix(k):  # bidiagonal plus one full row: O(k^2) in all
             acc = [0] * k
-            for t, x in enumerate(row):
-                if x:
-                    acc = [a + x * b for a, b in zip(acc, mt[t])]
+            # every nonzero entry of M_k is 1 or -1: add or subtract the row
+            for x, mt_row in itertools.compress(zip(row, mt), row):
+                acc = list(map(add if x == 1 else sub, acc, mt_row))
             product.append(acc)
         expected = [[k if i == j else 0 for j in range(k)] for i in range(k)]
         _expect_equal(
@@ -497,13 +497,21 @@ def _bernoulli_diff(which: str, ctx):
 
 
 def _power_tower_diff(r, ctx):
-    """prod v^(v^r) against the generalized Glaisher asymptotic."""
+    """prod v^(v^r) against the generalized Glaisher asymptotic.
+
+    diff must be asked for increasing n, as _gap_pairs does over the grid
+    _checked_grid makes strictly increasing: each n carries on the sum of
+    v^r log v where the last one stopped, the same operations in the same
+    order as a sum from v = 2, so the same ball.
+    """
     log_ar = log_glaisher_a(r, ctx)
+    done, lhs = 1, BoundedReal.exact(0)  # lhs = sum_{v<=done} v^r log v
 
     def diff(n: int) -> BoundedReal:
-        lhs = BoundedReal.exact(0)
-        for v in range(2, n + 1):
+        nonlocal done, lhs
+        for v in range(done + 1, n + 1):
             lhs = lhs + v ** r * BoundedReal.exact(v).log()
+        done = n
         return lhs - (log_ar + q_r_log(r, n, ctx))
 
     return diff

@@ -12,6 +12,7 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from bernfac.precision import (
     BoundedReal,
@@ -418,6 +419,65 @@ def test_interval_views():
     assert x.upper() >= mpf("2.5")
     assert x.abs_upper() >= mpf("2.5")
     assert float(x) == 2.0
+
+
+# raw balls for the containment tests: a signed mantissa, an exponent of
+# either sign, and a radius that may be zero
+ball_parts_st = st.tuples(
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.integers(min_value=-200, max_value=200),
+    st.integers(min_value=0, max_value=10**12),
+    st.integers(min_value=-260, max_value=160),
+)
+
+
+def _ball(parts):
+    man, exp, eman, eexp = parts
+    x = BoundedReal(mp.make_mpf(from_man_exp(man, exp)),
+                    mp.make_mpf(from_man_exp(eman, eexp)))
+    return x, mpf_to_fraction(x.value), mpf_to_fraction(x.abs_err)
+
+
+@given(ball_parts_st, st.integers(min_value=-(10**40), max_value=10**40),
+       st.integers(min_value=1, max_value=10**40), st.integers(-3, 3))
+def test_contains_agrees_with_the_fraction_formula(parts, n, q, nudge):
+    x, mid, rad = _ball(parts)
+    for target in (Fraction(n, q), mid, mid + rad, mid - rad,
+                   mid + rad + Fraction(nudge, q), mid - rad + Fraction(nudge, q)):
+        assert x.contains(target) == (abs(mid - target) <= rad)
+        # the same number as an int, a float or an mpf where it is one
+        if target.denominator == 1:
+            assert x.contains(target.numerator) == x.contains(target)
+        as_mpf = mp.make_mpf(from_rational(target.numerator, target.denominator,
+                                           200, round_nearest))
+        assert x.contains(as_mpf) == (abs(mid - mpf_to_fraction(as_mpf)) <= rad)
+        as_float = float(target)
+        assert x.contains(as_float) == (abs(mid - Fraction(as_float)) <= rad)
+
+
+def _dyadic_mpf(x: Fraction) -> mpf:
+    return mp.make_mpf(from_man_exp(x.numerator, 1 - x.denominator.bit_length()))
+
+
+@given(ball_parts_st, ball_parts_st)
+def test_agrees_with_matches_the_fraction_formula(a, b):
+    x, mx, rx = _ball(a)
+    y, my, ry = _ball(b)
+    assert x.agrees_with(y) == y.agrees_with(x) == (abs(mx - my) <= rx + ry)
+    # balls that just touch, on either side, and ones slightly further off
+    for end in (mx + rx + ry, mx - rx - ry):
+        touching = BoundedReal(_dyadic_mpf(end), y.abs_err)
+        assert x.agrees_with(touching) and touching.agrees_with(x)
+        apart = end + (end - mx) / 2**300
+        if apart != end:
+            assert not x.agrees_with(BoundedReal(_dyadic_mpf(apart), y.abs_err))
+
+
+def test_contains_refuses_non_finite_numbers():
+    x = BoundedReal(mpf(1), mpf(1))
+    for bad in (mpf("inf"), mpf("-inf"), mpf("nan"), float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            x.contains(bad)
 
 
 def test_agrees_with_overlapping_and_disjoint():

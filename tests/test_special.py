@@ -466,6 +466,62 @@ def test_log_gamma_is_kept_per_context_and_sets_its_own_precision():
     assert again is not first and again == first
 
 
+# a sweep at 1-12 target digits, where the radius is a few units of the
+# fixed-point plan, both below and above the promotion threshold (8 to 12)
+SWEEP_ARGUMENTS = sorted(
+    {Fraction(a, b) for b in range(1, 9) for a in range(1, 41)}
+)
+
+
+def test_log_gamma_sweep_at_low_precision_contains_mpmath():
+    with mp.workdps(60):
+        refs = {x: mpmath.loggamma(mpf(x.numerator) / x.denominator)
+                for x in SWEEP_ARGUMENTS}
+        slack = mpf(10) ** -58
+        refs = {x: (ref - slack, ref + slack) for x, ref in refs.items()}
+    constants.clear_cache()
+    for digits in range(1, 13):
+        ctx = make_context(digits)
+        for x in SWEEP_ARGUMENTS:
+            lg = log_gamma_rational(x, ctx)
+            low, high = refs[x]
+            assert lg.contains(low) and lg.contains(high), (digits, x)
+            assert lg.abs_err < mpf(10) ** -(ctx.working_digits - 1), (digits, x)
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(7, 2), Fraction(40)])
+def test_log_gamma_radius_counts_each_log_error(monkeypatch, x):
+    # with every integer log allowed an error of 2^80 units, the radius
+    # must hold (X - 1/2) (err(a) + err(b)) + N err(b) + err(prod (a + j b))
+    ctx = make_context(20)
+    _, P = special._fixed_point_plan(ctx)
+    N = max(0, int(0.3665 * (ctx.working_digits + 6)) + 2 - int(x))
+    big = 1 << 80
+    monkeypatch.setattr(special, "_log_err", lambda v: big)
+    constants.clear_cache()
+    radius = mpf_to_fraction(log_gamma_rational(x, ctx).abs_err) * 2**P
+    want = (x + N - Fraction(1, 2)) * 2 * big + (N + 1) * big * (N > 0)
+    constants.clear_cache()
+    assert radius >= want
+
+
+PRODUCT_10K_BITS = math.prod(range(1, 1200))
+
+
+def test_integer_log_stays_within_its_error_bound():
+    values = [1, 2, 3, 5, 7, 11, 13, 97, 65521, PRODUCT_10K_BITS]
+    values += [10**k for k in range(1, 40, 3)]
+    assert PRODUCT_10K_BITS.bit_length() > 10**4
+    with mp.workprec(500):
+        logs = {v: mp.log(v) for v in values}
+        for P in range(2, 65):
+            for v in values:
+                units = special._log_int(v, P)
+                bound = 1 + mpf(v.bit_length()) / 4096
+                assert abs(units - logs[v] * 2**P) < bound, (P, v)
+                assert special._log_err(v) >= bound
+
+
 def test_log_gamma_rejects_nonpositive():
     with pytest.raises(ValueError):
         log_gamma_rational(Fraction(0), CTX)

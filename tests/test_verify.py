@@ -292,6 +292,24 @@ def test_identity_suite_computes_at_its_context():
     assert len(gaps) == 300 and max(gaps) < 1e-50
 
 
+def test_identity_suite_sums_one_stirling_tail_per_alpha(monkeypatch):
+    # at 300 digits every log Gamma(n + 1 - alpha), n <= 50, is promoted to
+    # the same X for a given alpha, so the six alphas make six sums
+    sums = []
+    terms = special._stirling_terms
+
+    def spy(big, P):
+        sums.append(big)
+        return terms(big, P)
+
+    monkeypatch.setattr(special, "_stirling_terms", spy)
+    clear_cache()
+    reports = identity_suite(make_context(300))
+    clear_cache()
+    assert len(reports) == 755
+    assert len(sums) == len(set(sums)) == 6
+
+
 def test_identity_suite_passes_and_covers_expected_families():
     reports = identity_suite()
     assert len(reports) == 755
@@ -387,6 +405,15 @@ def test_ratio_suite_single_target_small_grid():
     # next-order term of the expansion is 1/(720 n^2)
     for n, gap in rep.gaps:
         assert gap == pytest.approx(1 / (720 * n**2), rel=0.05)
+
+
+def test_power_tower_gaps_carry_on_the_last_sum():
+    # a running sum over an increasing grid gives the balls a sum from
+    # v = 2 gives
+    with CTX.workprec():
+        carried = verify._power_tower_diff(2, CTX)
+        for n in (7, 12, 30, 31, 40):
+            assert carried(n) == verify._power_tower_diff(2, CTX)(n), n
 
 
 def test_ratio_suite_takes_every_log_at_working_precision(monkeypatch):
