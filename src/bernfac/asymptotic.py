@@ -5,9 +5,9 @@ the Milnor-Husemoller comparison functions F and G are exact rationals
 times log n, log 2 pi (or log pi), log k and log 2, plus an exact rational:
 S_r(n), the harmonic numbers H_r and the Bernoulli numbers B_m are all
 exact. Each function builds those rationals with Fraction arithmetic and
-meets the logs once, in one certified BoundedReal sum. The main terms are
-memoized per (arguments, context) by special._memoized, which runs them at
-their context's working precision.
+meets the logs once, in one integer sum (special._linear_in_logs) that
+takes log n, log k and log 2 as integer logs. The main terms are memoized
+per (arguments, context) by special._memoized.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from typing import Callable
 
 from bernfac.precision import BoundedReal, PrecisionContext
 from bernfac.special import (
-    _memoized, bernoulli, harmonic, log_two_pi, pi_const, zeta_neg_int,
+    _linear_in_logs, _memoized, bernoulli, harmonic, log_two_pi, pi_const,
+    zeta_neg_int,
 )
 
 
@@ -58,15 +59,6 @@ def s_r_weighted(r: int, n: int, weight: Callable[[int], Fraction]):
 
 # -- asymptotic main terms of the studied products ---------------------------
 
-def _linear_in_logs(rest: Fraction, *terms) -> BoundedReal:
-    """rest + sum of c * log_x over the (c, log_x) terms, each c exact."""
-    total = BoundedReal.exact(rest)
-    for c, log_x in terms:
-        if c != 0:
-            total = total + c * log_x
-    return total
-
-
 @_memoized
 def q_r_log(r: int, n: int, ctx: PrecisionContext) -> BoundedReal:
     """Certified log Q_r(n).
@@ -77,8 +69,7 @@ def q_r_log(r: int, n: int, ctx: PrecisionContext) -> BoundedReal:
     """
     hr = harmonic(r)
     rest = s_r_weighted(r, n, lambda i: hr - harmonic(i))
-    log_n = BoundedReal.exact(n).log()
-    return _linear_in_logs(rest, (s_r(r, n) - zeta_neg_int(r), log_n))
+    return _linear_in_logs(ctx, rest, (s_r(r, n) - zeta_neg_int(r), n))
 
 
 def n_coeff(m: int, k: int) -> Fraction:
@@ -105,10 +96,10 @@ def p_rk_log(r: int, k: int, n: int, ctx: PrecisionContext) -> BoundedReal:
         for j in range(1, (r + 1) // 2 + 1)
     )
     return _linear_in_logs(
-        rest,
+        ctx, rest,
         (half_s, log_two_pi(ctx)),
-        (half_s + k_s, BoundedReal.exact(k).log()),
-        (n_coeff(r + 2, k), BoundedReal.exact(n).log()),
+        (half_s + k_s, k),
+        (n_coeff(r + 2, k), n),
     )
 
 
@@ -122,10 +113,10 @@ def milnor_f_log(n: int, ctx: PrecisionContext) -> BoundedReal:
     """
     sq = Fraction(n * n, 4)
     return _linear_in_logs(
-        Fraction(n, 4) - Fraction(3, 2) * sq,
-        (sq - Fraction(n, 4) - Fraction(1, 24), BoundedReal.exact(n).log()),
+        ctx, Fraction(n, 4) - Fraction(3, 2) * sq,
+        (sq - Fraction(n, 4) - Fraction(1, 24), n),
         (Fraction(n, 4) - sq, log_two_pi(ctx)),
-        (Fraction(n, 2), BoundedReal.exact(2).log()),
+        (Fraction(n, 2), 2),
     )
 
 
@@ -137,8 +128,8 @@ def milnor_g_log(n: int, ctx: PrecisionContext) -> BoundedReal:
     """
     half = Fraction(n, 2)
     return _linear_in_logs(
-        -Fraction(3, 2) * n * n - half,
-        (n * n + half - Fraction(1, 24), BoundedReal.exact(n).log()),
+        ctx, -Fraction(3, 2) * n * n - half,
+        (n * n + half - Fraction(1, 24), n),
         (-(n * n) - half, pi_const(ctx).log()),
-        (n, BoundedReal.exact(2).log()),
+        (n, 2),
     )

@@ -10,10 +10,13 @@ the exact F_k for F_inf. Each route evaluates its constant once and every
 value carries a certified bound; the relations among the routes and against
 independent references are checked by the test suite, not per request.
 
+The closed forms linear in logs (log A_r, log F_k by both routes, log
+F_(r,1), the B family, the Gamma-product constants) are each summed in
+integer units by special._linear_in_logs and cross into a ball once.
 Every route is memoized per (arguments, context) by special._memoized,
 which also runs it at its context's working precision, and a report's
-printed digits are kept in the same memo. The only other precision block
-here is the cutoff search of the zeta products.
+printed digits are kept in the same memo. Nothing else here sets a
+precision: the cutoff search of the zeta products decides in integers.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ from bernfac.precision import (
     round_to_digits,
 )
 from bernfac.special import (
+    _linear_in_logs,
+    _log_err,
+    _log_int,
     _memo,
     _memoized,
     _remember,
@@ -103,33 +109,35 @@ def _zeta_product_cutoff(ctx: PrecisionContext) -> int:
 
     2^(-N'+3/N') < 10^-(d+3) iff N' - 3/N' > L = (d+3) log2(10). The left
     side increases with N', so N' is the first integer above the positive
-    root of N^2 - L N = 3, which is never an integer (L is irrational). A
-    certified enclosure of L decides the candidate from that root and its
-    predecessor. L needs a relative accuracy of only about 1/(d N'), so the
-    enclosure starts at a few digits more than d has, and its precision is
-    doubled only while it straddles one of the two.
+    root of N^2 - L N = 3, which is never an integer (L is irrational). The
+    candidate from that root and its predecessor are decided in integers,
+    as (N^2 - 3) log 2 against N (d+3) log 10 with both logs in units of
+    2^-P (_log_int) and their _log_err slack. P starts at 64 and is doubled
+    only while one of the two is undecided.
     """
     d = ctx.target_digits
-    digits = len(str(d)) + 10
+    approx = (d + 3) * math.log2(10)
+    start = max(4, math.ceil((approx + math.sqrt(approx * approx + 12)) / 2))
+    P = 64
     while True:
-        with PrecisionContext(digits, 10).workprec():
-            log2_10 = BoundedReal.exact(10).log() / BoundedReal.exact(2).log()
-            big_l = log2_10 * (d + 3)
+        log2, log10 = _log_int(2, P), _log_int(10, P)
+        e2, e10 = _log_err(2), _log_err(10)
 
-            def side(n: int) -> int:
-                """+1 if n - 3/n > L, -1 if below, 0 if undecided."""
-                gap = BoundedReal.exact(Fraction(n * n - 3, n)) - big_l
-                return 1 if gap.lower() > 0 else -1 if gap.upper() < 0 else 0
+        def side(n: int) -> int:
+            """+1 if n - 3/n > L, -1 if below, 0 if undecided."""
+            left, right = n * n - 3, n * (d + 3)
+            if left * (log2 - e2) > right * (log10 + e10):
+                return 1
+            return -1 if left * (log2 + e2) < right * (log10 - e10) else 0
 
-            approx = float(big_l.value)
-            n = max(4, math.ceil((approx + math.sqrt(approx * approx + 12)) / 2))
-            while n > 4 and side(n - 1) > 0:
-                n -= 1
-            while side(n) < 0:
-                n += 1
-            if side(n) > 0 and (n == 4 or side(n - 1) < 0):
-                return n
-        digits *= 2
+        n = start
+        while n > 4 and side(n - 1) > 0:
+            n -= 1
+        while side(n) < 0:
+            n += 1
+        if side(n) > 0 and (n == 4 or side(n - 1) < 0):
+            return n
+        P *= 2
 
 
 @_memoized
@@ -161,8 +169,9 @@ def log_glaisher_a(r: int, ctx: PrecisionContext) -> BoundedReal:
     """log A_r = -zeta(-r) H_r - zeta'(-r)."""
     if r < 0:
         raise ValueError("log_glaisher_a needs r >= 0")
-    exact_part = -zeta_neg_int(r) * harmonic(r)
-    return BoundedReal.exact(exact_part) - zeta_prime_neg(r, ctx)
+    return _linear_in_logs(
+        ctx, -zeta_neg_int(r) * harmonic(r), (-1, zeta_prime_neg(r, ctx))
+    )
 
 
 @_memoized
@@ -184,16 +193,15 @@ def f_k_log_closed(k: int, ctx: PrecisionContext) -> BoundedReal:
     """Certified log F_k by the closed form in log A and log Gamma(v/k)."""
     if k < 1:
         raise ValueError("f_k_log_closed needs k >= 1")
-    log_f = (
-        log_glaisher_a(1, ctx) * Fraction(-(k * k + 1), k)
-        + BoundedReal.exact(Fraction(1, 12 * k))
-        + log_two_pi(ctx) * Fraction(k, 4)
+    gamma_terms = [(Fraction(-nu, k), log_gamma_rational(Fraction(nu, k), ctx))
+                   for nu in range(1, k)]
+    return _linear_in_logs(
+        ctx, Fraction(1, 12 * k),
+        (Fraction(-(k * k + 1), k), log_glaisher_a(1, ctx)),
+        (Fraction(k, 4), log_two_pi(ctx)),
+        (Fraction(-1, 12 * k) if k > 1 else 0, k),
+        *gamma_terms,
     )
-    if k > 1:
-        log_f = log_f - BoundedReal.exact(k).log() * Fraction(1, 12 * k)
-    for nu in range(1, k):
-        log_f = log_f - log_gamma_rational(Fraction(nu, k), ctx) * Fraction(nu, k)
-    return log_f
 
 
 @_memoized
@@ -289,29 +297,18 @@ def f_k_via_linear_system(k: int, ctx: PrecisionContext) -> ConstantReport:
     """
     if k < 2:
         raise ValueError("the linear-system route needs k >= 2")
-    l2p = log_two_pi(ctx)
-    la = log_glaisher_a(1, ctx)
-    b = []
-    for l in range(k - 1):
-        bl = l2p * Fraction(1, 2)
-        if l > 0:
-            bl = bl - log_gamma_rational(Fraction(k - l, k), ctx)
-        b.append(bl)
-    b.append(
-        l2p * Fraction(1, 2)
-        - la
-        + BoundedReal.exact(Fraction(1, 12))
-        + BoundedReal.exact(k).log() * Fraction(5, 12)
-    )
-    acc = BoundedReal.exact(0)  # k x_1: row 0 of m_tilde times b
-    for b_j, m_j in zip(b, m_tilde_matrix(k)[0]):
-        if m_j:
-            acc = acc + b_j * Fraction(m_j)
-    log_fk = acc * Fraction(1, k) - l2p * Fraction(1, 4) - la * k
-    value = log_fk.exp()
+    l2p, la = log_two_pi(ctx), log_glaisher_a(1, ctx)
+    half = (Fraction(1, 2), l2p)
+    gammas = [log_gamma_rational(Fraction(k - l, k), ctx) for l in range(1, k - 1)]
+    b = [_linear_in_logs(ctx, 0, half)]
+    b += [_linear_in_logs(ctx, 0, half, (-1, g)) for g in gammas]
+    b += [_linear_in_logs(ctx, Fraction(1, 12), half, (-1, la), (Fraction(5, 12), k))]
+    # k x_1 = row 0 of m_tilde times b
+    terms = [(Fraction(m, k), b_j) for m, b_j in zip(m_tilde_matrix(k)[0], b)]
+    log_fk = _linear_in_logs(ctx, 0, *terms, (Fraction(-1, 4), l2p), (-k, la))
     return ConstantReport(
         name=f"F_{k}",
-        value=value,
+        value=log_fk.exp(),
         method="linear_system",
         params={"k": k, "det": k},
     )
@@ -439,18 +436,12 @@ def f_r1_log(r: int, ctx: PrecisionContext) -> BoundedReal:
     """Certified log F_{r,1} via the A_j exponent table."""
     if r < 0:
         raise ValueError("f_r1_log needs r >= 0")
-    if r == 0:
-        return (
-            BoundedReal.exact(Fraction(1, 12))
-            + log_glaisher_a(0, ctx) * Fraction(1, 2)
-            - log_glaisher_a(1, ctx) * 2
-        )
-    log_f = BoundedReal.exact(f_r1_alpha(r, 0))
-    for j in range(1, r + 2):
-        a = f_r1_alpha(r, j)
-        if a != 0:
-            log_f = log_f + log_glaisher_a(j, ctx) * a
-    return log_f
+    if r == 0:  # 1/12 + (1/2) log A_0 - 2 log A_1
+        terms = [(Fraction(1, 2), log_glaisher_a(0, ctx)), (-2, log_glaisher_a(1, ctx))]
+        return _linear_in_logs(ctx, Fraction(1, 12), *terms)
+    alphas = [f_r1_alpha(r, j) for j in range(r + 2)]
+    terms = [(a, log_glaisher_a(j, ctx)) for j, a in enumerate(alphas) if j and a]
+    return _linear_in_logs(ctx, alphas[0], *terms)
 
 
 @_memoized
@@ -478,30 +469,28 @@ def f_r1(r: int, ctx: PrecisionContext) -> ConstantReport:
 def b_family(ctx: PrecisionContext) -> tuple:
     """B1, B2, B3 and B' from C2 and A.
 
+    Each is B = C2 exp(1/24 + c log 2 - (1/2) log A [+ (1/2) log 2 pi]):
     B2 = C2 2^(5/24) e^(1/24) / A^(1/2); B1 = B2 (2pi)^(1/2);
     B3 = B2 sqrt(2); B' = 2^(-35/24) B2 = C2 e^(1/24) / (2^(5/4) A^(1/2)).
     """
     c2 = c_constant(2, ctx).value
-    log2 = BoundedReal.exact(2).log()
-    core = (
-        log2 * Fraction(5, 24)
-        + BoundedReal.exact(Fraction(1, 24))
-        - log_glaisher_a(1, ctx) * Fraction(1, 2)
-    )
-    b2 = c2 * core.exp()
-    b1 = b2 * (log_two_pi(ctx) * Fraction(1, 2)).exp()
-    b3 = b2 * (log2 * Fraction(1, 2)).exp()
-    bprime = b2 * (log2 * Fraction(-35, 24)).exp()
-    reports = tuple(
-        ConstantReport(name=name, value=value, method="closed_form")
-        for name, value in (
-            ("B1", b1),
-            ("B2", b2),
-            ("B3", b3),
-            ("Bprime", bprime),
+    la, l2p = log_glaisher_a(1, ctx), log_two_pi(ctx)
+    half = Fraction(1, 2)
+    return tuple(
+        ConstantReport(
+            name=name,
+            value=c2 * _linear_in_logs(
+                ctx, Fraction(1, 24), (c, 2), (-half, la), (c_2pi, l2p)
+            ).exp(),
+            method="closed_form",
+        )
+        for name, c, c_2pi in (  # the coefficients of log 2 and log 2 pi
+            ("B1", Fraction(5, 24), half),
+            ("B2", Fraction(5, 24), 0),
+            ("B3", Fraction(17, 24), 0),
+            ("Bprime", Fraction(-5, 4), 0),
         )
     )
-    return reports
 
 
 # -- constants of the Gamma-power product --------------------------------------
@@ -513,8 +502,8 @@ def gamma_product_constants(ctx: PrecisionContext) -> tuple:
     Returns (e^((1-gamma)/12)/A, (2pi)^(1/4)/A).
     """
     la = log_glaisher_a(1, ctx)
-    first = (
-        (BoundedReal.exact(1) - euler_gamma(ctx)) * Fraction(1, 12) - la
-    ).exp()
-    second = (log_two_pi(ctx) * Fraction(1, 4) - la).exp()
-    return (first, second)
+    first = _linear_in_logs(
+        ctx, Fraction(1, 12), (Fraction(-1, 12), euler_gamma(ctx)), (-1, la)
+    )
+    second = _linear_in_logs(ctx, 0, (Fraction(1, 4), log_two_pi(ctx)), (-1, la))
+    return (first.exp(), second.exp())

@@ -29,6 +29,8 @@ one helper (_log_int, off by at most 2 + bits/4096 units), (X - 1/2) log X
 and -X are one floor each, and (1/2) log 2 pi enters through _to_units,
 whose radius dominates the result's. The part at X is summed once per X,
 shared by every x below the threshold with the same fractional part.
+Every other sum rest + sum c x, with c exact and x a ball or the log of an
+integer, is one call of _linear_in_logs, in the same units.
 """
 
 from __future__ import annotations
@@ -414,6 +416,27 @@ def _log_int(v: int, P: int) -> int:
 def _log_err(v: int) -> int:
     """2 + bits(v) // 4096: an integer bound on the error of _log_int(v, P)."""
     return 2 + (v.bit_length() >> 12)
+
+
+def _linear_in_logs(ctx: PrecisionContext, rest, *terms) -> BoundedReal:
+    """rest + sum of c x over the (c, x) terms, crossed into a ball once.
+
+    rest and each c are exact; each x is a BoundedReal, or an int n that
+    stands for log n. In units of 2^-P on the fixed-point plan, rest is
+    one floor, off by less than 1; x enters as (t, e) from _to_units, or
+    from _log_int(n, P) and _log_err(n); c x is one floor of c t, off by
+    at most |c| e + 1.
+    """
+    _, P = _fixed_point_plan(ctx)
+    rest = Fraction(rest)
+    units, err = (rest.numerator << P) // rest.denominator, 1
+    for c, x in terms:
+        if c:
+            t, e = (_log_int(x, P), _log_err(x)) if type(x) is int else _to_units(x, P)
+            p, q = c.numerator, c.denominator
+            units += p * t // q
+            err += 1 - (-abs(p) * e // q)
+    return _from_units(units, err, P)
 
 
 def _log_units(top: int, P: int) -> list:

@@ -18,12 +18,13 @@ computes at that precision. The memoized constants and main terms it calls
 set their own.
 
 The suites are deliberately independent of the series machinery they test:
-product logs are logs of exact integers and rationals, each rounded once to
-working precision by BoundedReal.exact, not Stirling-type expansions. The
-factorial products prod (kv)!^(v^r) are not built at all: their log is
-sum_p e_p log p, with the prime exponents e_p from Legendre's formula,
-exact by unique factorization. The weighted factorial split is decided the
-same way, by the prime-exponent vectors of its two sides alone.
+product logs are BoundedReal.exact(v).log() balls of exact integers and
+rationals, not Stirling-type expansions nor the main terms' integer logs,
+summed by special._linear_in_logs. The factorial products prod (kv)!^(v^r)
+are not built at all: their log is sum_p e_p log p, with the prime
+exponents e_p from Legendre's formula, exact by unique factorization. The
+weighted factorial split is decided the same way, by the prime-exponent
+vectors of its two sides alone.
 """
 
 import itertools
@@ -45,8 +46,8 @@ from .constants import (
 )
 from .precision import BoundedReal, PrecisionContext, _from_units, make_context
 from .special import (
-    _fixed_point_plan, _sum_units, bernoulli, log_gamma_rational,
-    log_two_pi, partition_counts,
+    _fixed_point_plan, _linear_in_logs, _sum_units, bernoulli,
+    log_gamma_rational, log_two_pi, partition_counts,
 )
 
 # _check_oracle_cap refuses factorial products projected above this many bits
@@ -180,15 +181,15 @@ def _factorial_product_exponents(k: int, n: int, r: int) -> List[tuple]:
     ]
 
 
-def _exponents_log(exponents, logs: dict) -> BoundedReal:
-    """sum e_p log p over [(p, e_p)]; logs keeps each log p once computed."""
-    total = BoundedReal.exact(0)
+def _exponents_log(exponents, logs: dict, ctx: PrecisionContext) -> BoundedReal:
+    """sum e_p log p over [(p, e_p)] at ctx; logs keeps each log p once made."""
+    terms = []
     for p, e in exponents:
         log_p = logs.get(p)
         if log_p is None:
             log_p = logs[p] = BoundedReal.exact(p).log()
-        total = total + e * log_p
-    return total
+        terms.append((e, log_p))
+    return _linear_in_logs(ctx, 0, *terms)
 
 
 def exact_bernoulli_product(n: int, mode: str = "plain") -> Fraction:
@@ -454,7 +455,7 @@ def _progression_diff(r, k, ctx):
     logs = {}
 
     def diff(n: int) -> BoundedReal:
-        lhs = _exponents_log(_factorial_product_exponents(k, n, r), logs)
+        lhs = _exponents_log(_factorial_product_exponents(k, n, r), logs, ctx)
         rhs = log_c + p_rk_log(r, k, n, ctx)
         rhs = rhs + Fraction(1, 2) * q_r_log(r, n, ctx)
         rhs = rhs + k * q_r_log(r + 1, n, ctx)
@@ -497,21 +498,12 @@ def _bernoulli_diff(which: str, ctx):
 
 
 def _power_tower_diff(r, ctx):
-    """prod v^(v^r) against the generalized Glaisher asymptotic.
-
-    diff must be asked for increasing n, as _gap_pairs does over the grid
-    _checked_grid makes strictly increasing: each n carries on the sum of
-    v^r log v where the last one stopped, the same operations in the same
-    order as a sum from v = 2, so the same ball.
-    """
+    """prod v^(v^r) against the generalized Glaisher asymptotic."""
     log_ar = log_glaisher_a(r, ctx)
-    done, lhs = 1, BoundedReal.exact(0)  # lhs = sum_{v<=done} v^r log v
+    logs = {}
 
     def diff(n: int) -> BoundedReal:
-        nonlocal done, lhs
-        for v in range(done + 1, n + 1):
-            lhs = lhs + v ** r * BoundedReal.exact(v).log()
-        done = n
+        lhs = _exponents_log(((v, v ** r) for v in range(2, n + 1)), logs, ctx)
         return lhs - (log_ar + q_r_log(r, n, ctx))
 
     return diff
@@ -522,9 +514,8 @@ def _gamma_ratio_diff(ctx):
     log_g1, log_g2 = (value.log() for value in gamma_product_constants(ctx))
 
     def diff(n: int) -> BoundedReal:
-        lhs = BoundedReal.exact(0)
-        for v in range(1, n):
-            lhs = lhs + v * log_gamma_rational(Fraction(v, n), ctx)
+        terms = [(v, log_gamma_rational(Fraction(v, n), ctx)) for v in range(1, n)]
+        lhs = _linear_in_logs(ctx, 0, *terms)
         log_n = BoundedReal.exact(n).log()
         return lhs - (log_g1 + (n * n) * log_g2 - Fraction(1, 12) * log_n)
 

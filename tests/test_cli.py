@@ -460,13 +460,16 @@ TIGHTENED = {
     # R = c_m zeta(2m-1) zeta(2m-1, n+1) is formed with no cancellation, so
     # the bound is the same at every digit count from 10 up
     ("F_inf", "20"): {"bound_float": "6.320816310824011e-22"},
-    ("A_r", "20"): {"bound": "5.330e-30"},
-    ("F_k", "20"): {"bound": "1.111e-29"},
-    # log Gamma(l/3) is summed in integer units and crossed into a ball
-    # once; log 2 pi's ulp is now most of its radius
-    ("F_k", "20", "--k", "3"): {"bound": "2.825e-29"},
-    ("F_r1", "20"): {"bound": "1.284e-29"},
-    ("F_r1", "20", "--r", "2"): {"bound": "2.554e-30"},
+    # log A_r, log F_k and log F_(r,1) are each one sum in integer units
+    # (special._linear_in_logs), crossed into a ball once, where each step
+    # of a BoundedReal chain added a rounding; so is log Gamma(l/3), whose
+    # log 2 pi's ulp is most of its radius
+    ("A_r", "20"): {"bound": "4.658e-30"},
+    ("A_r", "20", "--r", "2"): {"bound": "2.072e-30"},
+    ("F_k", "20"): {"bound": "7.535e-30"},
+    ("F_k", "20", "--k", "3"): {"bound": "1.626e-29"},
+    ("F_r1", "20"): {"bound": "8.293e-30"},
+    ("F_r1", "20", "--r", "2"): {"bound": "2.107e-30"},
 }
 
 
@@ -612,6 +615,8 @@ def test_ratio_single_target(capsys):
 # The gaps of `ratio --json` (default grid, 20 digits) and of `verify milnor
 # --json`, as printed before the ratio targets became one table of
 # differences: each float is pinned, where RATIO_GAP_CAPS bounds only the last.
+# power-tower-r3 at n = 100 is the true gap's nearest float since its sums of
+# logs are summed in integer units; the old ball chains printed ...184e-08.
 GOLDEN_GAPS = {
     "factorial-progression-k1": (
         (25, 0.0033264915069057053),
@@ -656,7 +661,7 @@ GOLDEN_GAPS = {
     "power-tower-r3": (
         (25, 3.173841884477702e-07),
         (50, 7.936031842190964e-08),
-        (100, 1.984097223725184e-08),
+        (100, 1.984097223725189e-08),
     ),
     "weighted-progression-r1-k2": (
         (25, 0.0002070875053812415),
@@ -695,6 +700,41 @@ def test_verify_milnor_json_golden(capsys):
     code, out, err = invoke(capsys, "verify", "milnor", "--json")
     assert code == 0 and err == ""
     assert out == _golden_records(["milnor-equivalence"])
+
+
+# log Q_r(n) = (S_r(n) - zeta(-r)) log n + its rational part, for r = 1..3
+_Q_R = {
+    1: lambda n: ((n**2 / 2 + n / 2 + mpmath.mpf(1) / 12) * mpmath.log(n),
+                  -n**2 / mpmath.mpf(4)),
+    2: lambda n: ((n**3 / 3 + n**2 / 2 + n / 6) * mpmath.log(n),
+                  -n**3 / mpmath.mpf(9) + n / mpmath.mpf(12)),
+    3: lambda n: ((n**4 / 4 + n**3 / 2 + n**2 / 4 - mpmath.mpf(1) / 120)
+                  * mpmath.log(n), -n**4 / mpmath.mpf(16) + n**2 / mpmath.mpf(12)),
+}
+
+
+def test_gap_goldens_are_the_true_gaps():
+    # the power-tower and gamma-ratio gaps, computed by mpmath at 60 digits
+    # from their definitions, round to the pinned floats
+    with mpmath.workdps(60):
+        log_a = mpmath.mpf(1) / 12 - mpmath.zeta(-1, derivative=1)
+        log_g1 = (1 - mpmath.euler) / 12 - log_a
+        log_g2 = mpmath.log(2 * mpmath.pi) / 4 - log_a
+        for name, n_gap in GOLDEN_GAPS.items():
+            for n, gap in n_gap:
+                if name.startswith("power-tower-r"):
+                    r = int(name[-1])
+                    log_ar = (-mpmath.zeta(-r) * mpmath.harmonic(r)
+                              - mpmath.zeta(-r, derivative=1))
+                    lhs = mpmath.fsum(v**r * mpmath.log(v) for v in range(2, n + 1))
+                    rhs = log_ar + sum(_Q_R[r](mpmath.mpf(n)))
+                elif name == "gamma-ratio-product":
+                    lhs = mpmath.fsum(v * mpmath.loggamma(mpmath.mpf(v) / n)
+                                      for v in range(1, n))
+                    rhs = log_g1 + n**2 * log_g2 - mpmath.log(n) / 12
+                else:
+                    continue
+                assert gap == float(abs(lhs - rhs)), (name, n)
 
 
 def test_ratio_unknown_target(capsys):

@@ -190,19 +190,19 @@ def test_zeta_product_cutoff_builds_no_fraction_powers(monkeypatch):
 
 
 def test_zeta_product_cutoff_raises_precision_when_undecided(monkeypatch):
-    # a context with one bit per digit: 13 bits cannot separate
-    # N' = 675 from 674 at 200 digits, so the enclosure must be refined
+    # with each integer log allowed an error of 2^60 units, 64 bits cannot
+    # separate N' = 675 from 674 at 200 digits, so P must be doubled
     tried = []
+    log_int = constants._log_int
 
-    class Coarse(PrecisionContext):
-        @property
-        def prec(self):
-            tried.append(self.target_digits)
-            return self.target_digits
+    def recorded(v, P):
+        tried.append(P)
+        return log_int(v, P)
 
-    monkeypatch.setattr(constants, "PrecisionContext", Coarse)
+    monkeypatch.setattr(constants, "_log_int", recorded)
+    monkeypatch.setattr(constants, "_log_err", lambda v: 1 << 60)
     assert constants._zeta_product_cutoff(make_context(200)) == 675
-    assert len(tried) > 1
+    assert min(tried) == 64 and max(tried) > 64
 
 
 # -- Glaisher-type constants ------------------------------------------------------

@@ -6,6 +6,7 @@ sums or mpmath's own implementations for the transcendental ones.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -520,6 +521,53 @@ def test_integer_log_stays_within_its_error_bound():
                 bound = 1 + mpf(v.bit_length()) / 4096
                 assert abs(units - logs[v] * 2**P) < bound, (P, v)
                 assert special._log_err(v) >= bound
+
+
+def test_linear_in_logs_sweep_at_low_precision_contains_mpmath():
+    # at 1-12 target digits the radius is a few units of 2^-P per term, so
+    # each floor's unit matters. The exact sum takes every ball term at the
+    # edge of its ball that c pushes up, and mpmath's logs at 80 digits for
+    # the integer terms; c and rest share one random scale per case, so
+    # that some cases have every |c| small
+    rng = random.Random(20)
+    ints = [1, 2, 10, *(rng.randint(3, 10**6) for _ in range(8)),
+            *(rng.randint(1 << 299, 1 << 300) for _ in range(4))]
+    with mp.workdps(80):
+        logs = {n: mp.log(n) for n in ints}
+    slack = mpf(10) ** -60
+    for digits in range(1, 13):
+        ctx = make_context(digits)
+        _, P = special._fixed_point_plan(ctx)
+        for _ in range(250):
+            top, bottom = 10 ** rng.randint(0, 9), 10 ** rng.randint(0, 6)
+
+            def draw():
+                p = rng.randint(-top, top)
+                return Fraction(p, rng.randint(1, bottom))
+
+            rest = exact = draw()
+            terms, log_terms = [], []
+            for _ in range(rng.randint(1, 6)):
+                c = draw()
+                if rng.random() < 0.25:
+                    n = rng.choice(ints)
+                    terms.append((c, n))
+                    log_terms.append((c, n))
+                    continue
+                den = rng.choice((1 << rng.randint(0, 40), rng.randint(1, 10**6),
+                                  1 << (P + rng.randint(1, 40))))
+                mid = Fraction(rng.randint(-(1 << 40), 1 << 40), den)
+                rad = Fraction(rng.randint(0, 1 << 30), 1 << (P + rng.randint(0, 4)))
+                with ctx.workprec():
+                    terms.append((c, BoundedReal(mid, rad)))
+                exact += c * (mid + (rad if c > 0 else -rad))
+            total = special._linear_in_logs(ctx, rest, *terms)
+            with mp.workdps(80):
+                ref = mpf(exact.numerator) / exact.denominator + mp.fsum(
+                    mpf(c.numerator) / c.denominator * logs[n] for c, n in log_terms
+                )
+                low, high = ref - slack, ref + slack
+            assert total.contains(low) and total.contains(high), (digits, rest, terms)
 
 
 def test_log_gamma_rejects_nonpositive():

@@ -112,7 +112,7 @@ def test_factorial_product_exponents_and_log_match_the_exact_product():
                 exact = exact_factorial_product(k, n, r)
                 assert math.prod(p**e for p, e in exponents) == exact
                 with CTX.workprec():
-                    log_sum = verify._exponents_log(exponents, {})
+                    log_sum = verify._exponents_log(exponents, {}, CTX)
                     log_exact = BoundedReal.exact(exact).log()
                 assert log_sum.agrees_with(log_exact), (k, n, r)
                 if exact.bit_length() < 1 << 14:  # mpmath's log of it is slow
