@@ -65,31 +65,24 @@ _lock = threading.Lock()
 
 # -- exact integer sequences ------------------------------------------------
 
-def _tangent_numbers(m: int) -> list:
-    """T_1..T_m by the triangle recurrence (all-integer)."""
-    T = [0] * (m + 1)
-    if m >= 1:
-        T[1] = 1
-    for k in range(2, m + 1):
-        T[k] = (k - 1) * T[k - 1]
-    for k in range(2, m + 1):
-        for j in range(k, m + 1):
-            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
-    return T
-
-
 _bern_even: list = [Fraction(1)]  # _bern_even[m] = B_{2m}
+_tangent_edge: list = []  # _tangent_edge[k-1] = T(m, k) for the top column m
 
 
 def bernoulli(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2 convention).
 
-    Even B_n come from a cache grown by the tangent triangle, and are read
+    Even B_n = (-1)^(m-1) 2m T_m / (2^(2m) (2^(2m) - 1)), n = 2m, come from
+    the tangent numbers T_m of Brent & Harvey's triangle (arXiv:1108.0286),
+    with its two loops swapped: column m after sweep k is
+    T(m, k) = (m-k) T(m-1, k) + (m-k+2) T(m, k-1), from T(m, 1) = (m-1)!,
+    and T_m = T(m, m). A new column needs only the previous column's value
+    after each sweep, which _tangent_edge keeps, so the cache grows one
+    column at a time, to exactly n/2, each column in m big-integer
+    multiply-adds: the same arithmetic as one triangle build to the
+    largest index asked for, in any call order. The cache is grown and read
     under _lock, so that a clear_cache() in another thread cannot empty it
-    in between. The triangle cannot be extended in place, so each growth
-    rebuilds it. Growing to at least twice the cached length makes callers
-    that ask for B_2, B_4, ... one at a time pay O(m^2) in total instead of
-    O(m^3) (Brent & Harvey, arXiv:1108.0286).
+    in between.
     """
     if n < 0:
         raise ValueError("Bernoulli numbers need n >= 0")
@@ -98,14 +91,14 @@ def bernoulli(n: int) -> Fraction:
     if n % 2 == 1:
         return Fraction(0)
     with _lock:
-        cached = len(_bern_even)
-        if n // 2 >= cached:
-            m_max = max(n // 2, 2 * cached)
-            T = _tangent_numbers(m_max)
-            for m in range(cached, m_max + 1):
-                num = (-1) ** (m - 1) * 2 * m * T[m]
-                den = 2 ** (2 * m) * (2 ** (2 * m) - 1)
-                _bern_even.append(Fraction(num, den))
+        edge = _tangent_edge
+        for m in range(len(_bern_even), n // 2 + 1):
+            t = 0  # T(m, 0)
+            for k, left in enumerate(edge, 1):  # left = T(m-1, k)
+                t = edge[k - 1] = (m - k) * left + (m - k + 2) * t
+            edge.append(2 * t or 1)  # T(m, m) = 2 T(m, m-1); T(1, 1) = 1
+            _bern_even.append(Fraction(
+                (-1) ** (m - 1) * 2 * m * edge[-1], 4 ** m * (4 ** m - 1)))
         return _bern_even[n // 2]
 
 
@@ -150,11 +143,12 @@ def _memoized(fn):
 
 
 def clear_cache() -> None:
-    """Drop every cached value: empty the memo, and cut the Bernoulli list
-    back to its seed, in place."""
+    """Drop every cached value: empty the memo, cut the Bernoulli list back
+    to its seed and empty the tangent edge, both in place."""
     with _lock:
         _memo.clear()
         del _bern_even[1:]
+        _tangent_edge.clear()
 
 
 # -- engine-rounded constants -----------------------------------------------
@@ -337,7 +331,6 @@ def _zeta_tails(s_values, a: int, ctx: PrecisionContext) -> dict:
 
 def _zeta_even(s_values: list, ctx: PrecisionContext) -> dict:
     """zeta(2j) = |B_2j| (2 pi)^(2j) / (2 (2j)!) for sorted even s = 2j."""
-    bernoulli(s_values[-1])  # one cache growth for the whole range
     with ctx.workprec():
         step = (pi_const(ctx) * 2).pow_int(2)
         power, at = BoundedReal.exact(1), 0
@@ -616,28 +609,6 @@ _promoted_stirling_units = _memoized(_stirling_units)
 
 
 @_memoized
-def _grow_bernoulli_for_stirling(threshold: int, ctx: PrecisionContext) -> int:
-    """Grow the Bernoulli cache in one step to every B_2j that a Stirling
-    sum at X >= threshold needs at ctx, and return the top index.
-
-    A larger X needs fewer terms, so B_2J for the last term J at the
-    threshold, planned in floats from |B_2j| ~ 2 (2j)!/(2 pi)^(2j) with two
-    terms to spare, serves every sum log_gamma_rational makes at ctx.
-    Asked for first, it grows the cache to J once, where asking term by
-    term would double it past J (bernoulli).
-    """
-    g, _ = _fixed_point_plan(ctx)
-    log_x, log_2pi, goal = math.log(threshold), math.log(2 * math.pi), -g * math.log(2)
-    j = 1  # log |t_j| ~ log 2 + log (2j-2)! - 2j log 2 pi - (2j-1) log X
-    while j < math.pi * threshold and (
-        math.log(2) + math.lgamma(2 * j - 1) - 2 * j * log_2pi - (2 * j - 1) * log_x
-    ) >= goal:
-        j += 1
-    bernoulli(2 * j + 4)
-    return 2 * j + 4
-
-
-@_memoized
 def log_gamma_rational(x: Fraction, ctx: PrecisionContext) -> BoundedReal:
     """log Gamma(x) for rational x > 0, certified by Stirling's series.
 
@@ -669,7 +640,6 @@ def log_gamma_rational(x: Fraction, ctx: PrecisionContext) -> BoundedReal:
     # smallest Stirling term at argument X is ~ e^(-2 pi X); require
     # e^(-2 pi X) < goal, i.e. X > wd * ln(10)/(2 pi) ~ 0.3665 wd
     threshold = int(0.3665 * (ctx.working_digits + 6)) + 2
-    _grow_bernoulli_for_stirling(threshold, ctx)
     for _ in range(6):
         N = max(0, threshold - int(x))
         part = (_promoted_stirling_units if N else _stirling_units)(x + N, ctx)

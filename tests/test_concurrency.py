@@ -102,15 +102,17 @@ def test_clear_cache_never_pulls_a_value_from_a_reader():
     # for one second, readers of every cache of bernfac.special race threads
     # that clear them all; each read must return its value, not an
     # IndexError or KeyError. Small indices keep each refill cheap, so the
-    # caches are emptied and refilled many times. pi and gamma are read from
-    # mpmath's constant cache under the package's lock, so their refills
-    # cannot race each other there; the ln 2 read inside mpf_log and mpf_exp
-    # (see README) is not reached.
+    # caches are emptied and refilled many times; B_60 regrows the tangent
+    # edge to 30 columns after each clear, past the 3 that B_6 needs. pi and
+    # gamma are read from mpmath's constant cache under the package's lock,
+    # so their refills cannot race each other there; the ln 2 read inside
+    # mpf_log and mpf_exp (see README) is not reached.
     ctx = make_context(20)
 
     def read_all():
-        return (special.bernoulli(6), special.harmonic(3),
-                special.partition_count(4), special.zeta_int(61, ctx),
+        return (special.bernoulli(6), special.bernoulli(60),
+                special.harmonic(3), special.partition_count(4),
+                special.zeta_int(61, ctx),
                 special.pi_const(ctx), special.euler_gamma(ctx))
 
     want, errors, stop = read_all(), [], threading.Event()

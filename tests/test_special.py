@@ -18,6 +18,7 @@ from bernfac import constants, special, verify
 from bernfac.precision import (
     BoundedReal,
     PrecisionContext,
+    PrecisionError,
     make_context,
     mpf_to_fraction,
 )
@@ -74,22 +75,29 @@ def test_bernoulli_defining_recurrence(n):
     assert total == 0
 
 
-def test_bernoulli_cache_grows_geometrically(monkeypatch):
-    builds = []
-    build = special._tangent_numbers
+def _grown(indices):
+    """[B_n for n in indices] and the even cache they leave, from a fresh
+    cache."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(special, "_bern_even", [Fraction(1)])
+        patch.setattr(special, "_tangent_edge", [])
+        return [bernoulli(n) for n in indices], special._bern_even
 
-    def counted(m):
-        builds.append(m)
-        return build(m)
 
-    monkeypatch.setattr(special, "_tangent_numbers", counted)
-    monkeypatch.setattr(special, "_bern_even", [Fraction(1)])
-    one_at_a_time = [bernoulli(n) for n in range(2, 801, 2)]
-    assert len(builds) <= 12
+_SINGLE_BUILD = _grown([400])[1]
 
-    monkeypatch.setattr(special, "_bern_even", [Fraction(1)])
-    bernoulli(800)
-    assert special._bern_even[1:] == one_at_a_time
+
+@given(st.lists(st.integers(min_value=0, max_value=200).map(lambda m: 2 * m),
+                min_size=1, max_size=40))
+def test_bernoulli_cache_grows_to_the_largest_index_in_any_order(indices):
+    values, grown = _grown(indices)
+    assert len(grown) - 1 == max(indices) // 2
+    assert grown == _SINGLE_BUILD[: len(grown)]
+    assert values == [_SINGLE_BUILD[n // 2] for n in indices]
+
+
+def test_bernoulli_one_index_at_a_time_against_mpmath():
+    one_at_a_time, _ = _grown(range(2, 801, 2))
     assert one_at_a_time[-1] == Fraction(*mpmath.bernfrac(800))
 
 
@@ -101,21 +109,59 @@ def test_bernoulli_reads_its_cache_under_the_lock(monkeypatch):
             assert special._lock.locked()
             return super().__getitem__(index)
 
+        def __setitem__(self, index, value):
+            assert special._lock.locked()
+            super().__setitem__(index, value)
+
+        def __iter__(self):
+            assert special._lock.locked()
+            return super().__iter__()
+
+        def __len__(self):
+            assert special._lock.locked()
+            return super().__len__()
+
+        def append(self, value):
+            assert special._lock.locked()
+            super().append(value)
+
     monkeypatch.setattr(special, "_bern_even", LockedReads([Fraction(1)]))
+    monkeypatch.setattr(special, "_tangent_edge", LockedReads())
     assert bernoulli(10) == Fraction(5, 66)
     assert bernoulli(4) == Fraction(-1, 30)
+    assert bernoulli(12) == Fraction(-691, 2730)
 
 
 def test_clear_cache_cuts_the_exact_sequences_to_their_seeds():
-    # the Bernoulli list is the one cache outside the memo
+    # the Bernoulli list and the tangent edge are the caches outside the memo
     assert constants.clear_cache is special.clear_cache
     before = bernoulli(60)
-    grown = special._bern_even
+    grown, edge = special._bern_even, special._tangent_edge
+    assert len(edge) == len(grown) - 1 >= 30
     constants.clear_cache()
-    # reset in place: the same list object, back at its seed
+    # reset in place: the same list objects, back at their seeds
     assert special._bern_even is grown
     assert grown == [Fraction(1)]
+    assert special._tangent_edge is edge
+    assert edge == []
     assert bernoulli(60) == before
+
+
+def test_bernoulli_top_index_does_not_depend_on_earlier_routes():
+    # the cache grows to the largest index asked for, not past it, so
+    # f_infty_refined reaches the same B_n whether b_family ran first or not
+    def top_after(*routes):
+        constants.clear_cache()
+        for route in routes:
+            route(ctx)
+        return len(special._bern_even) - 1
+
+    for digits in (100, 300):
+        ctx = make_context(digits)
+        alone = top_after(lambda ctx: constants.f_infty_refined(7, 17, ctx))
+        after = top_after(constants.b_family,
+                          lambda ctx: constants.f_infty_refined(7, 17, ctx))
+        assert alone == after, digits
 
 
 # -- harmonic numbers and Euler's constant ------------------------------------
@@ -313,6 +359,26 @@ def test_f_infty_refined_runs_few_euler_maclaurin_sums(monkeypatch):
     f_infty_refined(7, 17, make_context(20))
     assert 1 <= len(runs) <= 32
     assert len(set(runs)) == len(runs)
+
+
+def test_em_tail_contains_mpmath_at_low_precision():
+    # every s, cutoff n, unit 2^-P and goal 2^-g < 1 of a small grid, where
+    # the radius's fixed 2 units and each correction's floor error are most
+    # of it; a sum that diverges before its goal raises and is skipped
+    with mp.workdps(60):
+        refs = {(s, n): mp.zeta(s, n) for s in range(2, 10) for n in range(2, 13)}
+    checked = 0
+    for (s, n), ref in refs.items():
+        for P in range(4, 41):
+            exact = mpmath.ldexp(ref, P)
+            for g in range(P):
+                try:
+                    units, err = special._em_tail(s, n, P, g)
+                except PrecisionError:
+                    continue
+                assert units - err <= exact <= units + err, (s, n, P, g)
+                checked += 1
+    assert checked > 60_000
 
 
 @pytest.mark.parametrize("a", [2, 8, 38, 111])
