@@ -82,7 +82,10 @@ def bernoulli(n: int) -> Fraction:
     multiply-adds: the same arithmetic as one triangle build to the
     largest index asked for, in any call order. The cache is grown and read
     under _lock, so that a clear_cache() in another thread cannot empty it
-    in between.
+    in between. A column is built in a local list and committed in one
+    slice assignment before B_2m is appended from it, so an exception
+    anywhere in the growth (Ctrl-C, a timeout raised from a signal handler)
+    leaves the caches in step or the edge exactly one column ahead.
     """
     if n < 0:
         raise ValueError("Bernoulli numbers need n >= 0")
@@ -93,10 +96,14 @@ def bernoulli(n: int) -> Fraction:
     with _lock:
         edge = _tangent_edge
         for m in range(len(_bern_even), n // 2 + 1):
-            t = 0  # T(m, 0)
-            for k, left in enumerate(edge, 1):  # left = T(m-1, k)
-                t = edge[k - 1] = (m - k) * left + (m - k + 2) * t
-            edge.append(2 * t or 1)  # T(m, m) = 2 T(m, m-1); T(1, 1) = 1
+            if len(edge) < m:  # column m is not committed yet
+                column = []
+                t = 0  # T(m, 0)
+                for k, left in enumerate(edge, 1):  # left = T(m-1, k)
+                    t = (m - k) * left + (m - k + 2) * t
+                    column.append(t)
+                column.append(2 * t or 1)  # T(m, m) = 2 T(m, m-1); T(1, 1) = 1
+                edge[:] = column
             _bern_even.append(Fraction(
                 (-1) ** (m - 1) * 2 * m * edge[-1], 4 ** m * (4 ** m - 1)))
         return _bern_even[n // 2]

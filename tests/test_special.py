@@ -5,8 +5,11 @@ recurrences and brute sums for the exact sequences, bracketing partial
 sums or mpmath's own implementations for the transcendental ones.
 """
 
+import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -130,6 +133,83 @@ def test_bernoulli_reads_its_cache_under_the_lock(monkeypatch):
     assert bernoulli(10) == Fraction(5, 66)
     assert bernoulli(4) == Fraction(-1, 30)
     assert bernoulli(12) == Fraction(-691, 2730)
+
+
+def test_bernoulli_survives_an_interrupted_commit(monkeypatch):
+    # a KeyboardInterrupt on the edge's third write (partway through a
+    # column, were columns written in place) leaves the caches in step,
+    # and the next call resumes from them
+    class InterruptOnce(list):
+        writes_left = None
+
+        def __setitem__(self, index, value):
+            if self.writes_left is not None:
+                self.writes_left -= 1
+                if self.writes_left == 0:
+                    self.writes_left = None
+                    raise KeyboardInterrupt
+            super().__setitem__(index, value)
+
+    edge = InterruptOnce()
+    monkeypatch.setattr(special, "_bern_even", [Fraction(1)])
+    monkeypatch.setattr(special, "_tangent_edge", edge)
+    bernoulli(10)
+    edge.writes_left = 3
+    with pytest.raises(KeyboardInterrupt):
+        bernoulli(30)
+    assert len(edge) == len(special._bern_even) - 1
+    assert [bernoulli(n) for n in range(0, 41, 2)] == [
+        Fraction(*mpmath.bernfrac(n)) for n in range(0, 41, 2)]
+
+
+def test_bernoulli_survives_an_exception_at_every_opcode(monkeypatch):
+    # an exception raised from a signal handler (perfbench's op timeout) or
+    # a Ctrl-C can land between any two bytecodes of the growth; at each
+    # one, the caches must stay in step or hold the next column whole, so
+    # that every later B_n is still exact
+    class Interrupt(BaseException):
+        pass
+
+    def growth_interrupted_at(opcode):
+        seen = 0
+
+        def trace(frame, event, arg):
+            if frame.f_code is not bernoulli.__code__:
+                return None
+            frame.f_trace_opcodes = True
+            return step
+
+        def step(frame, event, arg):
+            nonlocal seen
+            if event == "opcode":
+                seen += 1
+                if seen == opcode:
+                    raise Interrupt
+            return step
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            bernoulli(16)
+        except Interrupt:
+            return True
+        finally:
+            sys.settrace(previous)
+        return False
+
+    expected = [Fraction(*mpmath.bernfrac(n)) for n in range(0, 17, 2)]
+    for opcode in itertools.count(1):
+        monkeypatch.setattr(special, "_bern_even", [Fraction(1)])
+        monkeypatch.setattr(special, "_tangent_edge", [])
+        if not growth_interrupted_at(opcode):
+            break
+        # the trace can also raise in the with statement's exit, before the
+        # lock is released, where a signal handler never runs
+        monkeypatch.setattr(special, "_lock", threading.Lock())
+        grown, edge = special._bern_even, special._tangent_edge
+        assert len(edge) in (len(grown) - 1, len(grown)), opcode
+        assert [bernoulli(n) for n in range(0, 17, 2)] == expected, opcode
+    assert opcode > 1000  # the sweep reached every column's arithmetic
 
 
 def test_clear_cache_cuts_the_exact_sequences_to_their_seeds():
