@@ -16,7 +16,7 @@ integer units by special._linear_in_logs and cross into a ball once.
 Every route is memoized per (arguments, context) by special._memoized,
 which also runs it at its context's working precision, and a report's
 printed digits are kept in the same memo. Nothing else here sets a
-precision: the cutoff search of the zeta products decides in integers.
+precision: the zeta products' cutoff N' is special._plan's.
 """
 
 from __future__ import annotations
@@ -40,10 +40,9 @@ from bernfac.precision import (
 )
 from bernfac.special import (
     _linear_in_logs,
-    _log_err,
-    _log_int,
     _memo,
     _memoized,
+    _plan,
     _remember,
     _zeta_tails,
     bernoulli,
@@ -104,48 +103,12 @@ class ConstantReport:
 
 # -- zeta products C1, C2, C3 --------------------------------------------------
 
-def _zeta_product_cutoff(ctx: PrecisionContext) -> int:
-    """Smallest N' >= 4 with 2^(-N'+3/N') below a tenth of the target tolerance.
-
-    2^(-N'+3/N') < 10^-(d+3) iff N' - 3/N' > L = (d+3) log2(10). The left
-    side increases with N', so N' is the first integer above the positive
-    root of N^2 - L N = 3, which is never an integer (L is irrational). The
-    candidate from that root and its predecessor are decided in integers,
-    as (N^2 - 3) log 2 against N (d+3) log 10 with both logs in units of
-    2^-P (_log_int) and their _log_err slack. P starts at 64 and is doubled
-    only while one of the two is undecided.
-    """
-    d = ctx.target_digits
-    approx = (d + 3) * math.log2(10)
-    start = max(4, math.ceil((approx + math.sqrt(approx * approx + 12)) / 2))
-    P = 64
-    while True:
-        log2, log10 = _log_int(2, P), _log_int(10, P)
-        e2, e10 = _log_err(2), _log_err(10)
-
-        def side(n: int) -> int:
-            """+1 if n - 3/n > L, -1 if below, 0 if undecided."""
-            left, right = n * n - 3, n * (d + 3)
-            if left * (log2 - e2) > right * (log10 + e10):
-                return 1
-            return -1 if left * (log2 + e2) < right * (log10 - e10) else 0
-
-        n = start
-        while n > 4 and side(n - 1) > 0:
-            n -= 1
-        while side(n) < 0:
-            n += 1
-        if side(n) > 0 and (n == 4 or side(n - 1) < 0):
-            return n
-        P *= 2
-
-
 @_memoized
 def c_constant(which: int, ctx: PrecisionContext) -> ConstantReport:
     """C1 = prod_{v>=2} zeta(v), C2 = even-index part, C3 = odd-index part."""
     if which not in (1, 2, 3):
         raise ValueError("c_constant selects 1, 2 or 3")
-    n_prime = _zeta_product_cutoff(ctx)
+    n_prime = _plan(ctx).cut
     start, step = {1: (2, 1), 2: (2, 2), 3: (3, 2)}[which]
     prod = BoundedReal.exact(1)
     for zeta in zeta_family(range(start, n_prime + 1, step), ctx).values():

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from bernfac.precision import PrecisionContext, PrecisionError, _from_units, _to_units
-from bernfac.special import _fixed_point_plan, _sum_units
+from bernfac.special import _plan, _sum_units
 
 
 def smallest_term_sum(coeff, j_start: int, ctx: PrecisionContext) -> tuple:
@@ -22,7 +22,7 @@ def smallest_term_sum(coeff, j_start: int, ctx: PrecisionContext) -> tuple:
     counts only the kept terms, and the enclosure of term m, which bounds
     the remainder and has its sign.
     """
-    _, P = _fixed_point_plan(ctx)
+    P = _plan(ctx).P
 
     def terms():
         for j in itertools.count(j_start):

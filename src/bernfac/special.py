@@ -5,6 +5,11 @@ Every cached value lives in the write-once dict _memo, written only by
 _remember under _lock; _memoized routes a function through it and runs a
 miss at its context's working precision.
 
+Everything a context fixes before any work comes from one memoized plan,
+_plan(ctx): the goal 2^-g of every sum, the unit 2^-P, zeta's
+Euler-Maclaurin cutoff n, the point T where log Gamma sums Stirling's
+series, and the cutoff N' of the zeta products C1..C3.
+
 The series here are summed by one engine, _sum_units, in exact integers in
 units of 2^-P. A term source gives, per index j, the term after floor
 rounding, a bound on that floor's error and a bound on the remainder if
@@ -22,13 +27,13 @@ takes the same split, with log v built from the logs of primes and the
 integral form of the Euler-Maclaurin remainder.
 
 log Gamma(x) at rational x > 0 is Stirling's series for log Gamma itself,
-at X = x + N for an N that makes its tail reach the goal, less the log of
-the exact rational prod_{j<N} (x + j). Every part is summed in the same
-units of 2^-P and crossed into a ball once: the logs of integers come from
-one helper (_log_int, off by at most 2 + bits/4096 units), (X - 1/2) log X
-and -X are one floor each, and (1/2) log 2 pi enters through _to_units,
-whose radius dominates the result's. The part at X is summed once per X,
-shared by every x below the threshold with the same fractional part.
+at X = x + N = T + frac(x), corrected by the log of the exact rational
+prod_{j<|N|} (min(x, X) + j). Every part is summed in the same units of
+2^-P and crossed into a ball once: the logs of integers come from one
+helper (_log_int, off by at most 2 + bits/4096 units), (X - 1/2) log X and
+-X are one floor each, and (1/2) log 2 pi enters through _to_units, whose
+radius dominates the result's. The part at X is summed once per X, shared
+by every x with the same fractional part.
 Every other sum rest + sum c x, with c exact and x a ball or the log of an
 integer, is one call of _linear_in_logs, in the same units.
 """
@@ -39,6 +44,7 @@ import functools
 import itertools
 import math
 import threading
+from collections import namedtuple
 from fractions import Fraction
 
 from mpmath.libmp import (
@@ -158,6 +164,41 @@ def clear_cache() -> None:
         _tangent_edge.clear()
 
 
+# -- the plan ------------------------------------------------------------------
+
+_Plan = namedtuple("_Plan", "g P n T cut")
+
+
+@_memoized
+def _plan(ctx: PrecisionContext) -> _Plan:
+    """What ctx fixes before any work, for d target and w working digits:
+
+    - g and P = g + 32: every sum's goal 2^-g < 10^-(w + 2) and unit 2^-P,
+      with 32 bits for the floors a sum counts in its radius;
+    - n = max(10, 3w/4): zeta's Euler-Maclaurin cutoff;
+    - T: log Gamma sums Stirling's series at X in [T, T + 1). As 2 pi
+      (T - 1) > (w + 6) ln 10, its smallest term, about e^(-2 pi X), is
+      below 2^-g e^-14 there;
+    - cut: the C products' N', the least integer with 2^(-N'+3/N') <
+      10^-(d+3), i.e. N' - 3/N' > L = (d + 3) log2 10. N0 = bits of
+      10^(d+3) is ceil(L), as 10^(d+3) is never a power of 2, and
+      N0 + 1 - L > 1 > 3/(N0 + 1), so N' is N0 iff (N0^2 - 3) log 2 >
+      N0 (d + 3) log 10: decided with both logs in units of 2^-Q
+      (_log_int) and their _log_err slack, Q = 64 doubled while undecided.
+    """
+    d, w = ctx.target_digits, ctx.working_digits
+    g = (10 ** (w + 2)).bit_length()
+    n0 = (10 ** (d + 3)).bit_length()
+    left, right, Q = n0 * n0 - 3, n0 * (d + 3), 64
+    while True:
+        gap = left * _log_int(2, Q) - right * _log_int(10, Q)
+        if abs(gap) > left * _log_err(2) + right * _log_err(10):
+            break
+        Q *= 2
+    cut = n0 if gap > 0 else n0 + 1
+    return _Plan(g, g + 32, max(10, 3 * w // 4), int(0.3665 * (w + 6)) + 2, cut)
+
+
 # -- engine-rounded constants -----------------------------------------------
 
 @_memoized
@@ -191,20 +232,6 @@ def zeta_int(s: int, ctx: PrecisionContext) -> BoundedReal:
     if value is None:
         value = zeta_family((s,), ctx)[s]
     return value
-
-
-def _fixed_point_plan(ctx: PrecisionContext) -> tuple:
-    """(g, P): goal 2^-g < 10^-(working digits + 2), fixed-point unit 2^-P.
-
-    P = g + 32 leaves 32 bits for the floors a sum counts in its radius.
-    """
-    g = (10 ** (ctx.working_digits + 2)).bit_length()
-    return g, g + 32
-
-
-def _zeta_plan(ctx: PrecisionContext) -> tuple:
-    """(n, g, P): Euler-Maclaurin cutoff, goal 2^-g, fixed-point unit 2^-P."""
-    return (max(10, (3 * ctx.working_digits) // 4), *_fixed_point_plan(ctx))
 
 
 def _direct_terms(s: int, n: int, g: int):
@@ -319,14 +346,14 @@ def _em_tail(s: int, n: int, P: int, g: int) -> tuple:
 def _zeta_tails(s_values, a: int, ctx: PrecisionContext) -> dict:
     """{s: zeta(s, a)} = {s: sum_{v>=a} v^-s} for integers s >= 2, a >= 1.
 
-    Each is summed on zeta's plan shifted by b = bit length of a^s, in
+    Each is summed on the plan (_plan) shifted by b = bit length of a^s, in
     units of 2^-(P+b) < a^-s 2^-P to the goal 2^-(g+b) < a^-s 2^-g, so its
     radius is relative: the terms a <= v < cut directly, one floor each,
     then _em_tail at cut = max(a, n, s), with n zeta's cutoff. Below s the
     corrections grow from the first. zeta(s) less the terms v < a would
     lose s log10(a) digits.
     """
-    n, g, P = _zeta_plan(ctx)
+    g, P, n, _, _ = _plan(ctx)
     tails = {}
     for s in s_values:
         cut, b = max(a, n, s), (a ** s).bit_length()
@@ -374,7 +401,7 @@ def zeta_family(s_values, ctx: PrecisionContext) -> dict:
         return zetas
     if todo[0] < 2:
         raise ValueError("zeta_int needs s >= 2")
-    n, g, P = _zeta_plan(ctx)
+    g, P, n, _, _ = _plan(ctx)
     direct, odd, even = {}, [], []
     for s in todo:
         v = _direct_terms(s, n, g)
@@ -422,12 +449,12 @@ def _linear_in_logs(ctx: PrecisionContext, rest, *terms) -> BoundedReal:
     """rest + sum of c x over the (c, x) terms, crossed into a ball once.
 
     rest and each c are exact; each x is a BoundedReal, or an int n that
-    stands for log n. In units of 2^-P on the fixed-point plan, rest is
+    stands for log n. In units of 2^-P on the plan (_plan), rest is
     one floor, off by less than 1; x enters as (t, e) from _to_units, or
     from _log_int(n, P) and _log_err(n); c x is one floor of c t, off by
     at most |c| e + 1.
     """
-    _, P = _fixed_point_plan(ctx)
+    P = _plan(ctx).P
     rest = Fraction(rest)
     units, err = (rest.numerator << P) // rest.denominator, 1
     for c, x in terms:
@@ -460,7 +487,7 @@ def _log_units(top: int, P: int) -> list:
 def zeta_prime_int(s: int, ctx: PrecisionContext) -> BoundedReal:
     """zeta'(s) = -sum_{v>=2} log(v) v^-s for integer s >= 2, certified.
 
-    Summed in units of 2^-P on zeta's plan and split. log v (_log_units) is
+    Summed in units of 2^-P on the plan and split. log v (_log_units) is
     off by less than 2 log2 v < v^2 units, so each floor(log v 2^P / v^s)
     is off by less than 2. If V = _direct_terms(s, n, g + b) exists, with
     2^b > (bit length of n) + 1 > log n + 1, the sum runs to V, and the tail
@@ -473,7 +500,7 @@ def zeta_prime_int(s: int, ctx: PrecisionContext) -> BoundedReal:
     """
     if s < 2:
         raise ValueError("zeta_prime_int needs s >= 2")
-    n, g, P = _zeta_plan(ctx)
+    g, P, n, _, _ = _plan(ctx)
     one = 1 << P
     V = _direct_terms(s, n, g + (n.bit_length() + 1).bit_length())
     top = n if V is None else V
@@ -586,9 +613,10 @@ def _stirling_terms(big: Fraction, P: int):
         den *= a * a
 
 
+@_memoized
 def _stirling_units(big: Fraction, ctx: PrecisionContext):
     """(units, err): (X - 1/2) log X - X + (1/2) log 2 pi + S(X) at X = big,
-    in units of 2^-P on the fixed-point plan, or None if S(X) turns before
+    in units of 2^-P on the plan (_plan), or None if S(X) turns before
     its goal.
 
     With X = a/b and c = 2a - b, (X - 1/2) log X is one floor of
@@ -597,7 +625,7 @@ def _stirling_units(big: Fraction, ctx: PrecisionContext):
     (1/2) log 2 pi is log 2 pi in units of 2^-(P-1) (_to_units), within
     its radius; and S(X) brings the radius _sum_units gives it.
     """
-    g, P = _fixed_point_plan(ctx)
+    g, P, _, _, _ = _plan(ctx)
     tail = _sum_units(_stirling_terms(big, P), 1 << (P - g))
     if tail is None:
         return None
@@ -610,56 +638,50 @@ def _stirling_units(big: Fraction, ctx: PrecisionContext):
     return units, err
 
 
-# one Stirling sum per promoted argument X: every x below the promotion
-# threshold with the same fractional part shares it
-_promoted_stirling_units = _memoized(_stirling_units)
-
-
 @_memoized
 def log_gamma_rational(x: Fraction, ctx: PrecisionContext) -> BoundedReal:
     """log Gamma(x) for rational x > 0, certified by Stirling's series.
 
     log Gamma(x) = (X - 1/2) log X - X + (1/2) log 2 pi + S(X)
-                   - log prod_{j<N} (x + j),  X = x + N,
-    with S the Stirling tail (_stirling_terms), summed in integer units of
-    2^-P (_fixed_point_plan) and crossed into a ball once. N promotes
-    arguments too small for S to reach working precision. S is summed only
-    until a term drops below the goal 2^-g < 10^-(working digits + 2), not
-    to its smallest term; that term still bounds the remainder, with its
-    sign (DLMF 5.11(ii)).
+                   -/+ log prod_{j<|N|} (min(x, X) + j),  X = x + N,
+    minus for N > 0 and plus for N < 0, with N = T - floor(x) for the plan's
+    T (_plan), so that X = T + frac(x) is the same for every x with the same
+    fractional part. S is the Stirling tail (_stirling_terms), summed in
+    integer units of 2^-P and crossed into a ball once, only until a term
+    drops below the goal 2^-g, not to its smallest term; that term still
+    bounds the remainder, with its sign (DLMF 5.11(ii)). At X >= T the sum
+    reaches its goal; if it ever turned first, PrecisionError is raised.
 
     The radius, in units, is the sum of: two floors (-X and the division
     in (X - 1/2) log X); (X - 1/2) times the error bounds of log a and
     log b (_log_int, _log_err) for X = a/b; the radius of log 2 pi at
     working precision, which dominates; S's kept floors and its stopping
-    term; and, for N > 0, the error bounds of log prod_{j<N} (a + j b) and
-    of N log b, as prod (x + j) = prod (a + j b) / b^N for x = a/b.
+    term; and, for N != 0, the error bounds of log prod_{j<|N|} (a + j b)
+    and of |N| log b, as prod (low + j) = prod (a + j b) / b^|N| for
+    low = min(x, X) = a/b.
 
     Memoized per (x, ctx), as the F_k closed forms ask for the same nu/k
-    many times; the X part is memoized per (X, ctx) for N > 0
-    (_promoted_stirling_units), so that x + 1, x + 2, ... below the
-    threshold share one Stirling sum.
+    many times; the X part is memoized per (X, ctx) (_stirling_units).
     """
     x = Fraction(x)
     if x <= 0:
         raise ValueError("log_gamma_rational needs x > 0")
-    _, P = _fixed_point_plan(ctx)
-    # smallest Stirling term at argument X is ~ e^(-2 pi X); require
-    # e^(-2 pi X) < goal, i.e. X > wd * ln(10)/(2 pi) ~ 0.3665 wd
-    threshold = int(0.3665 * (ctx.working_digits + 6)) + 2
-    for _ in range(6):
-        N = max(0, threshold - int(x))
-        part = (_promoted_stirling_units if N else _stirling_units)(x + N, ctx)
-        if part is not None:
-            units, err = part
-            if N:
-                a, b = x.numerator, x.denominator
-                rising = math.prod(a + j * b for j in range(N))
-                units += N * _log_int(b, P) - _log_int(rising, P)
-                err += N * _log_err(b) + _log_err(rising)
-            return _from_units(units, err, P)
-        threshold *= 2
-    raise PrecisionError("log_gamma_rational promotion did not converge")
+    _, P, _, T, _ = _plan(ctx)
+    N = T - int(x)
+    X = x + N
+    part = _stirling_units(X, ctx)
+    if part is None:
+        raise PrecisionError(f"Stirling's series for log Gamma({X}) turned "
+                             "before its goal")
+    units, err = part
+    if N:
+        low = min(x, X)
+        a, b = low.numerator, low.denominator
+        rising = math.prod(a + j * b for j in range(abs(N)))
+        log_prod = _log_int(rising, P) - abs(N) * _log_int(b, P)
+        units += -log_prod if N > 0 else log_prod
+        err += abs(N) * _log_err(b) + _log_err(rising)
+    return _from_units(units, err, P)
 
 
 # -- abelian group counting ---------------------------------------------------
@@ -685,8 +707,3 @@ def partition_counts(n: int) -> list:
             k += 1
         parts.append(total)
     return parts
-
-
-def partition_count(n: int) -> int:
-    """p(n), the number of integer partitions of n."""
-    return partition_counts(n)[-1]

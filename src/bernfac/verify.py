@@ -46,7 +46,7 @@ from .constants import (
 )
 from .precision import BoundedReal, PrecisionContext, _from_units, make_context
 from .special import (
-    _fixed_point_plan, _linear_in_logs, _sum_units, bernoulli,
+    _linear_in_logs, _plan, _sum_units, bernoulli,
     log_gamma_rational, log_two_pi, partition_counts,
 )
 
@@ -604,7 +604,7 @@ def _eta_prime_product(primes: Sequence[int], ctx: PrecisionContext) -> BoundedR
     about 4 ms and those to 10^6 about 0.25 s (2-core VM, CPython 3.11).
     A p below 2 (t = log p / pi <= 0, or q >= 1) raises ValueError.
     """
-    g, P = _fixed_point_plan(ctx)
+    g, P, _, _, _ = _plan(ctx)
     one, goal = 1 << P, 1 << (P - g)
     acc, acc_err, acc_exp = 1, 0, 0  # acc of 2^-acc_exp
     for p in primes:

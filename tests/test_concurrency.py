@@ -111,7 +111,7 @@ def test_clear_cache_never_pulls_a_value_from_a_reader():
 
     def read_all():
         return (special.bernoulli(6), special.bernoulli(60),
-                special.harmonic(3), special.partition_count(4),
+                special.harmonic(3), special.partition_counts(4)[-1],
                 special.zeta_int(61, ctx),
                 special.pi_const(ctx), special.euler_gamma(ctx))
 

@@ -163,13 +163,13 @@ def test_c_constant_widens_by_the_whole_tail(digits):
         assert radius >= mpf_to_fraction(prod.abs_err) + widening, which
 
 
-CUTOFF_DIGITS = [*range(1, 61), 100, 150, 200]
+CUTOFF_DIGITS = range(1, 2001)
 
 
 def test_zeta_product_cutoff_brackets_the_root():
     # N' - 3/N' > (d+3) log2(10) > (N'-1) - 3/(N'-1), in mpmath at 60 digits
-    cutoffs = {d: constants._zeta_product_cutoff(make_context(d))
-               for d in CUTOFF_DIGITS}
+    cutoffs = {d: special._plan(make_context(d)).cut for d in CUTOFF_DIGITS}
+    clear_cache()
     with mpmath.workdps(60):
         for d, n in cutoffs.items():
             big_l = (d + 3) * mpmath.log(10) / mpmath.log(2)
@@ -181,8 +181,9 @@ def test_zeta_product_cutoff_builds_no_fraction_powers(monkeypatch):
     def refuse(*args):
         raise AssertionError("Fraction.__pow__ called")
 
+    clear_cache()
     monkeypatch.setattr(Fraction, "__pow__", refuse)
-    n = constants._zeta_product_cutoff(make_context(2000))
+    n = special._plan(make_context(2000)).cut
     monkeypatch.undo()
     with mpmath.workdps(60):
         big_l = 2003 * mpmath.log(10) / mpmath.log(2)
@@ -191,17 +192,19 @@ def test_zeta_product_cutoff_builds_no_fraction_powers(monkeypatch):
 
 def test_zeta_product_cutoff_raises_precision_when_undecided(monkeypatch):
     # with each integer log allowed an error of 2^60 units, 64 bits cannot
-    # separate N' = 675 from 674 at 200 digits, so P must be doubled
+    # separate N' = 675 from 674 at 200 digits, so the unit must be doubled
     tried = []
-    log_int = constants._log_int
+    log_int = special._log_int
 
     def recorded(v, P):
         tried.append(P)
         return log_int(v, P)
 
-    monkeypatch.setattr(constants, "_log_int", recorded)
-    monkeypatch.setattr(constants, "_log_err", lambda v: 1 << 60)
-    assert constants._zeta_product_cutoff(make_context(200)) == 675
+    clear_cache()  # the plan is memoized
+    monkeypatch.setattr(special, "_log_int", recorded)
+    monkeypatch.setattr(special, "_log_err", lambda v: 1 << 60)
+    assert special._plan(make_context(200)).cut == 675
+    clear_cache()
     assert min(tried) == 64 and max(tried) > 64
 
 

@@ -8,6 +8,7 @@ sums or mpmath's own implementations for the transcendental ones.
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -31,7 +32,7 @@ from bernfac.special import (
     harmonic,
     log_gamma_rational,
     log_two_pi,
-    partition_count,
+    partition_counts,
     pi_const,
     zeta_int,
     zeta_neg_int,
@@ -375,7 +376,7 @@ def test_zeta_int_contains_mpmath_around_each_branch(digits):
     # direct-sum threshold: exact Bernoulli values and Euler-Maclaurin
     # below it, direct sums above it
     ctx = make_context(digits)
-    n, g, _ = special._zeta_plan(ctx)
+    g, _, n, _, _ = special._plan(ctx)
     thr = next(s for s in range(3, 10 * digits)
                if special._direct_terms(s, n, g) is not None)
     assert special._direct_terms(thr - 1, n, g) is None
@@ -639,17 +640,29 @@ def test_log_gamma_sweep_at_low_precision_contains_mpmath():
 @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(7, 2), Fraction(40)])
 def test_log_gamma_radius_counts_each_log_error(monkeypatch, x):
     # with every integer log allowed an error of 2^80 units, the radius
-    # must hold (X - 1/2) (err(a) + err(b)) + N err(b) + err(prod (a + j b))
+    # must hold (X - 1/2) (err(a) + err(b)) + |N| err(b) + err(prod (a + j b));
+    # N = T - floor(x) is negative at x = 40
     ctx = make_context(20)
-    _, P = special._fixed_point_plan(ctx)
-    N = max(0, int(0.3665 * (ctx.working_digits + 6)) + 2 - int(x))
+    _, P, _, T, _ = special._plan(ctx)
+    N = T - int(x)
     big = 1 << 80
     monkeypatch.setattr(special, "_log_err", lambda v: big)
     constants.clear_cache()
     radius = mpf_to_fraction(log_gamma_rational(x, ctx).abs_err) * 2**P
-    want = (x + N - Fraction(1, 2)) * 2 * big + (N + 1) * big * (N > 0)
+    want = (x + N - Fraction(1, 2)) * 2 * big + (abs(N) + 1) * big * (N != 0)
     constants.clear_cache()
     assert radius >= want
+
+
+def test_log_gamma_raises_precision_when_stirling_turns(monkeypatch):
+    # a Stirling sum that turned before its goal is reported, not retried
+    ctx = make_context(20)
+    X = special._plan(ctx).T + Fraction(1, 3)
+    monkeypatch.setattr(special, "_stirling_units", lambda big, ctx: None)
+    constants.clear_cache()
+    with pytest.raises(PrecisionError, match=re.escape(f"log Gamma({X})")):
+        log_gamma_rational(Fraction(7, 3), ctx)
+    constants.clear_cache()
 
 
 PRODUCT_10K_BITS = math.prod(range(1, 1200))
@@ -683,7 +696,7 @@ def test_linear_in_logs_sweep_at_low_precision_contains_mpmath():
     slack = mpf(10) ** -60
     for digits in range(1, 13):
         ctx = make_context(digits)
-        _, P = special._fixed_point_plan(ctx)
+        P = special._plan(ctx).P
         for _ in range(250):
             top, bottom = 10 ** rng.randint(0, 9), 10 ** rng.randint(0, 6)
 
@@ -751,10 +764,10 @@ def test_eta_rejects_nonpositive_argument():
 
 def test_partition_known_values():
     known = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
-    assert [partition_count(n) for n in range(11)] == known
-    assert partition_count(100) == 190569292
+    assert partition_counts(10) == known
+    assert partition_counts(100)[-1] == 190569292
 
 
 def test_partition_rejects_negative():
     with pytest.raises(ValueError):
-        partition_count(-1)
+        partition_counts(-1)

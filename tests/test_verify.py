@@ -21,7 +21,7 @@ from bernfac.precision import (
     make_context,
     mpf_to_fraction,
 )
-from bernfac.special import partition_count
+from bernfac.special import partition_counts
 from bernfac.verify import (
     IdentityReport,
     RatioReport,
@@ -292,9 +292,11 @@ def test_identity_suite_computes_at_its_context():
     assert len(gaps) == 300 and max(gaps) < 1e-50
 
 
-def test_identity_suite_sums_one_stirling_tail_per_alpha(monkeypatch):
-    # at 300 digits every log Gamma(n + 1 - alpha), n <= 50, is promoted to
-    # the same X for a given alpha, so the six alphas make six sums
+@pytest.mark.parametrize("digits", [20, 300])
+def test_identity_suite_sums_one_stirling_tail_per_alpha(monkeypatch, digits):
+    # every log Gamma(n + 1 - alpha), n <= 50, is moved to the same X for a
+    # given alpha, up from below T or down from above it, so the six alphas
+    # make six sums at any digit count
     sums = []
     terms = special._stirling_terms
 
@@ -304,7 +306,7 @@ def test_identity_suite_sums_one_stirling_tail_per_alpha(monkeypatch):
 
     monkeypatch.setattr(special, "_stirling_terms", spy)
     clear_cache()
-    reports = identity_suite(make_context(300))
+    reports = identity_suite(make_context(digits))
     clear_cache()
     assert len(reports) == 755
     assert len(sums) == len(set(sums)) == 6
@@ -567,10 +569,10 @@ def abelian_group_count(n: int) -> int:
             while m % p == 0:
                 m //= p
                 e += 1
-            result *= partition_count(e)
+            result *= partition_counts(e)[-1]
         p += 1 if p == 2 else 2
     if m > 1:
-        result *= partition_count(1)
+        result *= partition_counts(1)[-1]
     return result
 
 
@@ -582,7 +584,7 @@ def test_abelian_group_count_known_values():
     assert abelian_group_count(16) == 5
     assert abelian_group_count(36) == 4
     assert abelian_group_count(72) == 6
-    assert abelian_group_count(2**10) == partition_count(10)
+    assert abelian_group_count(2**10) == partition_counts(10)[-1]
 
 
 @given(
