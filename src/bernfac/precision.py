@@ -599,8 +599,8 @@ def _scale(v: tuple, err: tuple, digits: int, up: bool = False) -> tuple:
 
     The digits are m = floor(|v| 10^q), or the ceiling if up is set, and
     10^-q is the unit of the last one. 10^e <= |v| < 10^(e+1), unless a
-    ceiling carries to 10^(e+1). The raw radius err certifies m iff
-    2 err 10^q < 1."""
+    ceiling carries to 10^(e+1). The raw radius err certifies m iff both ends
+    give it, floor((|v| -+ err) 10^q) = m (ceilings if up is set), at q."""
     if digits < 1:
         raise ValueError("digits must be at least 1")
     _, man, exp, bc = v
@@ -625,7 +625,10 @@ def _scale(v: tuple, err: tuple, digits: int, up: bool = False) -> tuple:
                 q = digits - 1 if -digits < e < 0 else digits - 1 - e
                 m = _ten(e + q)
     _, eman, eexp, _ = err
-    return m, e, q, not eman or not _floor_scaled(eman, eexp + 1, q, digits)
+    low, sign = min(exp, eexp), -1 if up else 1  # ceil(x) = -floor(-x)
+    mid, rad = man << (exp - low), eman << (eexp - low)
+    ends = {sign * _floor_scaled(sign * (mid + d), low, q, digits) for d in (-rad, rad)}
+    return m, e, q, ends == {m}
 
 
 def _int_text(m: int) -> str:
@@ -677,9 +680,9 @@ def round_to_digits(x: BoundedReal, digits: int) -> str:
     the same length, the table convention). Values needing scientific
     notation (magnitude >= 10^d or below 10^(1-d)) get d significant
     digits instead. The expansion is truncated toward zero. If the error
-    bound does not pin down the printed digits (abs_err >= half a unit in
-    the last printed place), a trailing '~' marks the value as not
-    certified at this length.
+    bound does not pin down the printed digits (the ends of the ball,
+    |v| - abs_err and |v| + abs_err, truncate to other digits than v), a
+    trailing '~' marks the value as not certified at this length.
     """
     v = x._v
     m, e, _, certified = _scale(v, x._e, digits)

@@ -18,13 +18,13 @@ below the goal, or before the smallest term, and its radius counts every
 kept floor and the stopping remainder.
 
 zeta(s) at integers s >= 2 is evaluated for a whole family of s at once and
-memoized under ("zeta", s, ctx) (zeta_family, read through zeta_int): large
-s by a direct sum plus its tail bound, even s below that range exactly from
-|B_2j| (2 pi)^(2j) / (2 (2j)!), and odd s by Euler-Maclaurin, whose
-remainder is below the first omitted correction since x^-s is completely
-monotone; the Hurwitz tails zeta(s, a) share that tail (_em_tail). zeta'(s)
-takes the same split, with log v built from the logs of primes and the
-integral form of the Euler-Maclaurin remainder.
+memoized under ("zeta", s, ctx) (zeta_family, read through zeta_int). One
+kernel, _hurwitz_units, sums S(s, a) = sum_{v>=a} (a/v)^s: zeta(s) = S(s, 1),
+and the Hurwitz tails are a^-s S(s, a) (_zeta_tails). zeta(s) at large s is
+a direct sum and its tail bound; smaller s, and every tail, end in
+Euler-Maclaurin (_em_tail), whose remainder is below the first omitted
+correction as x^-s is completely monotone, except even zeta(2j), exactly
+|B_2j| (2 pi)^(2j) / (2 (2j)!). zeta'(s) takes zeta's split (_split).
 
 log Gamma(x) at rational x > 0 is Stirling's series for log Gamma itself,
 at X = x + N = T + frac(x), corrected by the log of the exact rational
@@ -234,54 +234,81 @@ def zeta_int(s: int, ctx: PrecisionContext) -> BoundedReal:
     return value
 
 
-def _direct_terms(s: int, n: int, g: int):
-    """Least V <= n with tail bound V^(1-s)/(s-1) < 2^-g, or None.
+def _split(s: int, a: int, g: int, n: int) -> tuple:
+    """(top, cut): _hurwitz_units' route for S(s, a) to the goal 2^-g.
 
-    The test (s-1) V^(s-1) > 2^g is exact; a float root, trusted only to
-    within a factor 2, picks the first V to try and skips the test at n
-    when the root is far from n.
+    At a = 1, (V, None): the terms v <= V, for the least V <= n with
+    (s-1) V^(s-1) > 2^g, tested exactly, so the tail bound V^(1-s)/(s-1) is
+    below 2^-g. A float root, trusted only to within a factor 2, picks the
+    first V to try and skips the test at n when the root is far from n.
+    With no such V, and always at a >= 2, (c - 1, c): the terms v < c and
+    Euler-Maclaurin at c = n, or at c = max(a, n, s) where its corrections
+    fall from the first, so its remainder ends far below the goal.
     """
-    target = 1 << g
+    if a > 1:
+        return max(a, n, s) - 1, max(a, n, s)
 
     def enough(v: int) -> bool:
-        return (s - 1) * v ** (s - 1) > target
+        return (s - 1) * v ** (s - 1) > 1 << g
 
     log_root = (g - math.log2(s - 1)) / (s - 1)
     log_n = math.log2(n)
     if log_root > log_n + 1 or (log_root > log_n - 1 and not enough(n)):
-        return None
+        return n - 1, n
     v = max(1, min(n, int(2.0 ** log_root)))
     while v > 1 and enough(v - 1):
         v -= 1
     while not enough(v):
         v += 1
-    return v
+    return v, None
 
 
-def _power_sums(upto: dict, P: int) -> dict:
-    """sum_{v<=upto[s]} floor(2^P v^-s) for each s, one division ladder per v.
+def _hurwitz_units(s_values, a: int, P: int, g: int, n: int) -> dict:
+    """{s: (units, err)}: S(s, a) = sum_{v>=a} (a/v)^s >= 1 in units of 2^-P,
+    for s >= 2 and a >= 1: zeta(s, a) = a^-s S(s, a), and S(s, 1) = zeta(s).
 
-    Each v walks the exponents that need it in increasing order and divides
-    its running floor by v^(s - previous s). If the running value is below
-    2^P v^-s by less than c, the next is below by less than c/v + 1, so
-    every term with v >= 2 is below the exact 2^P v^-s by less than 2.
+    Per s, by _split: the terms a <= v <= top and the tail bound, rounded
+    up; or the terms v < cut and _em_tail at cut in units of 2^-(P+b),
+    b = bits(a^s) (0 at a = 1), crossed by one floor of a^s/2^b. v = a
+    gives 2^P; each v > a walks its s upward, x <- floor(x a^d / v^d) per
+    step d (Johansson's power ladder, arXiv:1309.2877; one division at
+    a = 1). An error e becomes less than e (a/v)^d + 1, so after k steps it
+    is below min(k, v/(v - a)), counted as min(k, ceil(v/(v - a))) units,
+    or as 2 at a = 1.
     """
-    one = 1 << P
-    order = sorted(upto)
-    reach = [upto[s] for s in order]
-    for i in range(len(reach) - 2, -1, -1):  # suffix maxima: where to stop
-        reach[i] = max(reach[i], reach[i + 1])
-    sums = dict.fromkeys(order, one)
-    for v in range(2, reach[0] + 1 if reach else 0):
-        x, at = one, 0
+    one, top, cuts = 1 << P, {}, {}
+    for s in sorted(set(s_values)):
+        top[s], cuts[s] = _split(s, a, g, n)
+    order = list(top)
+    # suffix maxima of the tops: where each v's walk stops
+    reach = list(itertools.accumulate((top[s] for s in reversed(order)), max))[::-1]
+    sums = {s: one if top[s] >= a else 0 for s in order}
+    errs = {s: 2 * (top[s] - 1) if a == 1 else 0 for s in order}
+    for v in range(a + 1, max(reach, default=a) + 1):
+        x, at, steps, cap = one, 0, 0, -(-v // (v - a))
         for s, last in zip(order, reach):
             if last < v:
                 break
-            if upto[s] >= v:
+            if top[s] >= v:
+                if a > 1:
+                    x *= a ** (s - at)
+                    steps += 1
+                    errs[s] += min(steps, cap)
                 x //= v ** (s - at)
                 at = s
                 sums[s] += x
-    return sums
+    units = {}
+    for s in order:
+        total, err, power = sums[s], errs[s], a ** s
+        if cuts[s] is None:  # the tail bound, rounded up
+            err -= -one // ((s - 1) * top[s] ** (s - 1))
+        else:  # b = 0 at a = 1, where the crossing is exact
+            b = power.bit_length() if a > 1 else 0
+            tail, tail_err = _em_tail(s, cuts[s], P + b, g + b)
+            total += tail * power >> b
+            err += (a > 1) - (-(tail_err * power) >> b)
+        units[s] = total, err
+    return units
 
 
 def _sum_units(terms, goal):
@@ -346,20 +373,15 @@ def _em_tail(s: int, n: int, P: int, g: int) -> tuple:
 def _zeta_tails(s_values, a: int, ctx: PrecisionContext) -> dict:
     """{s: zeta(s, a)} = {s: sum_{v>=a} v^-s} for integers s >= 2, a >= 1.
 
-    Each is summed on the plan (_plan) shifted by b = bit length of a^s, in
-    units of 2^-(P+b) < a^-s 2^-P to the goal 2^-(g+b) < a^-s 2^-g, so its
-    radius is relative: the terms a <= v < cut directly, one floor each,
-    then _em_tail at cut = max(a, n, s), with n zeta's cutoff. Below s the
-    corrections grow from the first. zeta(s) less the terms v < a would
-    lose s log10(a) digits.
+    a^-s S(s, a) from _hurwitz_units on the plan (_plan), crossed once into
+    units of 2^-(P+b) < a^-s 2^-P, b = bits(a^s), so the radius is relative.
+    zeta(s) less the terms v < a would lose s log10(a) digits.
     """
     g, P, n, _, _ = _plan(ctx)
     tails = {}
-    for s in s_values:
-        cut, b = max(a, n, s), (a ** s).bit_length()
-        units, err = _em_tail(s, cut, P + b, g + b)
-        direct = sum((1 << (P + b)) // v ** s for v in range(a, cut))
-        tails[s] = _from_units(direct + units, cut - a + err, P + b)
+    for s, (units, err) in _hurwitz_units(s_values, a, P, g, n).items():
+        power, b = a ** s, (a ** s).bit_length()
+        tails[s] = _from_units((units << b) // power, 1 - (-(err << b) // power), P + b)
     return tails
 
 
@@ -382,18 +404,10 @@ def zeta_family(s_values, ctx: PrecisionContext) -> dict:
     """{s: zeta(s)} for every s in s_values, from the memo or from one pass
     that fills it.
 
-    With n = max(10, 3/4 working digits) and 2^-g < 10^-(working digits
-    + 2), each s takes one route:
-
-    - direct sum to V, the least V <= n whose tail bound V^(1-s)/(s-1)
-      is below 2^-g; the tail bound, rounded upward, joins the radius;
-    - below that range, even s: exact Bernoulli numbers and powers of 2 pi;
-    - below that range, odd s: Euler-Maclaurin at cutoff n.
-
-    The sums are exact integers in units of 2^-P, P = g + 32. Each v^-s
-    comes from one ladder of floor divisions per v, shared by every s
-    (the power ladder of Johansson, arXiv:1309.2877), and the radius
-    counts every floor.
+    With the plan's cutoff n and goal 2^-g, even s with no direct sum to
+    some V <= n (_split) take exact Bernoulli numbers and powers of 2 pi;
+    every other s is _hurwitz_units at a = 1, in units of 2^-P: the direct
+    sum to V, or the terms v < n and Euler-Maclaurin at n.
     """
     zetas = {s: _memo.get(("zeta", s, ctx)) for s in s_values}
     todo = sorted(s for s, value in zetas.items() if value is None)
@@ -402,26 +416,9 @@ def zeta_family(s_values, ctx: PrecisionContext) -> dict:
     if todo[0] < 2:
         raise ValueError("zeta_int needs s >= 2")
     g, P, n, _, _ = _plan(ctx)
-    direct, odd, even = {}, [], []
-    for s in todo:
-        v = _direct_terms(s, n, g)
-        if v is not None:
-            direct[s] = v
-        elif s % 2:
-            odd.append(s)
-        else:
-            even.append(s)
-    sums = _power_sums({**direct, **dict.fromkeys(odd, n - 1)}, P)
-    one = 1 << P
-    values = {}
-    for s, v in direct.items():
-        # sum_{w>v} w^-s < v^(1-s)/(s-1), rounded up to whole units
-        tail = -(-one // ((s - 1) * v ** (s - 1)))
-        values[s] = _from_units(sums[s], 2 * (v - 1) + tail, P)
-    for s in odd:
-        # sums[s] is below the exact sum_{v<n} v^-s by less than 2 per v >= 2
-        units, err = _em_tail(s, n, P, g)
-        values[s] = _from_units(sums[s] + units, 2 * (n - 2) + err, P)
+    even = [s for s in todo if s % 2 == 0 and _split(s, 1, g, n)[1]]
+    summed = _hurwitz_units(set(todo).difference(even), 1, P, g, n)
+    values = {s: _from_units(units, err, P) for s, (units, err) in summed.items()}
     if even:
         values.update(_zeta_even(even, ctx))
     for s, value in values.items():
@@ -489,7 +486,7 @@ def zeta_prime_int(s: int, ctx: PrecisionContext) -> BoundedReal:
 
     Summed in units of 2^-P on the plan and split. log v (_log_units) is
     off by less than 2 log2 v < v^2 units, so each floor(log v 2^P / v^s)
-    is off by less than 2. If V = _direct_terms(s, n, g + b) exists, with
+    is off by less than 2. If _split(s, 1, g + b, n) sums directly to V, with
     2^b > (bit length of n) + 1 > log n + 1, the sum runs to V, and the tail
     bound V^(1-s) (log V/(s-1) + 1/(s-1)^2) < 2^-g joins the radius.
     Otherwise Euler-Maclaurin runs on g(x) = log(x) x^-s at cutoff n, with
@@ -502,16 +499,15 @@ def zeta_prime_int(s: int, ctx: PrecisionContext) -> BoundedReal:
         raise ValueError("zeta_prime_int needs s >= 2")
     g, P, n, _, _ = _plan(ctx)
     one = 1 << P
-    V = _direct_terms(s, n, g + (n.bit_length() + 1).bit_length())
-    top = n if V is None else V
+    last, cut = _split(s, 1, g + (n.bit_length() + 1).bit_length(), n)
+    top = cut or last
     logs = _log_units(top, P)
     slop = 2 * top.bit_length()  # above the error of every logs[v], v <= top
     log_up = logs[top] + slop  # above 2^P log(top)
-    last = n - 1 if V is None else V
     units = sum(logs[v] // v ** s for v in range(2, last + 1))
-    if V is not None:
-        tail = -(-(log_up * (s - 1) + one) // ((s - 1) ** 2 * V ** (s - 1)))
-        return _from_units(-units, 2 * (V - 1) + tail, P)
+    if cut is None:  # the direct sum to V = last
+        tail = -(-(log_up * (s - 1) + one) // ((s - 1) ** 2 * last ** (s - 1)))
+        return _from_units(-units, 2 * (last - 1) + tail, P)
     # int_n^inf g + g(n)/2, each off by less than 1 + slop/n^(s-1) < 2 units
     power = n ** (s - 1)
     units += (logs[n] * (s - 1) + one) // ((s - 1) ** 2 * power)

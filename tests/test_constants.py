@@ -496,6 +496,12 @@ REFS = References()
 
 # each sweep: (route value, mpmath reference) pairs at a context and dps
 REFERENCE_SWEEPS = {
+    "C": lambda ctx, dps: [
+        (c_constant(which, ctx).value, REFS.c_constant(which, dps)) for which in (1, 2, 3)
+    ],
+    "A_r": lambda ctx, dps: [
+        (glaisher_a(r, ctx).value, REFS.a_r(r, dps)) for r in range(9)
+    ],
     "F_k": lambda ctx, dps: [
         (f_k_closed(k, ctx).value, REFS.f_k(k, dps)) for k in (*range(1, 13), 40)
     ],

@@ -492,7 +492,8 @@ def test_agrees_with_overlapping_and_disjoint():
 
 def test_round_to_digits_counts_all_printed_digits():
     x = BoundedReal.exact(Fraction(123456, 1000))
-    assert round_to_digits(x, 6) == "123.456"
+    # the binary ball around 123.456 straddles it, so its last digit is open
+    assert round_to_digits(x, 6) == "123.456~"
     assert round_to_digits(x, 4) == "123.4"
     assert round_to_digits(x, 3) == "123"
 
@@ -512,10 +513,11 @@ def test_round_to_digits_truncates_toward_zero():
 def test_round_to_digits_scientific_branches():
     big = BoundedReal.exact(Fraction(12345, 10))
     assert round_to_digits(big, 2) == "1.2e+3"
+    # 1/1000 and 1/100 are not binary: their balls straddle the boundary
     small = BoundedReal.exact(Fraction(1, 1000))
-    assert round_to_digits(small, 3) == "1.00e-3"
+    assert round_to_digits(small, 3) == "1.00e-3~"
     edge = BoundedReal.exact(Fraction(1, 100))
-    assert round_to_digits(edge, 3) == "0.01"
+    assert round_to_digits(edge, 3) == "0.01~"
     # 10^20 - 1 in 67 bits: its top 53 bits put log10 at 20.0 in floats,
     # so the exponent must be corrected down exactly
     with PrecisionContext(50, 10).workprec():  # 203 bits
@@ -530,14 +532,17 @@ def test_round_to_digits_zero():
 
 
 def test_round_to_digits_uncertified_marker():
-    rough = BoundedReal(mpf(1), mpf("0.1"))
-    assert round_to_digits(rough, 5) == "1.0000~"
+    rough = BoundedReal(mpf("1.5"), mpf("0.1"))
+    assert round_to_digits(rough, 5) == "1.5000~"
     assert round_to_digits(rough, 1) == "1"
-    assert not round_to_digits(rough, 1).endswith("~")
-    assert round_to_digits(rough, 5).endswith("~")
-    # certified only below half a unit of the last printed place
-    assert round_to_digits(BoundedReal(mpf(1), mpf(0.5)), 1) == "1~"
-    assert round_to_digits(BoundedReal(mpf(1), mpf(0.375)), 1) == "1"
+    # certified only when both ends of the ball truncate to the printed
+    # digits: [0.625, 1.375] reaches below 1, and [1.125, 1.875] does not
+    assert round_to_digits(BoundedReal(mpf(1), mpf(0.375)), 1) == "1~"
+    assert round_to_digits(BoundedReal(mpf("1.5"), mpf(0.375)), 1) == "1"
+    assert round_to_digits(BoundedReal(mpf("1.5"), mpf(0.5)), 1) == "1~"
+    # the midpoint 1.2350001 prints 1.235, but 1.2349991 is in the ball
+    near = BoundedReal(Fraction(12350001, 10**7), Fraction(1, 10**6))
+    assert round_to_digits(near, 4) == "1.235~"
 
 
 def test_round_to_digits_validates_digits():
@@ -610,27 +615,60 @@ def test_printing_matches_an_exact_fraction_reference(negative, man_exp, digits,
     v = mp.make_mpf(mpmath.libmp.from_man_exp(-man if negative else man, exp))
     exact = mpf_to_fraction(v)
     text, last_place = _reference_decimal(exact, digits, up=False)
-    # radii at and next to half a unit in the last place, at 64 bits
-    half = Fraction(10) ** last_place / 2
+    # radii at and next to the distance from |v| to either digit boundary
+    # around it, or to half a unit in the last place, at 64 bits
+    unit = Fraction(10) ** last_place
+    a = abs(exact)
+    m = a // unit
+    gap = data.draw(st.sampled_from([a - m * unit, (m + 1) * unit - a, unit / 2]))
     rounding = data.draw(st.sampled_from(["f", "c"]))
     _, eman, eexp, _ = mpmath.libmp.from_rational(
-        half.numerator, half.denominator, 64, rounding
+        gap.numerator, gap.denominator, 64, rounding
     )
     step = data.draw(st.sampled_from([-1, 0, 1]))
     radius = mp.make_mpf(data.draw(st.one_of(
-        st.just(mpmath.libmp.from_man_exp(int(eman) + step, eexp)),
+        st.just(mpmath.libmp.from_man_exp(max(int(eman) + step, 0), eexp)),
         st.just(mpmath.libmp.fzero),
         st.builds(mpmath.libmp.from_man_exp,
                   st.integers(1, 2**64), st.integers(-1500, 100)),
     )))
     x = BoundedReal(v, radius)
-    certified = 2 * mpf_to_fraction(radius) < Fraction(10) ** last_place
+    r = mpf_to_fraction(radius)
+    certified = (a - r) // unit == m == (a + r) // unit
     assert round_to_digits(x, digits) == (text if certified else text + "~")
     assert round_to_digits(x, digits).endswith("~") != certified
     assert _decimal(v, digits) == (text, last_place)
     assert _decimal(v, digits, up=True) == _reference_decimal(
         exact, digits, up=True
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(
+           lambda d: st.tuples(st.just(d), st.integers(10 ** (d - 1), 10**d - 1))),
+       st.integers(-30, 30), st.integers(-3, 3), st.integers(-120, -3),
+       st.integers(0, 2**20), st.integers(-140, 0), st.booleans())
+def test_a_display_without_a_tilde_holds_for_the_whole_ball(
+        digits_k, t, offset, offset_exp, rad_man, rad_exp, negative):
+    # a midpoint within a few 2^offset_exp units of the digit boundary
+    # k 10^t, and a radius from nothing to several units of the last place:
+    # the display lacks '~' iff both ends of the ball print its digits
+    digits, k = digits_k
+    scale = Fraction(10) ** t
+    centre = (k + offset * Fraction(2) ** offset_exp) * scale
+    sign = -1 if negative else 1
+    mid = mp.make_mpf(mpmath.libmp.from_rational(
+        sign * centre.numerator, centre.denominator, 400, mpmath.libmp.round_nearest))
+    rad = rad_man * Fraction(2) ** rad_exp * scale
+    radius = mp.make_mpf(mpmath.libmp.from_rational(
+        rad.numerator, rad.denominator, 64, mpmath.libmp.round_ceiling))
+    a, r = abs(mpf_to_fraction(mid)), mpf_to_fraction(radius)
+    printed = round_to_digits(BoundedReal(mid, radius), digits)
+    text = _reference_decimal(a, digits, up=False)[0]
+    assert printed.rstrip("~") == ("-" + text if negative else text)
+    pinned = a - r > 0 and all(
+        _reference_decimal(end, digits, up=False)[0] == text for end in (a - r, a + r))
+    assert printed.endswith("~") != pinned
 
 
 @pytest.mark.parametrize("digits", [4300, 4301, 6000])

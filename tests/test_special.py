@@ -378,8 +378,8 @@ def test_zeta_int_contains_mpmath_around_each_branch(digits):
     ctx = make_context(digits)
     g, _, n, _, _ = special._plan(ctx)
     thr = next(s for s in range(3, 10 * digits)
-               if special._direct_terms(s, n, g) is not None)
-    assert special._direct_terms(thr - 1, n, g) is None
+               if special._split(s, 1, g, n)[1] is None)
+    assert special._split(thr - 1, 1, g, n)[1] == n
     s_values = [2, 3, thr - 2, thr - 1, thr, thr + 1, 4 * digits]
     with mp.workdps(3 * digits):
         for s in s_values:
@@ -388,13 +388,37 @@ def test_zeta_int_contains_mpmath_around_each_branch(digits):
             assert z.abs_err < mpf(10) ** -(digits + 5)
 
 
-def test_power_sums_stay_within_two_units_per_term():
-    P = 200
-    upto = {2: 40, 3: 40, 5: 17, 6: 9, 11: 9, 12: 2, 90: 3}
-    sums = special._power_sums(upto, P)
-    for s, top in upto.items():
-        exact = sum(Fraction(2**P, v**s) for v in range(1, top + 1))
-        assert 0 <= exact - sums[s] < 2 * (top - 1)
+def test_hurwitz_units_hold_the_exact_sum_at_low_precision():
+    # S(s, a) = sum_{v>=a} (a/v)^s as exact partial sums to a + 59 plus
+    # a^s zeta(s, a + 60) at 120 digits; with the goal 2^-g one or a few
+    # units, the ladder's floors are most of each radius, and near v = a
+    # they grow toward v/(v - a) units each
+    refs = {}
+    with mp.workdps(120):
+        for a in (1, 2, 8, 38):
+            for s in range(2, 42):
+                head = sum(Fraction(a, v) ** s for v in range(a, a + 60))
+                tail = mpf(a) ** s * mp.zeta(s, a + 60)
+                refs[a, s] = mpf(head.numerator) / head.denominator + tail
+        checked = 0
+        for a, P, slack, n in itertools.product((1, 2, 8, 38), range(4, 41), (1, 2, 8), (3, 10)):
+            g = P - slack
+            if g < 1:
+                continue
+            # one call for every s whose Euler-Maclaurin sum reaches its
+            # goal, so that each v's ladder takes many steps
+            s_values = []
+            for s in range(2, 42):
+                try:
+                    special._hurwitz_units((s,), a, P, g, n)
+                    s_values.append(s)
+                except PrecisionError:
+                    pass
+            for s, (units, err) in special._hurwitz_units(s_values, a, P, g, n).items():
+                exact = mpmath.ldexp(refs[a, s], P)
+                assert units - err <= exact <= units + err, (a, P, g, n, s)
+                checked += 1
+    assert checked > 15_000
 
 
 def test_zeta_family_fills_the_zeta_int_cache(monkeypatch):
